@@ -211,16 +211,8 @@ RunMetrics run_experiment_threads(const ExperimentConfig& config,
         "drop the fault/restart flags or use the simulated runtime");
   }
   ThreadRuntimeConfig tcfg;
-  tcfg.num_ranks = run.cfg.runtime.num_ranks;
-  tcfg.model = run.cfg.runtime.model;
-  tcfg.cache_blocks = run.cfg.runtime.cache_blocks;
-  tcfg.carry_geometry = run.cfg.runtime.carry_geometry;
+  static_cast<RuntimeConfig&>(tcfg) = run.cfg.runtime;
   tcfg.schedule_fuzz_seed = run.cfg.schedule_fuzz_seed;
-  tcfg.checked_protocol = run.cfg.runtime.checked_protocol;
-  tcfg.checker_num_masters = run.cfg.runtime.checker_num_masters;
-  tcfg.checker_num_roots = run.cfg.runtime.checker_num_roots;
-  tcfg.async_io = run.cfg.runtime.async_io;
-  tcfg.shared_blocks = run.cfg.runtime.shared_blocks;
   // The thread runtime has no deterministic mid-run instant, so it only
   // honors cancellations that take effect at the epoch boundary; a timed
   // cancel is a configuration error here, not a silent approximation.

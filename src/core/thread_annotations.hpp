@@ -120,7 +120,7 @@ namespace sf {
 enum class LockRank : int {
   kUnranked = -1,   // exempt from ordering (tests, fixtures only)
   kCancelSet = 10,  // QueryCancelSet — service control plane -> tracer
-  kQueryBoard = 20,  // ThreadRuntime per-query termination board
+  kQueryBoard = 20,  // QueryBoard per-query termination board (rank_host)
   kFailureBoard = 30,  // ThreadRuntime first-failure slot
   kMailbox = 40,    // per-rank Context mailboxes
   kLoader = 50,     // AsyncBlockLoader queues + LoadState map

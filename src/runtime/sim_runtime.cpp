@@ -12,165 +12,91 @@
 
 namespace sf {
 
-// Per-rank state + the RankContext implementation handed to the program.
-class SimRuntime::Context final : public RankContext {
+namespace {
+
+// The particles a message carries and the block they target; null
+// particles for particle-free payloads.
+struct Carried {
+  std::vector<Particle>* particles = nullptr;
+  BlockId block = kInvalidBlock;
+};
+
+Carried carried_particles(Message& msg) {
+  if (auto* b = std::get_if<ParticleBatch>(&msg.payload)) {
+    return {&b->particles, b->block};
+  }
+  if (auto* c = std::get_if<Command>(&msg.payload)) {
+    return {&c->particles, c->block};
+  }
+  if (auto* t = std::get_if<SeedTransfer>(&msg.payload)) {
+    return {&t->seeds, kInvalidBlock};
+  }
+  if (auto* u = std::get_if<Undeliverable>(&msg.payload)) {
+    return {&u->particles, u->block};
+  }
+  return {};
+}
+
+}  // namespace
+
+// The RankContext handed to one rank's program: RankHost's per-rank
+// state on the simulated clock, modelled disk and network.
+class SimRuntime::Context final : public RankHost {
  public:
   Context(SimRuntime* runtime, SimEngine* engine, SharedDisk* disk,
           Network* network, int rank)
-      : runtime_(runtime),
+      : RankHost(&runtime->hosts_, rank),
+        runtime_(runtime),
         engine_(engine),
         disk_(disk),
-        network_(network),
-        rank_(rank),
-        cache_(runtime->config_.cache_blocks) {}
+        network_(network) {}
 
-  // --- RankContext -----------------------------------------------------
-
-  int rank() const override { return rank_; }
-  int num_ranks() const override { return runtime_->config_.num_ranks; }
   double now() const override { return engine_->now(); }
 
-  const BlockDecomposition& decomposition() const override {
-    return *runtime_->decomp_;
-  }
-  const Tracer& tracer() const override { return runtime_->tracer_; }
-  const MachineModel& model() const override {
-    return runtime_->config_.model;
-  }
-
   void send(int to, Message msg) override {
-    msg.from = rank_;
-    SF_INVARIANT_HOOK(runtime_->checker_,
-                      on_send(rank_, to, msg, engine_->now()));
-    const std::size_t bytes =
-        message_bytes(msg, runtime_->config_.carry_geometry);
-    metrics.comm_time += network_->endpoint_cost(bytes);
-    metrics.messages_sent += 1;
-    metrics.bytes_sent += bytes;
-    if (!std::holds_alternative<ParticleBatch>(msg.payload)) {
-      metrics.control_messages_sent += 1;
-    }
+    msg.from = rank();
+    SF_INVARIANT_HOOK(checker(), on_send(rank(), to, msg, engine_->now()));
+    const std::size_t bytes = message_bytes(msg, config().carry_geometry);
+    runtime_->charge_send(*this, bytes,
+                          !std::holds_alternative<ParticleBatch>(msg.payload));
     const SimTime arrive = network_->delivery_time(engine_->now(), bytes);
     if (runtime_->fault_) {
-      runtime_->fault_send(rank_, to, arrive, bytes, std::move(msg));
+      runtime_->fault_send(rank(), to, arrive, bytes, std::move(msg));
       return;
     }
-    Context* dest = runtime_->contexts_[static_cast<std::size_t>(to)].get();
-    engine_->schedule_at(arrive, [dest, bytes, m = std::move(msg)]() mutable {
-      dest->metrics.comm_time += dest->network_->endpoint_cost(bytes);
-      dest->metrics.bytes_received += bytes;
-      SF_INVARIANT_HOOK(dest->runtime_->checker_,
-                        on_deliver(dest->rank_, m, dest->engine_->now()));
-      dest->program->on_message(*dest, std::move(m));
-      dest->runtime_->refresh_finished(dest->rank_);
-    });
+    engine_->schedule_at(
+        arrive, [rt = runtime_, to, bytes, m = std::move(msg)]() mutable {
+          rt->deliver(to, bytes, std::move(m));
+        });
   }
 
   void request_block(BlockId id) override {
-    if (cache_.contains(id)) {
-      // Hit: re-insert touches LRU; notify at the current instant.
-      engine_->schedule_at(engine_->now(), [this, id] {
-        if (dead()) return;
-        program->on_block_loaded(*this, id);
-        runtime_->refresh_finished(rank_);
-      });
-      return;
+    switch (serve_demand(id)) {
+      case Demand::kPending:
+        return;  // coalesce duplicate requests
+      case Demand::kServed:
+        // Hit or staged claim: notify at the current instant.
+        engine_->schedule_at(engine_->now(), [this, id] {
+          if (!dead()) loaded(id);
+        });
+        return;
+      case Demand::kMiss:
+        break;
     }
-    if (pending_.count(id) != 0) return;  // coalesce duplicate requests
-    // Async staging: a prefetched block is promoted into the cache at
-    // the moment of demand — this is when the load "happens" for LRU
-    // order and E-metric purposes, so the accounting stays identical to
-    // the sync path (and the stall is zero).  Both branches are
-    // unreachable with async I/O off.
-    auto st = staged_.find(id);
-    if (st != staged_.end()) {
-      ++metrics.prefetch_hits;
-      GridPtr grid = std::move(st->second);
-      staged_.erase(st);
-      staged_order_.erase(
-          std::remove(staged_order_.begin(), staged_order_.end(), id),
-          staged_order_.end());
-      SF_INVARIANT_HOOK(runtime_->checker_,
-                        on_prefetch_claimed(rank_, id, engine_->now()));
-      cache_.insert(id, std::move(grid));
-      SF_INVARIANT_HOOK(
-          runtime_->checker_,
-          on_block_insert(rank_, id, cache_.resident(), engine_->now()));
-      sync_cache_counters();
-      engine_->schedule_at(engine_->now(), [this, id] {
-        if (dead()) return;
-        program->on_block_loaded(*this, id);
-        runtime_->refresh_finished(rank_);
-      });
-      return;
-    }
+    pending_.insert(id);
     if (prefetch_inflight_.count(id) != 0) {
       // Demand overtook an in-flight prefetch: piggyback on its read.
       // The completion finishes this request; the rank only stalls for
       // the remaining read time (a partial overlap still beats a cold
       // read).
-      pending_.insert(id);
       demand_since_[id] = engine_->now();
       return;
     }
-    pending_.insert(id);
-    start_read(id, /*attempt=*/0);
+    read(id, /*attempt=*/0, /*prefetch=*/false);
   }
 
   void prefetch_block(BlockId id) override {
-    const AsyncIoConfig& aio = runtime_->config_.async_io;
-    if (!aio.enabled) return;
-    if (cache_.contains(id) || pending_.count(id) != 0 ||
-        staged_.count(id) != 0 || prefetch_inflight_.count(id) != 0) {
-      return;
-    }
-    if (prefetch_inflight_.size() >=
-        static_cast<std::size_t>(std::max(1, aio.prefetch_depth))) {
-      return;  // depth-limited; dropping a hint is always legal
-    }
-    prefetch_inflight_.insert(id);
-    ++metrics.prefetches_issued;
-    SF_INVARIANT_HOOK(runtime_->checker_,
-                      on_prefetch_issued(rank_, id, engine_->now()));
-    start_prefetch_read(id, /*attempt=*/0);
-  }
-
-  int prefetch_capacity() const override {
-    const AsyncIoConfig& aio = runtime_->config_.async_io;
-    return aio.enabled ? std::max(1, aio.prefetch_depth) : 0;
-  }
-
-  void pin_block(BlockId id) override {
-    cache_.pin(id);
-    SF_INVARIANT_HOOK(runtime_->checker_, on_block_pin(rank_, id));
-  }
-
-  void unpin_block(BlockId id) override {
-    cache_.unpin(id);  // may run the deferred eviction
-    sync_cache_counters();
-    SF_INVARIANT_HOOK(
-        runtime_->checker_,
-        on_block_unpin(rank_, id, cache_.resident(), engine_->now()));
-  }
-
-  bool block_resident(BlockId id) const override {
-    return cache_.contains(id);
-  }
-  bool block_pending(BlockId id) const override {
-    return pending_.count(id) != 0;
-  }
-
-  std::vector<BlockId> resident_blocks() const override {
-    return cache_.resident();
-  }
-
-  const StructuredGrid* block(BlockId id) override {
-    const StructuredGrid* grid = cache_.find(id);
-    if (grid != nullptr) {
-      // find() moved the block to the front of the LRU; mirror it.
-      SF_INVARIANT_HOOK(runtime_->checker_, on_block_touch(rank_, id));
-    }
-    return grid;
+    if (admit_prefetch(id)) read(id, /*attempt=*/0, /*prefetch=*/true);
   }
 
   void begin_compute(double seconds, std::uint64_t steps) override {
@@ -181,39 +107,25 @@ class SimRuntime::Context final : public RankContext {
     if (runtime_->fault_) {
       // Gray failure: a slowed rank's bursts take longer in modeled time,
       // but the steps (and hence the trajectories) are untouched.
-      seconds *= runtime_->fault_->slow_factor[static_cast<std::size_t>(rank_)];
+      seconds *=
+          runtime_->fault_->slow_factor[static_cast<std::size_t>(rank())];
     }
     metrics.compute_time += seconds;
     metrics.steps += steps;
     metrics.bursts += 1;
     if (runtime_->timeline_ && seconds > 0.0) {
-      runtime_->timeline_->add(rank_, TimelineSpan::Kind::kCompute,
+      runtime_->timeline_->add(rank(), TimelineSpan::Kind::kCompute,
                                engine_->now(), engine_->now() + seconds);
     }
     engine_->schedule_after(seconds, [this] {
       if (dead()) return;
       busy_ = false;
       program->on_compute_done(*this);
-      runtime_->refresh_finished(rank_);
+      runtime_->refresh_finished(rank());
     });
   }
 
   bool busy() const override { return busy_; }
-
-  void charge_particle_memory(std::int64_t delta_bytes) override {
-    particle_bytes_ += delta_bytes;
-    if (particle_bytes_ < 0) particle_bytes_ = 0;  // paranoia
-    metrics.peak_particle_bytes =
-        std::max(metrics.peak_particle_bytes,
-                 static_cast<std::size_t>(particle_bytes_));
-    if (static_cast<std::size_t>(particle_bytes_) >
-        runtime_->config_.model.particle_memory_bytes) {
-      metrics.oom = true;
-      throw SimAbort("rank " + std::to_string(rank_) +
-                         " exceeded its particle memory budget",
-                     rank_);
-    }
-  }
 
   // --- fault hooks -------------------------------------------------------
 
@@ -221,7 +133,7 @@ class SimRuntime::Context final : public RankContext {
     engine_->schedule_after(seconds, [this] {
       if (dead()) return;
       program->on_timer(*this);
-      runtime_->refresh_finished(rank_);
+      runtime_->refresh_finished(rank());
     });
   }
 
@@ -230,264 +142,141 @@ class SimRuntime::Context final : public RankContext {
   }
 
   bool log_termination(const Particle& p) override {
-    const bool first =
-        !runtime_->fault_ ||
-        runtime_->fault_->ledger.on_terminated(rank_, p);
+    FaultState* fs = runtime_->fault_.get();
+    const bool first = fs == nullptr || fs->ledger.on_terminated(rank(), p);
     if (!first) {
       // Speculation accounting: the losing copy of a speculated streamline
       // re-ran every step past its fork point.  (Crash-recovery re-runs
       // are not in the map and stay uncounted here, as before.)
-      FaultState& fs = *runtime_->fault_;
-      auto it = fs.speculated_at_steps.find(p.id);
-      if (it != fs.speculated_at_steps.end() && p.steps >= it->second) {
-        fs.stats.wasted_duplicate_steps += p.steps - it->second;
+      auto it = fs->speculated_at_steps.find(p.id);
+      if (it != fs->speculated_at_steps.end() && p.steps >= it->second) {
+        fs->stats.wasted_duplicate_steps += p.steps - it->second;
       }
     }
-    SF_INVARIANT_HOOK(runtime_->checker_,
-                      on_terminated(rank_, p, first, engine_->now()));
-    if (first) runtime_->note_query_termination(p);
+    credit_termination(p, first);
     return first;
   }
 
   RecoveredWork recover_rank(int dead_rank) override {
-    return runtime_->recover_for(rank_, dead_rank);
+    return runtime_->recover_for(rank(), dead_rank);
   }
 
   std::vector<Particle> speculate_rank(int straggler) override {
-    return runtime_->speculate_for(rank_, straggler);
+    return runtime_->speculate_for(rank(), straggler);
   }
-
-  // --- runtime-side ------------------------------------------------------
-
-  void sync_cache_counters() {
-    metrics.blocks_loaded = cache_.loads();
-    metrics.blocks_purged = cache_.purges();
-    metrics.cache_hits = cache_.hits();
-    metrics.cache_misses = cache_.misses();
-    metrics.blocks_adopted = cache_.adopted();
-  }
-
-  const BlockCache& cache() const { return cache_; }
-
-  // Warm start from a previous run's captured residency (cross-query
-  // sharing).  `blocks` is MRU first; adopting LRU-last -> MRU-first
-  // rebuilds the same recency order, and each adoption replays through
-  // the checker's LRU model so coherence checks keep holding.
-  void adopt_shared(const std::vector<std::pair<BlockId, GridPtr>>& blocks) {
-    const std::size_t n = std::min(blocks.size(), cache_.capacity());
-    for (std::size_t i = n; i-- > 0;) {
-      cache_.adopt(blocks[i].first, blocks[i].second);
-      SF_INVARIANT_HOOK(
-          runtime_->checker_,
-          on_block_insert(rank_, blocks[i].first, cache_.resident(),
-                          engine_->now()));
-    }
-    sync_cache_counters();
-  }
-
-  // Discard whatever the prefetch pipeline still holds (staged grids a
-  // demand never claimed, in-flight reads of an aborted run) so every
-  // issued prefetch is resolved before the run ends.  Called by run()
-  // for live ranks only: a crashed rank's obligations were already
-  // cleared by the checker's on_crash.
-  void resolve_outstanding_prefetches() {
-    for (const BlockId id : staged_order_) {
-      ++metrics.prefetches_wasted;
-      SF_INVARIANT_HOOK(runtime_->checker_,
-                        on_prefetch_cancelled(rank_, id, engine_->now()));
-    }
-    staged_.clear();
-    staged_order_.clear();
-    for (const BlockId id : prefetch_inflight_) {
-      ++metrics.prefetches_wasted;
-      SF_INVARIANT_HOOK(runtime_->checker_,
-                        on_prefetch_cancelled(rank_, id, engine_->now()));
-    }
-    prefetch_inflight_.clear();
-  }
-
-  std::unique_ptr<RankProgram> program;
-  RankMetrics metrics;
 
  private:
-  bool dead() const { return !runtime_->rank_alive(rank_); }
+  bool dead() const { return !runtime_->rank_alive(rank()); }
 
-  void start_read(BlockId id, int attempt) {
-    const std::size_t bytes = runtime_->source_->block_bytes(id);
-    SimTime done = disk_->submit_read(engine_->now(), bytes);
-    bool faulted = false;
-    if (runtime_->fault_) {
-      FaultState& fs = *runtime_->fault_;
-      if (fs.injector.draw_disk_fault()) {
-        faulted = true;
-        disk_->note_faulted_read();
-        ++fs.stats.disk_faults;
-      } else if (fs.injector.draw_disk_corrupt()) {
-        // Silent payload bit-flip.  The checksum catches it at completion
-        // (never delivered to the tracer), so the attempt behaves exactly
-        // like a failed read and walks the same capped-backoff ladder.
-        faulted = true;
-        disk_->note_faulted_read();
-        ++fs.stats.corruptions_injected;
-        ++fs.stats.corruptions_detected;
-      } else if (fs.injector.draw_disk_stall()) {
-        done += runtime_->config_.fault.disk_stall_seconds;
-        ++fs.stats.disk_stalls;
-        ++metrics.disk_stall_events;
-      } else if (fs.injector.draw_disk_slow()) {
-        // Gray disk: the read completes intact but takes longer (latency
-        // inflation without failure).
-        done = engine_->now() +
-               (done - engine_->now()) * runtime_->config_.fault.disk_slow_factor;
-        ++fs.stats.disk_slow_events;
-        ++metrics.disk_stall_events;
+  // `id` became resident for a demand: tell the program.
+  void loaded(BlockId id) {
+    program->on_block_loaded(*this, id);
+    runtime_->refresh_finished(rank());
+  }
+
+  // Submit one read attempt of `id` to the shared disk and draw its fault
+  // outcome.  Every attempt counts its bytes.
+  struct ReadAttempt {
+    SimTime done;
+    bool faulted;  // the channel did the work but the payload is garbage
+  };
+  ReadAttempt submit_read(BlockId id) {
+    const SimTime start = engine_->now();
+    ReadAttempt a{disk_->submit_read(start, count_read(id)), false};
+    FaultState* fs = runtime_->fault_.get();
+    if (fs == nullptr) return a;
+    const FaultConfig& fc = runtime_->config_.fault;
+    if (fs->injector.draw_disk_fault()) {
+      a.faulted = true;
+      disk_->note_faulted_read();
+      ++fs->stats.disk_faults;
+    } else if (fs->injector.draw_disk_corrupt()) {
+      // Silent payload bit-flip.  The checksum catches it at completion
+      // (never delivered to the tracer), so the attempt behaves exactly
+      // like a failed read and walks the same capped-backoff ladder.
+      a.faulted = true;
+      disk_->note_faulted_read();
+      ++fs->stats.corruptions_injected;
+      ++fs->stats.corruptions_detected;
+    } else if (fs->injector.draw_disk_stall()) {
+      a.done += fc.disk_stall_seconds;
+      ++fs->stats.disk_stalls;
+      ++metrics.disk_stall_events;
+    } else if (fs->injector.draw_disk_slow()) {
+      // Gray disk: the read completes intact but takes longer (latency
+      // inflation without failure).
+      a.done = start + (a.done - start) * fc.disk_slow_factor;
+      ++fs->stats.disk_slow_events;
+      ++metrics.disk_stall_events;
+    }
+    return a;
+  }
+
+  // One read attempt of `id`.  A demand read stalls the rank until it
+  // lands.  A prefetch read models ThreadRuntime's loader pool: it burns
+  // disk channel time but charges the rank no io/stall time — the rank
+  // keeps computing — and lands in staging unless a demand piggybacked
+  // on it meanwhile.
+  void read(BlockId id, int attempt, bool prefetch) {
+    const SimTime start = engine_->now();
+    const ReadAttempt a = submit_read(id);
+    if (!prefetch) {
+      charge_stall(a.done - start);
+      if (runtime_->timeline_) {
+        runtime_->timeline_->add(rank(), TimelineSpan::Kind::kIo, start,
+                                 a.done);
       }
     }
-    metrics.io_time += done - engine_->now();
-    metrics.stall_time += done - engine_->now();
-    metrics.bytes_read += bytes;
-    if (runtime_->timeline_) {
-      runtime_->timeline_->add(rank_, TimelineSpan::Kind::kIo,
-                               engine_->now(), done);
-    }
-    if (faulted) {
-      // The channel did the work but the payload is garbage: back off and
-      // retry, and give up on the rank after disk_max_retries attempts.
-      engine_->schedule_at(done, [this, id, attempt] {
-        if (dead()) return;
-        if (attempt + 1 > runtime_->config_.fault.disk_max_retries) {
-          runtime_->crash_rank(rank_, /*from_oom=*/false);
-          return;
-        }
-        const double backoff =
-            std::min(runtime_->config_.fault.disk_retry_backoff *
-                         std::ldexp(1.0, attempt),
-                     runtime_->config_.fault.disk_backoff_cap);
-        engine_->schedule_after(backoff, [this, id, attempt] {
-          if (dead()) return;
-          ++metrics.disk_retries;
-          start_read(id, attempt + 1);
-        });
+    if (a.faulted) {
+      engine_->schedule_at(a.done, [this, id, attempt, prefetch] {
+        if (!dead()) retry(id, attempt, prefetch);
       });
       return;
     }
-    engine_->schedule_at(done, [this, id] {
+    engine_->schedule_at(a.done, [this, id, prefetch] {
       if (dead()) return;
       // The real payload is fetched at completion time (memoized inside
       // the source, so host memory holds each block once).
-      cache_.insert(id, runtime_->source_->load(id));
-      SF_INVARIANT_HOOK(
-          runtime_->checker_,
-          on_block_insert(rank_, id, cache_.resident(), engine_->now()));
-      pending_.erase(id);
-      sync_cache_counters();
-      program->on_block_loaded(*this, id);
-      runtime_->refresh_finished(rank_);
+      GridPtr grid = source().load(id);
+      if (!prefetch) {
+        land(id, std::move(grid));
+      } else {
+        prefetch_inflight_.erase(id);
+        if (pending_.count(id) == 0) {
+          stage(id, std::move(grid));
+          return;
+        }
+        // A demand piggybacked on this read: the rank stalled from the
+        // demand until this instant.
+        const double waited = engine_->now() - demand_since_[id];
+        demand_since_.erase(id);
+        claim_inflight(id, std::move(grid), waited);
+      }
+      loaded(id);
     });
   }
 
-  // A background read modeling ThreadRuntime's loader pool: it burns
-  // disk channel time but charges the rank no io/stall time — the rank
-  // keeps computing.  Faults and stalls draw from the same injector
-  // streams with the same capped-backoff retry ladder as demand reads;
-  // a pure prefetch whose retries are exhausted is abandoned (a later
-  // demand re-reads cold), but one a demand already piggybacked on
-  // crashes the rank exactly like a failed demand load.
-  void start_prefetch_read(BlockId id, int attempt) {
-    const std::size_t bytes = runtime_->source_->block_bytes(id);
-    SimTime done = disk_->submit_read(engine_->now(), bytes);
-    bool faulted = false;
-    if (runtime_->fault_) {
-      FaultState& fs = *runtime_->fault_;
-      if (fs.injector.draw_disk_fault()) {
-        faulted = true;
-        disk_->note_faulted_read();
-        ++fs.stats.disk_faults;
-      } else if (fs.injector.draw_disk_corrupt()) {
-        faulted = true;
-        disk_->note_faulted_read();
-        ++fs.stats.corruptions_injected;
-        ++fs.stats.corruptions_detected;
-      } else if (fs.injector.draw_disk_stall()) {
-        done += runtime_->config_.fault.disk_stall_seconds;
-        ++fs.stats.disk_stalls;
-        ++metrics.disk_stall_events;
-      } else if (fs.injector.draw_disk_slow()) {
-        done = engine_->now() +
-               (done - engine_->now()) * runtime_->config_.fault.disk_slow_factor;
-        ++fs.stats.disk_slow_events;
-        ++metrics.disk_stall_events;
-      }
-    }
-    metrics.bytes_read += bytes;
-    if (faulted) {
-      engine_->schedule_at(done, [this, id, attempt] {
-        if (dead()) return;
-        if (attempt + 1 > runtime_->config_.fault.disk_max_retries) {
-          if (pending_.count(id) != 0) {
-            runtime_->crash_rank(rank_, /*from_oom=*/false);
-            return;
-          }
-          prefetch_inflight_.erase(id);
-          ++metrics.prefetches_wasted;
-          SF_INVARIANT_HOOK(
-              runtime_->checker_,
-              on_prefetch_cancelled(rank_, id, engine_->now()));
-          return;
-        }
-        const double backoff =
-            std::min(runtime_->config_.fault.disk_retry_backoff *
-                         std::ldexp(1.0, attempt),
-                     runtime_->config_.fault.disk_backoff_cap);
-        engine_->schedule_after(backoff, [this, id, attempt] {
-          if (dead()) return;
-          ++metrics.disk_retries;
-          start_prefetch_read(id, attempt + 1);
-        });
-      });
-      return;
-    }
-    engine_->schedule_at(done, [this, id] {
-      if (dead()) return;
-      prefetch_inflight_.erase(id);
-      if (pending_.count(id) != 0) {
-        // A demand piggybacked on this read: complete it now.  The rank
-        // stalled from the demand until this instant.
-        ++metrics.prefetch_hits;
-        const double waited = engine_->now() - demand_since_[id];
-        demand_since_.erase(id);
-        metrics.io_time += waited;
-        metrics.stall_time += waited;
-        SF_INVARIANT_HOOK(runtime_->checker_,
-                          on_prefetch_claimed(rank_, id, engine_->now()));
-        cache_.insert(id, runtime_->source_->load(id));
-        SF_INVARIANT_HOOK(
-            runtime_->checker_,
-            on_block_insert(rank_, id, cache_.resident(), engine_->now()));
-        pending_.erase(id);
-        sync_cache_counters();
-        program->on_block_loaded(*this, id);
-        runtime_->refresh_finished(rank_);
+  // A faulted attempt: back off (capped exponential) and retry.  After
+  // disk_max_retries a demand read — or a prefetch a demand already
+  // piggybacked on — crashes the rank; a pure prefetch is abandoned (a
+  // later demand re-reads cold).
+  void retry(BlockId id, int attempt, bool prefetch) {
+    const FaultConfig& fc = runtime_->config_.fault;
+    if (attempt + 1 > fc.disk_max_retries) {
+      if (!prefetch || pending_.count(id) != 0) {
+        runtime_->crash_rank(rank(), /*from_oom=*/false);
         return;
       }
-      // Stage it: the grid waits outside the cache until a demand
-      // claims it.  The staging area is bounded; the oldest staged
-      // grid is discarded (a wasted prefetch).
-      staged_[id] = runtime_->source_->load(id);
-      staged_order_.push_back(id);
-      SF_INVARIANT_HOOK(runtime_->checker_,
-                        on_prefetch_staged(rank_, id, engine_->now()));
-      const std::size_t cap = std::max<std::size_t>(
-          1, runtime_->config_.async_io.staging_blocks);
-      while (staged_.size() > cap) {
-        const BlockId oldest = staged_order_.front();
-        staged_order_.erase(staged_order_.begin());
-        staged_.erase(oldest);
-        ++metrics.prefetches_wasted;
-        SF_INVARIANT_HOOK(
-            runtime_->checker_,
-            on_prefetch_cancelled(rank_, oldest, engine_->now()));
-      }
+      prefetch_inflight_.erase(id);
+      discard_prefetch(id);
+      return;
+    }
+    const double backoff = std::min(
+        fc.disk_retry_backoff * std::ldexp(1.0, attempt), fc.disk_backoff_cap);
+    engine_->schedule_after(backoff, [this, id, attempt, prefetch] {
+      if (dead()) return;
+      ++metrics.disk_retries;
+      read(id, attempt + 1, prefetch);
     });
   }
 
@@ -495,16 +284,8 @@ class SimRuntime::Context final : public RankContext {
   SimEngine* engine_;
   SharedDisk* disk_;
   Network* network_;
-  int rank_;
-  BlockCache cache_;
-  std::set<BlockId> pending_;
-  // Async-I/O state (all empty when config_.async_io.enabled is false).
-  std::set<BlockId> prefetch_inflight_;
-  std::map<BlockId, GridPtr> staged_;      // arrived, not yet claimed
-  std::vector<BlockId> staged_order_;      // oldest first (bounded)
   std::map<BlockId, double> demand_since_;  // piggybacked demand times
   bool busy_ = false;
-  std::int64_t particle_bytes_ = 0;
 };
 
 SimRuntime::SimRuntime(const SimRuntimeConfig& config,
@@ -513,18 +294,8 @@ SimRuntime::SimRuntime(const SimRuntimeConfig& config,
                        const IntegratorParams& iparams,
                        const TraceLimits& limits)
     : config_(config),
-      decomp_(decomp),
-      source_(source),
-      tracer_(decomp, iparams, limits) {
-  if (config_.num_ranks < 1) {
-    throw std::invalid_argument("SimRuntime: num_ranks >= 1");
-  }
-  if (decomp_ == nullptr || source_ == nullptr) {
-    throw std::invalid_argument("SimRuntime: null decomposition or source");
-  }
-}
-
-SimRuntime::~SimRuntime() = default;
+      tracer_(decomp, iparams, limits),
+      hosts_(&config_, decomp, source, &tracer_, "SimRuntime") {}
 
 bool SimRuntime::rank_alive(int rank) const {
   return !fault_ || fault_->alive[static_cast<std::size_t>(rank)] != 0;
@@ -537,9 +308,9 @@ bool SimRuntime::all_live_finished() const {
   // the full-rank sweep it replaced.  Debug-only — the sweep is the
   // O(R)-per-event cost the counter exists to eliminate.
   bool sweep = true;
-  for (std::size_t r = 0; r < contexts_.size(); ++r) {
-    if (!rank_alive(static_cast<int>(r))) continue;
-    if (!contexts_[r]->program->finished()) {
+  for (int r = 0; r < static_cast<int>(hosts_.size()); ++r) {
+    if (!rank_alive(r)) continue;
+    if (!hosts_[r].program->finished()) {
       sweep = false;
       break;
     }
@@ -552,8 +323,7 @@ bool SimRuntime::all_live_finished() const {
 
 void SimRuntime::refresh_finished(int rank) {
   if (!rank_alive(rank)) return;  // dead ranks settled at kill time
-  const char now_finished =
-      contexts_[static_cast<std::size_t>(rank)]->program->finished() ? 1 : 0;
+  const char now_finished = hosts_[rank].program->finished() ? 1 : 0;
   char& cached = finished_[static_cast<std::size_t>(rank)];
   if (cached == now_finished) return;
   // finished -> unfinished happens too: recovery hand-offs re-open ranks.
@@ -562,7 +332,7 @@ void SimRuntime::refresh_finished(int rank) {
 }
 
 void SimRuntime::kill_rank(int rank) {
-  SF_INVARIANT_HOOK(checker_, on_crash(rank, engine_->now()));
+  SF_INVARIANT_HOOK(hosts_.checker, on_crash(rank, engine_->now()));
   // Settle the cached finished() bit while the rank still counts as
   // live: an OOM abort unwinds past the callback-site refresh, so the
   // bit can be stale here.
@@ -574,12 +344,12 @@ void SimRuntime::kill_rank(int rank) {
   fs.crash_time[static_cast<std::size_t>(rank)] = engine_->now();
   fs.stats.crash_records.push_back(
       {.rank = rank, .crash_time = engine_->now()});
-  Context* c = contexts_[static_cast<std::size_t>(rank)].get();
-  c->metrics.crashed = true;
+  RankHost& host = hosts_[rank];
+  host.metrics.crashed = true;
   // Diagnostic: integration work that dies with the rank and will be
   // re-done from the last safe state.
   std::vector<Particle> snap;
-  c->program->snapshot_particles(snap);
+  host.program->snapshot_particles(snap);
   for (const Particle& p : snap) {
     if (is_terminal(p.status)) continue;
     const std::uint32_t safe = fs.ledger.steps_of(p.id);
@@ -640,24 +410,24 @@ void SimRuntime::runtime_recover(int dead_rank) {
   // makes it a no-op in every other case beyond the dead rank's entry.
   {
     const int counter = *live_ranks_.begin();
-    Context* c = contexts_[static_cast<std::size_t>(counter)].get();
+    RankHost& c = hosts_[counter];
     Message m;
     m.from = dead_rank;
     m.payload = TerminationCount{fs.ledger.logged_totals()};
-    c->program->on_message(*c, std::move(m));
+    c.program->on_message(c, std::move(m));
     refresh_finished(counter);
   }
   if (!work.active.empty()) {
     fs.ledger.on_send(work.active, succ);
     // Direct hand-off past the message plane: the checker sees it as a
     // recovery re-owning, not a send/deliver pair.
-    SF_INVARIANT_HOOK(
-        checker_, on_recover(dead_rank, succ, work.active, engine_->now()));
-    Context* s = contexts_[static_cast<std::size_t>(succ)].get();
+    SF_INVARIANT_HOOK(hosts_.checker, on_recover(dead_rank, succ, work.active,
+                                                 engine_->now()));
+    RankHost& s = hosts_[succ];
     Message m;
     m.from = dead_rank;
     m.payload = ParticleBatch{kInvalidBlock, std::move(work.active)};
-    s->program->on_message(*s, std::move(m));
+    s.program->on_message(s, std::move(m));
     refresh_finished(succ);
   }
 }
@@ -679,7 +449,7 @@ RecoveredWork SimRuntime::recover_for(int recoverer, int dead_rank) {
       engine_->now() - fs.crash_time[static_cast<std::size_t>(dead_rank)];
   note_detected_recovered(dead_rank);
   SF_INVARIANT_HOOK(
-      checker_,
+      hosts_.checker,
       on_recover(dead_rank, recoverer, work.active, engine_->now()));
   return work;
 }
@@ -706,7 +476,7 @@ std::vector<Particle> SimRuntime::speculate_for(int speculator,
     fs.speculated_at_steps.emplace(p.id, p.steps);
   }
   SF_INVARIANT_HOOK(
-      checker_,
+      hosts_.checker,
       on_speculate(straggler, speculator, copies, engine_->now()));
   return copies;
 }
@@ -717,29 +487,15 @@ void SimRuntime::fault_send(int from, int to, SimTime arrive,
 
   // Snoop the payload into the ledger at send time: once a particle is on
   // the wire its state is considered safely logged at the sender.
-  bool carries_particles = false;
-  if (const auto* b = std::get_if<ParticleBatch>(&msg.payload)) {
-    fs.ledger.on_send(b->particles, to);
-    carries_particles = !b->particles.empty();
-  } else if (const auto* c = std::get_if<Command>(&msg.payload)) {
-    if (!c->particles.empty()) {
-      fs.ledger.on_send(c->particles, to);
-      carries_particles = true;
-    }
-  } else if (const auto* t = std::get_if<SeedTransfer>(&msg.payload)) {
-    fs.ledger.on_send(t->seeds, to);
-    carries_particles = !t->seeds.empty();
-  } else if (const auto* u = std::get_if<Undeliverable>(&msg.payload)) {
-    fs.ledger.on_send(u->particles, to);
-    carries_particles = !u->particles.empty();
-  }
+  const Carried carried = carried_particles(msg);
+  if (carried.particles != nullptr) fs.ledger.on_send(*carried.particles, to);
 
   // Particle-bearing messages keep the drop -> Undeliverable-bounce
   // semantics: the payload must not be duplicated, so the sender is told
   // and re-routes.  Everything else is control traffic and goes through
   // the sequenced at-least-once transport below — same lossy link, but
   // retransmit-repaired and receiver-deduped.
-  if (!carries_particles) {
+  if (carried.particles == nullptr || carried.particles->empty()) {
     control_send(from, to, arrive, bytes, std::move(msg));
     return;
   }
@@ -814,11 +570,7 @@ void SimRuntime::transmit_control(int from, int to, std::uint32_t seq,
     ++p.attempts;
     p.rto = std::min(p.rto * 2.0, config_.fault.control_rto_cap);
     ++fault_->stats.control_retransmits;
-    Context* sender = contexts_[static_cast<std::size_t>(from)].get();
-    sender->metrics.comm_time += network_->endpoint_cost(p.bytes);
-    sender->metrics.messages_sent += 1;
-    sender->metrics.bytes_sent += p.bytes;
-    sender->metrics.control_messages_sent += 1;
+    charge_send(hosts_[from], p.bytes, /*control=*/true);
     transmit_control(from, to, seq,
                      network_->delivery_time(engine_->now(), p.bytes));
   });
@@ -844,14 +596,9 @@ void SimRuntime::deliver_control(int from, int to, std::size_t bytes,
     win.seen.erase(win.low_water + 1);
     ++win.low_water;
   }
-  SF_INVARIANT_HOOK(checker_,
+  SF_INVARIANT_HOOK(hosts_.checker,
                     on_dedup_window(from, to, win.low_water, engine_->now()));
-  Context* dest = contexts_[static_cast<std::size_t>(to)].get();
-  dest->metrics.comm_time += network_->endpoint_cost(bytes);
-  dest->metrics.bytes_received += bytes;
-  SF_INVARIANT_HOOK(checker_, on_deliver(to, msg, engine_->now()));
-  dest->program->on_message(*dest, std::move(msg));
-  refresh_finished(to);
+  deliver(to, bytes, std::move(msg));
 }
 
 void SimRuntime::send_control_ack(int acker, int sender, std::uint32_t seq) {
@@ -860,11 +607,7 @@ void SimRuntime::send_control_ack(int acker, int sender, std::uint32_t seq) {
   ack.from = acker;
   ack.payload = ControlAck{seq};
   const std::size_t bytes = message_bytes(ack, config_.carry_geometry);
-  Context* a = contexts_[static_cast<std::size_t>(acker)].get();
-  a->metrics.comm_time += network_->endpoint_cost(bytes);
-  a->metrics.messages_sent += 1;
-  a->metrics.bytes_sent += bytes;
-  a->metrics.control_messages_sent += 1;
+  charge_send(hosts_[acker], bytes, /*control=*/true);
   // Acks draw from the same lossy link but are never retransmitted: a
   // lost ack just provokes one more (deduped) retransmit of the data.
   if (fs.injector.draw_message_drop()) {
@@ -886,12 +629,20 @@ void SimRuntime::deliver(int to, std::size_t bytes, Message msg) {
     bounce_undeliverable(to, std::move(msg));
     return;
   }
-  Context* dest = contexts_[static_cast<std::size_t>(to)].get();
-  dest->metrics.comm_time += network_->endpoint_cost(bytes);
-  dest->metrics.bytes_received += bytes;
-  SF_INVARIANT_HOOK(checker_, on_deliver(to, msg, engine_->now()));
-  dest->program->on_message(*dest, std::move(msg));
+  RankHost& dest = hosts_[to];
+  dest.metrics.comm_time += network_->endpoint_cost(bytes);
+  dest.metrics.bytes_received += bytes;
+  SF_INVARIANT_HOOK(hosts_.checker, on_deliver(to, msg, engine_->now()));
+  dest.program->on_message(dest, std::move(msg));
   refresh_finished(to);
+}
+
+void SimRuntime::charge_send(RankHost& from, std::size_t bytes,
+                             bool control) {
+  from.metrics.comm_time += network_->endpoint_cost(bytes);
+  from.metrics.messages_sent += 1;
+  from.metrics.bytes_sent += bytes;
+  if (control) from.metrics.control_messages_sent += 1;
 }
 
 void SimRuntime::bounce_undeliverable(int intended, Message msg) {
@@ -899,21 +650,9 @@ void SimRuntime::bounce_undeliverable(int intended, Message msg) {
   // control traffic reaching a dead rank is abandoned by the sender's
   // retransmit check, and anything the dead rank knew is reconstructed
   // through the failover recount.
-  std::vector<Particle> particles;
-  BlockId block = kInvalidBlock;
-  if (auto* b = std::get_if<ParticleBatch>(&msg.payload)) {
-    particles = std::move(b->particles);
-    block = b->block;
-  } else if (auto* c = std::get_if<Command>(&msg.payload)) {
-    particles = std::move(c->particles);
-    block = c->block;
-  } else if (auto* t = std::get_if<SeedTransfer>(&msg.payload)) {
-    particles = std::move(t->seeds);
-  } else if (auto* u = std::get_if<Undeliverable>(&msg.payload)) {
-    particles = std::move(u->particles);
-    block = u->block;
-  }
-  if (particles.empty()) return;
+  const Carried carried = carried_particles(msg);
+  if (carried.particles == nullptr || carried.particles->empty()) return;
+  std::vector<Particle> particles = std::move(*carried.particles);
 
   // Return to sender; if the sender itself is gone, to the lowest live
   // rank — every program treats an Undeliverable it did not originate as
@@ -927,7 +666,7 @@ void SimRuntime::bounce_undeliverable(int intended, Message msg) {
   fault_->ledger.on_send(particles, back);
   Message nm;
   nm.from = intended;
-  nm.payload = Undeliverable{intended, block, std::move(particles)};
+  nm.payload = Undeliverable{intended, carried.block, std::move(particles)};
   const std::size_t nbytes = message_bytes(nm, config_.carry_geometry);
   const SimTime arrive = network_->delivery_time(engine_->now(), nbytes);
   engine_->schedule_at(arrive,
@@ -944,7 +683,7 @@ void SimRuntime::checkpoint_tick() {
   std::vector<Particle>& snap = snapshot_scratch_;
   for (const int r : live_ranks_) {
     snap.clear();
-    contexts_[static_cast<std::size_t>(r)]->program->snapshot_particles(snap);
+    hosts_[r].program->snapshot_particles(snap);
     fs.ledger.refresh(r, snap);
   }
 
@@ -957,10 +696,7 @@ void SimRuntime::checkpoint_tick() {
     CheckpointRankState rs;
     rs.rank = r;
     rs.alive = rank_alive(r);
-    if (rs.alive) {
-      rs.resident =
-          contexts_[static_cast<std::size_t>(r)]->resident_blocks();
-    }
+    if (rs.alive) rs.resident = hosts_[r].resident_blocks();
     ck->ranks.push_back(std::move(rs));
   }
 
@@ -972,8 +708,7 @@ void SimRuntime::checkpoint_tick() {
   if (!live_ranks_.empty()) {
     const double share = cost / static_cast<double>(live_ranks_.size());
     for (const int r : live_ranks_) {
-      contexts_[static_cast<std::size_t>(r)]->metrics.checkpoint_seconds +=
-          share;
+      hosts_[r].metrics.checkpoint_seconds += share;
     }
   }
   fs.stats.checkpoint_overhead += cost;
@@ -981,7 +716,7 @@ void SimRuntime::checkpoint_tick() {
   fs.last_checkpoint = ck;
   // A checkpoint is a global consistency point: every seeded streamline
   // must still be done or reachable.
-  SF_INVARIANT_HOOK(checker_, audit(engine_->now()));
+  SF_INVARIANT_HOOK(hosts_.checker, audit(engine_->now()));
   if (!config_.fault.checkpoint_path.empty()) {
     write_checkpoint(config_.fault.checkpoint_path, *ck);
   }
@@ -993,18 +728,6 @@ void SimRuntime::schedule_checkpoint(double at) {
     checkpoint_tick();
     schedule_checkpoint(at + config_.fault.checkpoint_interval);
   });
-}
-
-void SimRuntime::note_query_termination(const Particle& p) {
-  auto it = query_remaining_.find(p.query);
-  // Unknown queries (particles terminated by a test program that never
-  // snapshot them) and already-complete queries are not obligations.
-  if (it == query_remaining_.end() || it->second == 0) return;
-  if (--it->second == 0) {
-    completions_.push_back(QueryCompletion{
-        p.query, engine_->now(), query_total_[p.query]});
-    SF_INVARIANT_HOOK(checker_, on_query_done(p.query, engine_->now()));
-  }
 }
 
 RunMetrics SimRuntime::run(const ProgramFactory& factory) {
@@ -1021,90 +744,16 @@ RunMetrics SimRuntime::run(const ProgramFactory& factory) {
                   ? std::make_shared<Timeline>(config_.num_ranks)
                   : nullptr;
 
-  contexts_.clear();
-  contexts_.reserve(static_cast<std::size_t>(config_.num_ranks));
+  std::vector<std::unique_ptr<RankHost>> hosts;
+  hosts.reserve(static_cast<std::size_t>(config_.num_ranks));
   for (int r = 0; r < config_.num_ranks; ++r) {
-    auto ctx = std::make_unique<Context>(this, &engine, &disk, &network, r);
-    ctx->program = factory(r, config_.num_ranks);
-    contexts_.push_back(std::move(ctx));
-  }
-
-  // Seed the O(1) quiescence state: all ranks live, cached finished()
-  // bits from the freshly built programs.
-  finished_.assign(static_cast<std::size_t>(config_.num_ranks), 0);
-  live_unfinished_ = 0;
-  live_ranks_.clear();
-  for (int r = 0; r < config_.num_ranks; ++r) {
-    live_ranks_.insert(live_ranks_.end(), r);
-    const char done = contexts_[static_cast<std::size_t>(r)]->program->finished()
-                          ? 1
-                          : 0;
-    finished_[static_cast<std::size_t>(r)] = done;
-    if (done == 0) ++live_unfinished_;
-  }
-
-  checker_ = make_invariant_checker(
-      {.protocol = config_.checked_protocol,
-       .num_ranks = config_.num_ranks,
-       .num_masters = config_.checker_num_masters,
-       .num_roots = config_.checker_num_roots,
-       .num_blocks = decomp_->num_blocks(),
-       .cache_blocks = config_.cache_blocks,
-       .fault_mode = config_.fault.enabled,
-       .track_queries = true});
-  if (checker_) {
-    std::vector<Particle> snap;
-    for (int r = 0; r < config_.num_ranks; ++r) {
-      snap.clear();
-      contexts_[static_cast<std::size_t>(r)]->program->snapshot_particles(
-          snap);
-      checker_->on_seeded(r, snap);
-    }
-    checker_->on_presettled(config_.fault.presettled);
-  }
-
-  // Cross-query warm start: adopt the pool's captured residency before
-  // any program runs, so the first demands of an overlapping query hit.
-  if (config_.shared_blocks != nullptr) {
-    for (int r = 0; r < config_.num_ranks; ++r) {
-      contexts_[static_cast<std::size_t>(r)]->adopt_shared(
-          config_.shared_blocks->blocks(r));
-    }
-  }
-
-  // Per-query completion accounting, from the same seeding snapshots the
-  // checker and ledger see (deduped by particle id: at t = 0 each live
-  // streamline has exactly one owner).
-  query_remaining_.clear();
-  query_total_.clear();
-  completions_.clear();
-  {
-    std::vector<Particle> snap;
-    std::set<std::uint32_t> seen;
-    for (int r = 0; r < config_.num_ranks; ++r) {
-      snap.clear();
-      contexts_[static_cast<std::size_t>(r)]->program->snapshot_particles(
-          snap);
-      for (const Particle& p : snap) {
-        if (is_terminal(p.status)) continue;
-        if (!seen.insert(p.id).second) continue;
-        ++query_remaining_[p.query];
-      }
-    }
-    query_total_ = query_remaining_;
-    // One completion record per query, known up front.
-    completions_.reserve(query_total_.size());
-  }
-
-  // Query cancellation plumbing: the tracer consults the cancel set at
-  // every advance; scheduled cancel events populate it mid-run.
-  cancel_set_.clear();
-  tracer_.set_cancel_set(&cancel_set_);
-  for (const QueryCancelAt& c : config_.cancels) {
-    engine.schedule_at(c.at, [this, q = c.query] { cancel_set_.cancel(q); });
+    hosts.push_back(
+        std::make_unique<Context>(this, &engine, &disk, &network, r));
+    hosts.back()->program = factory(r, config_.num_ranks);
   }
 
   fault_.reset();
+  RankHosts::SeedHook seed_ledger;
   if (config_.fault.enabled) {
     fault_ = std::make_unique<FaultState>(config_.fault, config_.num_ranks);
     fault_->alive.assign(static_cast<std::size_t>(config_.num_ranks), 1);
@@ -1117,18 +766,36 @@ RunMetrics SimRuntime::run(const ProgramFactory& factory) {
     // Seed the ledger: already-terminal particles (rejected seeds, a
     // restart's done list), then every rank's initial work.
     fault_->ledger.settle(config_.fault.presettled);
-    std::vector<Particle> snap;
-    for (int r = 0; r < config_.num_ranks; ++r) {
-      snap.clear();
-      contexts_[static_cast<std::size_t>(r)]->program->snapshot_particles(
-          snap);
+    seed_ledger = [this](int r, const std::vector<Particle>& snap) {
       fault_->ledger.init_owned(r, snap);
-    }
+    };
+  }
+  hosts_.begin(std::move(hosts), config_.fault.enabled,
+               config_.fault.presettled, seed_ledger);
+
+  // Seed the O(1) quiescence state: all ranks live, cached finished()
+  // bits from the freshly built programs.
+  finished_.assign(static_cast<std::size_t>(config_.num_ranks), 0);
+  live_unfinished_ = 0;
+  live_ranks_.clear();
+  for (int r = 0; r < config_.num_ranks; ++r) {
+    live_ranks_.insert(live_ranks_.end(), r);
+    const char done = hosts_[r].program->finished() ? 1 : 0;
+    finished_[static_cast<std::size_t>(r)] = done;
+    if (done == 0) ++live_unfinished_;
+  }
+
+  // Query cancellation plumbing: the tracer consults the cancel set at
+  // every advance; scheduled cancel events populate it mid-run.
+  cancel_set_.clear();
+  tracer_.set_cancel_set(&cancel_set_);
+  for (const QueryCancelAt& c : config_.cancels) {
+    engine.schedule_at(c.at, [this, q = c.query] { cancel_set_.cancel(q); });
   }
 
   // Kick every program off at t = 0 (in rank order, deterministically).
-  for (auto& ctx : contexts_) {
-    engine.schedule_at(0.0, [this, c = ctx.get()] {
+  for (int r = 0; r < config_.num_ranks; ++r) {
+    engine.schedule_at(0.0, [this, c = &hosts_[r]] {
       c->program->start(*c);
       refresh_finished(c->rank());
     });
@@ -1219,25 +886,11 @@ RunMetrics SimRuntime::run(const ProgramFactory& factory) {
   // Post-run quiescence reads the maintained counter; in Debug builds
   // all_live_finished() re-derives it with the full sweep and asserts
   // they agree.
-  const bool all_finished = all_live_finished();
-  run_metrics.ranks.reserve(contexts_.size());
-  for (std::size_t r = 0; r < contexts_.size(); ++r) {
-    Context* ctx = contexts_[r].get();
-    if (rank_alive(static_cast<int>(r))) {
-      ctx->resolve_outstanding_prefetches();
-    }
-    ctx->sync_cache_counters();
-    run_metrics.ranks.push_back(ctx->metrics);
-    if (!fault_ && !run_metrics.failed_oom) {
-      ctx->program->collect_particles(run_metrics.particles);
-    }
-  }
-  if (!fault_ && run_metrics.failed_oom) {
-    // Partial results: gather whatever each rank had terminated by the
-    // abort so a failed run is still diagnosable.
-    for (auto& ctx : contexts_) {
-      ctx->program->collect_particles(run_metrics.particles);
-    }
+  if (!run_metrics.failed_oom && !all_live_finished()) {
+    // The event queue drained but some live program still expects work: a
+    // deadlock in the algorithm (or an unrecovered fault).  Surface it.
+    throw std::logic_error(
+        "SimRuntime: simulation quiesced before all ranks finished");
   }
   if (fault_) {
     // The ledger is the authoritative result set: it survives crashes
@@ -1246,40 +899,9 @@ RunMetrics SimRuntime::run(const ProgramFactory& factory) {
     run_metrics.fault = fault_->stats;
     run_metrics.last_checkpoint = fault_->last_checkpoint;
   }
-  if (!run_metrics.failed_oom && !all_finished) {
-    // The event queue drained but some live program still expects work: a
-    // deadlock in the algorithm (or an unrecovered fault).  Surface it.
-    throw std::logic_error(
-        "SimRuntime: simulation quiesced before all ranks finished");
-  }
-  SF_INVARIANT_HOOK(
-      checker_,
-      on_run_end(!run_metrics.failed_oom && any_alive, engine.now()));
-  checker_.reset();
-
-  // Capture cross-query residency for the next epoch; a dead rank's
-  // memory died with it.
-  if (config_.shared_blocks != nullptr) {
-    for (int r = 0; r < config_.num_ranks; ++r) {
-      if (rank_alive(r)) {
-        config_.shared_blocks->capture(
-            r, contexts_[static_cast<std::size_t>(r)]->cache());
-      } else {
-        config_.shared_blocks->drop(r);
-      }
-    }
-  }
-
-  std::sort(run_metrics.particles.begin(), run_metrics.particles.end(),
-            [](const Particle& a, const Particle& b) { return a.id < b.id; });
-  std::sort(completions_.begin(), completions_.end(),
-            [](const QueryCompletion& a, const QueryCompletion& b) {
-              return a.query < b.query;
-            });
-  run_metrics.query_completions = std::move(completions_);
-  completions_.clear();
+  hosts_.finish(run_metrics, !run_metrics.failed_oom && any_alive,
+                engine.now(), /*gather_particles=*/!fault_);
   run_metrics.timeline = std::move(timeline_);
-  contexts_.clear();
   engine_ = nullptr;
   network_ = nullptr;
   return run_metrics;

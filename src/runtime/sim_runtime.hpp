@@ -1,7 +1,10 @@
 #pragma once
 
 // Discrete-event-simulated runtime: runs one RankProgram per simulated
-// rank over the machine model of sim/machine_model.hpp.
+// rank over the machine model of sim/machine_model.hpp.  The per-rank
+// state is RankHost's (runtime/rank_host.hpp); this runtime adds the
+// simulated clock, the event-queue transport, modelled disk reads and
+// the fault plane.
 //
 // This is the substitute for the paper's 512-rank MPI runs on JaguarPF
 // (DESIGN.md §2): the very same algorithm code performs the real
@@ -25,16 +28,13 @@
 #include <utility>
 #include <vector>
 
-#include "check/invariants.hpp"
 #include "core/dataset.hpp"
 #include "core/tracer.hpp"
 #include "fault/fault_config.hpp"
 #include "fault/injector.hpp"
 #include "fault/ledger.hpp"
-#include "io/async_loader.hpp"
-#include "runtime/block_cache.hpp"
 #include "runtime/metrics.hpp"
-#include "runtime/rank_context.hpp"
+#include "runtime/rank_host.hpp"
 #include "sim/disk.hpp"
 #include "sim/network.hpp"
 #include "sim/sim_engine.hpp"
@@ -49,42 +49,13 @@ struct QueryCancelAt {
   double at = 0.0;
 };
 
-struct SimRuntimeConfig {
-  int num_ranks = 4;
-  MachineModel model{};
-  // LRU capacity per rank, in blocks ("user defined upper bound", §5).
-  std::size_t cache_blocks = 32;
-  // Whether communicated particles carry their recorded trajectory
-  // geometry (the paper's behaviour) or only solver state (§8's proposed
-  // optimization).
-  bool carry_geometry = true;
+struct SimRuntimeConfig : RuntimeConfig {
   // Record per-rank compute/I/O spans into RunMetrics::timeline for
   // utilization and starvation analysis (§8).  Off by default: large
   // runs generate millions of spans.
   bool record_timeline = false;
   // Fault injection, checkpointing and recovery (DESIGN.md §7).
   FaultConfig fault{};
-  // Which protocol's legality rules the invariant checker enforces
-  // (DESIGN.md §8).  kNone still checks conservation, cache coherence
-  // and termination accounting.  Only meaningful in builds with
-  // SF_CHECK_INVARIANTS; Release runs ignore it entirely.
-  CheckedProtocol checked_protocol = CheckedProtocol::kNone;
-  // Hybrid layout input for the protocol model (ranks [0, n) are masters;
-  // with a tree layout ranks [0, num_roots) of them are the root tier).
-  int checker_num_masters = 0;
-  int checker_num_roots = 0;
-  // Asynchronous block I/O (DESIGN.md §10).  Off by default: the
-  // synchronous path stays bit-identical to the pre-async runtime.
-  // When enabled, prefetch_block() overlaps modeled reads with compute;
-  // prefetched grids wait in a staging area and only enter the LRU
-  // cache (and the load count) when a demand claims them, so the
-  // trajectory and load/purge accounting match the sync path exactly.
-  AsyncIoConfig async_io{};
-  // Cross-query cache sharing (src/service).  Non-owning; nullptr for
-  // standalone runs.  At run start each rank adopts the pool's captured
-  // blocks into its fresh LRU (counted as adoptions, not loads); at run
-  // end the surviving ranks' residency is captured back.
-  SharedBlockPool* shared_blocks = nullptr;
   // Timed query cancellations, applied through the tracer's cancel set.
   std::vector<QueryCancelAt> cancels;
 };
@@ -94,7 +65,6 @@ class SimRuntime {
   SimRuntime(const SimRuntimeConfig& config, const BlockDecomposition* decomp,
              const BlockSource* source, const IntegratorParams& iparams,
              const TraceLimits& limits);
-  ~SimRuntime();  // out of line: Context is incomplete here
 
   // Instantiate one program per rank and simulate to completion.
   // Terminated particles are gathered from all programs, sorted by id.
@@ -199,30 +169,23 @@ class SimRuntime {
   void send_control_ack(int acker, int sender, std::uint32_t seq);
   // Deliver (or bounce) a message that reached its destination time.
   void deliver(int to, std::size_t bytes, Message msg);
+  // Sender-side cost of one message: first sends, retransmits and acks.
+  void charge_send(RankHost& from, std::size_t bytes, bool control);
   // Return a message's particle payload to a live rank as Undeliverable;
   // particle-free payloads vanish (their loss is repaired by the control
   // transport's retransmits or by the failover recount).
   void bounce_undeliverable(int intended, Message msg);
   void checkpoint_tick();
   void schedule_checkpoint(double at);
-  // Per-query completion tracking: called on every first-time termination;
-  // fires the completion record (and checker hook) when the query's last
-  // seeded streamline terminates.
-  void note_query_termination(const Particle& p);
 
   SimRuntimeConfig config_;
-  const BlockDecomposition* decomp_;
-  const BlockSource* source_;
   Tracer tracer_;
   // Cancelled-query set consulted by the tracer's fast path; populated by
   // the scheduled QueryCancelAt events.
   QueryCancelSet cancel_set_;
-  // Per-query live-streamline counts (from the seeding snapshots) and the
-  // completion records they produce.
-  std::map<std::uint32_t, std::uint32_t> query_remaining_;
-  std::map<std::uint32_t, std::uint32_t> query_total_;
-  std::vector<QueryCompletion> completions_;
-  std::vector<std::unique_ptr<Context>> contexts_;
+  // The run's Contexts (one per rank), its invariant checker and its
+  // per-query completion board.
+  RankHosts hosts_;
   // O(1)-per-event coordination state (DESIGN.md §15).  The simulator
   // used to sweep every rank after every event to detect quiescence and
   // to find successors; at 16K ranks those O(R) scans dominated.  Now:
@@ -240,8 +203,6 @@ class SimRuntime {
   std::vector<Particle> snapshot_scratch_;
   std::shared_ptr<Timeline> timeline_;
   std::unique_ptr<FaultState> fault_;
-  // Live only inside run(); null when compiled out (Release).
-  std::unique_ptr<InvariantChecker> checker_;
   // Live only inside run().
   SimEngine* engine_ = nullptr;
   Network* network_ = nullptr;

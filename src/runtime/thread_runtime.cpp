@@ -1,14 +1,11 @@
 #include "runtime/thread_runtime.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <deque>
 #include <exception>
 #include <future>
-#include <map>
-#include <set>
-#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <variant>
@@ -16,8 +13,8 @@
 
 #include "core/rng.hpp"
 #include "core/thread_annotations.hpp"
-#include "runtime/block_cache.hpp"
 #include "runtime/spsc_ring.hpp"
+#include "sim/sim_engine.hpp"
 
 namespace sf {
 
@@ -26,19 +23,19 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
-struct ThreadAbort {};
 }  // namespace
 
-class ThreadRuntime::Context final : public RankContext {
+// The RankContext handed to one rank's program: RankHost's per-rank
+// state on the rank's own thread, with real reads and SPSC mailboxes.
+class ThreadRuntime::Context final : public RankHost {
  public:
   Context(ThreadRuntime* runtime, int rank,
           std::chrono::steady_clock::time_point epoch,
           std::atomic<bool>* abort)
-      : runtime_(runtime),
-        rank_(rank),
+      : RankHost(&runtime->hosts_, rank),
+        runtime_(runtime),
         epoch_(epoch),
         abort_(abort),
-        cache_(runtime->config_.cache_blocks),
         fuzz_enabled_(runtime->config_.schedule_fuzz_seed != 0) {
     // Derive a distinct per-rank stream from the shared fuzz seed.
     std::uint64_t sm = runtime->config_.schedule_fuzz_seed +
@@ -57,31 +54,16 @@ class ThreadRuntime::Context final : public RankContext {
     }
   }
 
-  // --- RankContext -------------------------------------------------------
-
-  int rank() const override { return rank_; }
-  int num_ranks() const override { return runtime_->config_.num_ranks; }
   double now() const override { return seconds_since(epoch_); }
 
-  const BlockDecomposition& decomposition() const override {
-    return *runtime_->decomp_;
-  }
-  const Tracer& tracer() const override { return runtime_->tracer_; }
-  const MachineModel& model() const override {
-    return runtime_->config_.model;
-  }
-
   void send(int to, Message msg) override {
-    msg.from = rank_;
-    SF_INVARIANT_HOOK(runtime_->checker_,
-                      on_send(rank_, to, msg, seconds_since(epoch_)));
+    msg.from = rank();
+    SF_INVARIANT_HOOK(checker(), on_send(rank(), to, msg, now()));
     maybe_perturb();
-    const std::size_t bytes =
-        message_bytes(msg, runtime_->config_.carry_geometry);
+    const std::size_t bytes = message_bytes(msg, config().carry_geometry);
     const bool control = !std::holds_alternative<ParticleBatch>(msg.payload);
     const auto t0 = std::chrono::steady_clock::now();
-    runtime_->contexts_[static_cast<std::size_t>(to)]->deliver(
-        std::move(msg));
+    runtime_->context(to).deliver(std::move(msg));
     metrics.comm_time += seconds_since(t0);
     metrics.messages_sent += 1;
     metrics.bytes_sent += bytes;
@@ -89,18 +71,14 @@ class ThreadRuntime::Context final : public RankContext {
   }
 
   void request_block(BlockId id) override {
-    if (cache_.contains(id)) {
-      local_.push_back(id);
-      return;
-    }
-    if (pending_.count(id) != 0) return;
-    // Async staging: a prefetched grid is promoted into the cache at the
-    // moment of demand — that is when the load "happens" for LRU order
-    // and E-metric purposes, so accounting matches the sync path and
-    // the stall is zero.  Unreachable with async I/O off.
-    if (claim_staged(id)) {
-      local_.push_back(id);
-      return;
+    switch (serve_demand(id)) {
+      case Demand::kPending:
+        return;
+      case Demand::kServed:
+        local_.push_back(id);
+        return;
+      case Demand::kMiss:
+        break;
     }
     auto inflight = prefetch_inflight_.find(id);
     if (inflight != prefetch_inflight_.end()) {
@@ -109,114 +87,41 @@ class ThreadRuntime::Context final : public RankContext {
       // beats a cold read).
       runtime_->loader_->request(id, /*demand=*/true);
       const auto t0 = std::chrono::steady_clock::now();
-      GridPtr grid;
-      try {
-        grid = inflight->second.get();
-      } catch (...) {
-        grid = nullptr;  // exhausted retries: fall back to a cold read
-      }
+      GridPtr grid = arrived(id, inflight->second);
       prefetch_inflight_.erase(inflight);
       const double waited = seconds_since(t0);
-      metrics.io_time += waited;
-      metrics.stall_time += waited;
       if (grid != nullptr) {
-        ++metrics.prefetch_hits;
-        SF_INVARIANT_HOOK(
-            runtime_->checker_,
-            on_prefetch_claimed(rank_, id, seconds_since(epoch_)));
-        cache_.insert(id, std::move(grid));
-        SF_INVARIANT_HOOK(runtime_->checker_,
-                          on_block_insert(rank_, id, cache_.resident(),
-                                          seconds_since(epoch_)));
+        claim_inflight(id, std::move(grid), waited);
         local_.push_back(id);
         return;
       }
       // The read was cancelled or failed while we waited; the hint is
       // dead — do the demand read synchronously like any other miss.
-      ++metrics.prefetches_wasted;
-      SF_INVARIANT_HOOK(
-          runtime_->checker_,
-          on_prefetch_cancelled(rank_, id, seconds_since(epoch_)));
+      charge_stall(waited);
+      discard_prefetch(id);
     }
     pending_.insert(id);
     maybe_perturb();
     // Real synchronous read; completion is delivered through the local
     // event queue so the program still sees it asynchronously.
     const auto t0 = std::chrono::steady_clock::now();
-    GridPtr grid = runtime_->source_->load(id);
-    const double waited = seconds_since(t0);
-    metrics.io_time += waited;
-    metrics.stall_time += waited;
-    metrics.bytes_read += runtime_->source_->block_bytes(id);
-    cache_.insert(id, std::move(grid));
-    SF_INVARIANT_HOOK(runtime_->checker_,
-                      on_block_insert(rank_, id, cache_.resident(),
-                                      seconds_since(epoch_)));
+    GridPtr grid = source().load(id);
+    charge_stall(seconds_since(t0));
+    count_read(id);
+    land(id, std::move(grid));
     maybe_perturb();
-    pending_.erase(id);
     local_.push_back(id);
   }
 
   void prefetch_block(BlockId id) override {
-    AsyncBlockLoader* loader = runtime_->loader_.get();
-    if (loader == nullptr) return;  // async I/O off
-    if (cache_.contains(id) || pending_.count(id) != 0 ||
-        staged_.count(id) != 0 || prefetch_inflight_.count(id) != 0) {
-      return;
-    }
-    const AsyncIoConfig& aio = runtime_->config_.async_io;
-    if (prefetch_inflight_.size() >=
-        static_cast<std::size_t>(std::max(1, aio.prefetch_depth))) {
-      return;  // depth-limited; dropping a hint is always legal
-    }
-    ++metrics.prefetches_issued;
-    SF_INVARIANT_HOOK(runtime_->checker_,
-                      on_prefetch_issued(rank_, id, seconds_since(epoch_)));
-    prefetch_inflight_[id] = loader->request(id, /*demand=*/false);
+    if (!admit_prefetch(id)) return;
+    prefetch_inflight_[id] = runtime_->loader_->request(id, /*demand=*/false);
     maybe_perturb();
-  }
-
-  int prefetch_capacity() const override {
-    const AsyncIoConfig& aio = runtime_->config_.async_io;
-    return aio.enabled ? std::max(1, aio.prefetch_depth) : 0;
-  }
-
-  void pin_block(BlockId id) override {
-    cache_.pin(id);
-    SF_INVARIANT_HOOK(runtime_->checker_, on_block_pin(rank_, id));
-  }
-
-  void unpin_block(BlockId id) override {
-    cache_.unpin(id);  // may run the deferred eviction
-    SF_INVARIANT_HOOK(runtime_->checker_,
-                      on_block_unpin(rank_, id, cache_.resident(),
-                                     seconds_since(epoch_)));
-  }
-
-  bool block_resident(BlockId id) const override {
-    return cache_.contains(id);
-  }
-  bool block_pending(BlockId id) const override {
-    return pending_.count(id) != 0;
-  }
-  std::vector<BlockId> resident_blocks() const override {
-    return cache_.resident();
-  }
-  const StructuredGrid* block(BlockId id) override {
-    const StructuredGrid* grid = cache_.find(id);
-    if (grid != nullptr) {
-      // find() moved the block to the front of the LRU; mirror it.
-      SF_INVARIANT_HOOK(runtime_->checker_, on_block_touch(rank_, id));
-    }
-    return grid;
   }
 
   bool log_termination(const Particle& p) override {
     // No fault plane on the thread runtime yet: always a first-time credit.
-    SF_INVARIANT_HOOK(
-        runtime_->checker_,
-        on_terminated(rank_, p, /*first_time=*/true, seconds_since(epoch_)));
-    runtime_->note_query_termination(p, seconds_since(epoch_));
+    credit_termination(p, /*first=*/true);
     return true;
   }
 
@@ -230,20 +135,6 @@ class ThreadRuntime::Context final : public RankContext {
   }
 
   bool busy() const override { return false; }
-
-  void charge_particle_memory(std::int64_t delta_bytes) override {
-    particle_bytes_ += delta_bytes;
-    if (particle_bytes_ < 0) particle_bytes_ = 0;
-    metrics.peak_particle_bytes =
-        std::max(metrics.peak_particle_bytes,
-                 static_cast<std::size_t>(particle_bytes_));
-    if (static_cast<std::size_t>(particle_bytes_) >
-        runtime_->config_.model.particle_memory_bytes) {
-      metrics.oom = true;
-      abort_->store(true);
-      throw ThreadAbort{};
-    }
-  }
 
   // --- thread driver -------------------------------------------------------
 
@@ -278,73 +169,50 @@ class ThreadRuntime::Context final : public RankContext {
         maybe_perturb();
         // Receiver-side accounting happens on the owning thread (the
         // sender must not touch this rank's metrics).
-        metrics.bytes_received +=
-            message_bytes(msg, runtime_->config_.carry_geometry);
-        SF_INVARIANT_HOOK(runtime_->checker_,
-                          on_deliver(rank_, msg, seconds_since(epoch_)));
+        metrics.bytes_received += message_bytes(msg, config().carry_geometry);
+        SF_INVARIANT_HOOK(checker(), on_deliver(rank(), msg, now()));
         program->on_message(*this, std::move(msg));
         drain_local();
       }
       // Every issued prefetch must be resolved before the run ends:
-      // discard staged grids nobody claimed and cancel what is still in
-      // flight (best effort — a read a worker already started just
-      // completes into the void).
+      // cancel what is still in flight (best effort — a read a worker
+      // already started just completes into the void) and discard staged
+      // grids nobody claimed.
+      for (const auto& inflight : prefetch_inflight_) {
+        runtime_->loader_->cancel(inflight.first);
+      }
       resolve_outstanding_prefetches();
-    } catch (const ThreadAbort&) {
-      // OOM: abort_ is set; all threads wind down.
+    } catch (const SimAbort& abort) {
+      // A rank blew its particle-memory budget: record why, and wind
+      // every thread down.
+      abort_reason = abort.what();
+      abort_->store(true);
     } catch (...) {
       // Anything else (an InvariantViolation, a program bug) must reach
       // the caller, not std::terminate: park it and stop every thread.
       runtime_->note_failure(std::current_exception());
     }
-    metrics.blocks_loaded = cache_.loads();
-    metrics.blocks_purged = cache_.purges();
-    metrics.cache_hits = cache_.hits();
-    metrics.cache_misses = cache_.misses();
-    metrics.blocks_adopted = cache_.adopted();
   }
 
-  const BlockCache& cache() const { return cache_; }
-
-  // Warm start from a previous run's captured residency (cross-query
-  // sharing).  Runs on the main thread before the rank threads launch,
-  // so no locking; `blocks` is MRU first, adopted LRU-last -> MRU-first
-  // to rebuild the same recency order under the checker's LRU model.
-  void adopt_shared(const std::vector<std::pair<BlockId, GridPtr>>& blocks) {
-    const std::size_t n = std::min(blocks.size(), cache_.capacity());
-    for (std::size_t i = n; i-- > 0;) {
-      cache_.adopt(blocks[i].first, blocks[i].second);
-      SF_INVARIANT_HOOK(runtime_->checker_,
-                        on_block_insert(rank_, blocks[i].first,
-                                        cache_.resident(), 0.0));
-    }
-    metrics.blocks_adopted = cache_.adopted();
-  }
-
-  std::unique_ptr<RankProgram> program;
-  RankMetrics metrics;
+  // Why this rank aborted the run, empty if it did not.  Written by the
+  // rank thread, read by run() after the join.
+  std::string abort_reason;
 
  private:
   struct ComputeDone {};
   using LocalEvent = std::variant<BlockId, ComputeDone>;
 
-  // Promote a staged prefetched grid into the cache (the demand claim).
-  bool claim_staged(BlockId id) {
-    auto it = staged_.find(id);
-    if (it == staged_.end()) return false;
-    ++metrics.prefetch_hits;
-    GridPtr grid = std::move(it->second);
-    staged_.erase(it);
-    staged_order_.erase(
-        std::remove(staged_order_.begin(), staged_order_.end(), id),
-        staged_order_.end());
-    SF_INVARIANT_HOOK(runtime_->checker_,
-                      on_prefetch_claimed(rank_, id, seconds_since(epoch_)));
-    cache_.insert(id, std::move(grid));
-    SF_INVARIANT_HOOK(runtime_->checker_,
-                      on_block_insert(rank_, id, cache_.resident(),
-                                      seconds_since(epoch_)));
-    return true;
+  // The grid a loader read delivered to this rank, counted as read;
+  // nullptr when the read was cancelled or exhausted its retries.
+  GridPtr arrived(BlockId id, const std::shared_future<GridPtr>& read) {
+    GridPtr grid;
+    try {
+      grid = read.get();
+    } catch (...) {
+      return nullptr;
+    }
+    if (grid != nullptr) count_read(id);
+    return grid;
   }
 
   // Move finished background reads into the staging area.  Futures are
@@ -359,56 +227,10 @@ class ThreadRuntime::Context final : public RankContext {
         continue;
       }
       const BlockId id = it->first;
-      GridPtr grid;
-      try {
-        grid = it->second.get();
-      } catch (...) {
-        grid = nullptr;  // exhausted retries: abandon the hint
-      }
+      GridPtr grid = arrived(id, it->second);
       it = prefetch_inflight_.erase(it);
-      if (grid == nullptr || cache_.contains(id)) {
-        ++metrics.prefetches_wasted;
-        SF_INVARIANT_HOOK(
-            runtime_->checker_,
-            on_prefetch_cancelled(rank_, id, seconds_since(epoch_)));
-        continue;
-      }
-      staged_[id] = std::move(grid);
-      staged_order_.push_back(id);
-      SF_INVARIANT_HOOK(
-          runtime_->checker_,
-          on_prefetch_staged(rank_, id, seconds_since(epoch_)));
-      const std::size_t cap = std::max<std::size_t>(
-          1, runtime_->config_.async_io.staging_blocks);
-      while (staged_.size() > cap) {
-        const BlockId oldest = staged_order_.front();
-        staged_order_.erase(staged_order_.begin());
-        staged_.erase(oldest);
-        ++metrics.prefetches_wasted;
-        SF_INVARIANT_HOOK(
-            runtime_->checker_,
-            on_prefetch_cancelled(rank_, oldest, seconds_since(epoch_)));
-      }
+      stage(id, std::move(grid));
     }
-  }
-
-  void resolve_outstanding_prefetches() {
-    for (const BlockId id : staged_order_) {
-      ++metrics.prefetches_wasted;
-      SF_INVARIANT_HOOK(
-          runtime_->checker_,
-          on_prefetch_cancelled(rank_, id, seconds_since(epoch_)));
-    }
-    staged_.clear();
-    staged_order_.clear();
-    for (const auto& [id, fut] : prefetch_inflight_) {
-      runtime_->loader_->cancel(id);
-      ++metrics.prefetches_wasted;
-      SF_INVARIANT_HOOK(
-          runtime_->checker_,
-          on_prefetch_cancelled(rank_, id, seconds_since(epoch_)));
-    }
-    prefetch_inflight_.clear();
   }
 
   void drain_local() {
@@ -420,8 +242,7 @@ class ThreadRuntime::Context final : public RankContext {
         Message msg;
         if (!pop_mailbox(msg)) break;
         maybe_perturb();
-        SF_INVARIANT_HOOK(runtime_->checker_,
-                          on_deliver(rank_, msg, seconds_since(epoch_)));
+        SF_INVARIANT_HOOK(checker(), on_deliver(rank(), msg, now()));
         program->on_message(*this, std::move(msg));
       }
       if (local_.empty()) break;
@@ -473,20 +294,11 @@ class ThreadRuntime::Context final : public RankContext {
   }
 
   ThreadRuntime* runtime_;
-  int rank_;
   std::chrono::steady_clock::time_point epoch_;
   std::atomic<bool>* abort_;
-  BlockCache cache_;
   bool fuzz_enabled_;
   Rng fuzz_;
-  std::set<BlockId> pending_;
-  // Async-I/O state, touched only from this rank's thread (all empty
-  // when async I/O is off).
-  std::map<BlockId, std::shared_future<GridPtr>> prefetch_inflight_;
-  std::map<BlockId, GridPtr> staged_;   // arrived, not yet claimed
-  std::vector<BlockId> staged_order_;   // oldest first (bounded)
   std::deque<LocalEvent> local_;
-  std::int64_t particle_bytes_ = 0;
 
   // Lock-free mailbox (DESIGN.md §14): one SPSC lane per sender, an
   // eventcount to sleep on, and a round-robin drain cursor (owned by
@@ -503,18 +315,12 @@ ThreadRuntime::ThreadRuntime(const ThreadRuntimeConfig& config,
                              const IntegratorParams& iparams,
                              const TraceLimits& limits)
     : config_(config),
-      decomp_(decomp),
-      source_(source),
-      tracer_(decomp, iparams, limits) {
-  if (config_.num_ranks < 1) {
-    throw std::invalid_argument("ThreadRuntime: num_ranks >= 1");
-  }
-  if (decomp_ == nullptr || source_ == nullptr) {
-    throw std::invalid_argument("ThreadRuntime: null decomposition/source");
-  }
-}
+      tracer_(decomp, iparams, limits),
+      hosts_(&config_, decomp, source, &tracer_, "ThreadRuntime") {}
 
-ThreadRuntime::~ThreadRuntime() = default;
+ThreadRuntime::Context& ThreadRuntime::context(int rank) {
+  return static_cast<Context&>(hosts_[rank]);
+}
 
 void ThreadRuntime::note_failure(std::exception_ptr error) {
   {
@@ -522,26 +328,6 @@ void ThreadRuntime::note_failure(std::exception_ptr error) {
     if (!failure_) failure_ = std::move(error);
   }
   abort_flag_->store(true);
-}
-
-void ThreadRuntime::note_query_termination(const Particle& p, double now) {
-  std::uint32_t fire_query = 0;
-  std::uint32_t fire_particles = 0;
-  bool fire = false;
-  {
-    MutexLock lock(query_mutex_);
-    auto it = query_remaining_.find(p.query);
-    if (it == query_remaining_.end() || it->second == 0) return;
-    if (--it->second == 0) {
-      fire = true;
-      fire_query = p.query;
-      fire_particles = query_total_[p.query];
-      completions_.push_back(QueryCompletion{p.query, now, fire_particles});
-    }
-  }
-  if (fire) {
-    SF_INVARIANT_HOOK(checker_, on_query_done(fire_query, now));
-  }
 }
 
 RunMetrics ThreadRuntime::run(const ProgramFactory& factory) {
@@ -554,72 +340,25 @@ RunMetrics ThreadRuntime::run(const ProgramFactory& factory) {
   if (config_.async_io.enabled) {
     AsyncBlockLoader::Config lcfg;
     lcfg.workers = config_.async_io.workers;
-    loader_ = std::make_unique<AsyncBlockLoader>(source_, lcfg);
+    loader_ = std::make_unique<AsyncBlockLoader>(&hosts_.source(), lcfg);
   }
 
-  contexts_.clear();
+  std::vector<std::unique_ptr<RankHost>> hosts;
   for (int r = 0; r < config_.num_ranks; ++r) {
-    contexts_.push_back(
-        std::make_unique<Context>(this, r, epoch, &abort));
-    contexts_.back()->program = factory(r, config_.num_ranks);
+    hosts.push_back(std::make_unique<Context>(this, r, epoch, &abort));
+    hosts.back()->program = factory(r, config_.num_ranks);
   }
-
-  checker_ = make_invariant_checker(
-      {.protocol = config_.checked_protocol,
-       .num_ranks = config_.num_ranks,
-       .num_masters = config_.checker_num_masters,
-       .num_roots = config_.checker_num_roots,
-       .num_blocks = decomp_->num_blocks(),
-       .cache_blocks = config_.cache_blocks,
-       .fault_mode = false,
-       .track_queries = true});
-  if (checker_) {
-    std::vector<Particle> snap;
-    for (int r = 0; r < config_.num_ranks; ++r) {
-      snap.clear();
-      contexts_[static_cast<std::size_t>(r)]->program->snapshot_particles(
-          snap);
-      checker_->on_seeded(r, snap);
-    }
-  }
-
-  // Cross-query warm start, on the main thread before any rank runs.
-  if (config_.shared_blocks != nullptr) {
-    for (int r = 0; r < config_.num_ranks; ++r) {
-      contexts_[static_cast<std::size_t>(r)]->adopt_shared(
-          config_.shared_blocks->blocks(r));
-    }
-  }
-
-  // Per-query completion accounting from the seeding snapshots (deduped
-  // by particle id), plus the epoch-boundary cancellation set.
-  {
-    MutexLock lock(query_mutex_);
-    query_remaining_.clear();
-    query_total_.clear();
-    completions_.clear();
-    std::vector<Particle> snap;
-    std::set<std::uint32_t> seen;
-    for (int r = 0; r < config_.num_ranks; ++r) {
-      snap.clear();
-      contexts_[static_cast<std::size_t>(r)]->program->snapshot_particles(
-          snap);
-      for (const Particle& p : snap) {
-        if (is_terminal(p.status)) continue;
-        if (!seen.insert(p.id).second) continue;
-        ++query_remaining_[p.query];
-      }
-    }
-    query_total_ = query_remaining_;
-  }
+  // On the main thread, before any rank runs.
+  hosts_.begin(std::move(hosts), /*fault_mode=*/false, /*presettled=*/{},
+               /*seed_hook=*/nullptr);
   cancel_set_.clear();
   for (std::uint32_t q : config_.cancelled_queries) cancel_set_.cancel(q);
   tracer_.set_cancel_set(&cancel_set_);
 
   std::vector<std::thread> threads;
-  threads.reserve(contexts_.size());
-  for (auto& ctx : contexts_) {
-    threads.emplace_back([c = ctx.get()] { c->thread_main(); });
+  threads.reserve(hosts_.size());
+  for (int r = 0; r < config_.num_ranks; ++r) {
+    threads.emplace_back([c = &context(r)] { c->thread_main(); });
   }
   for (std::thread& t : threads) t.join();
   loader_.reset();  // cancels leftover queued reads, joins the workers
@@ -632,7 +371,7 @@ RunMetrics ThreadRuntime::run(const ProgramFactory& factory) {
     failure = std::exchange(failure_, nullptr);
   }
   if (failure) {
-    checker_.reset();
+    hosts_.checker.reset();
     std::rethrow_exception(failure);
   }
 
@@ -640,35 +379,12 @@ RunMetrics ThreadRuntime::run(const ProgramFactory& factory) {
   run_metrics.num_ranks = config_.num_ranks;
   run_metrics.wall_clock = seconds_since(epoch);
   run_metrics.failed_oom = abort.load();
-  SF_INVARIANT_HOOK(checker_, on_run_end(!run_metrics.failed_oom,
-                                         run_metrics.wall_clock));
-  checker_.reset();
-  for (auto& ctx : contexts_) {
-    run_metrics.ranks.push_back(ctx->metrics);
-    if (!run_metrics.failed_oom) {
-      ctx->program->collect_particles(run_metrics.particles);
-    }
+  for (int r = 0; r < config_.num_ranks && run_metrics.abort_reason.empty();
+       ++r) {
+    run_metrics.abort_reason = context(r).abort_reason;
   }
-  // Capture cross-query residency for the next epoch (threads joined, so
-  // the caches are quiescent).
-  if (config_.shared_blocks != nullptr) {
-    for (int r = 0; r < config_.num_ranks; ++r) {
-      config_.shared_blocks->capture(
-          r, contexts_[static_cast<std::size_t>(r)]->cache());
-    }
-  }
-  std::sort(run_metrics.particles.begin(), run_metrics.particles.end(),
-            [](const Particle& a, const Particle& b) { return a.id < b.id; });
-  {
-    MutexLock lock(query_mutex_);
-    std::sort(completions_.begin(), completions_.end(),
-              [](const QueryCompletion& a, const QueryCompletion& b) {
-                return a.query < b.query;
-              });
-    run_metrics.query_completions = std::move(completions_);
-    completions_.clear();
-  }
-  contexts_.clear();
+  hosts_.finish(run_metrics, !run_metrics.failed_oom, run_metrics.wall_clock,
+                /*gather_particles=*/true);
   return run_metrics;
 }
 

@@ -558,6 +558,24 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, AsyncThreadEquivalence,
                                            Algorithm::kHybridMasterSlave),
                          algo_test_name);
 
+// Every block that enters a cache was read once, so the bytes a run
+// reports cover at least its loads — prefetch claims included, whether
+// the grid was staged or still in flight when the demand came.
+TEST(AsyncIoBytes, EveryLoadedBlockCountsItsBytesOnBothRuntimes) {
+  const SimWorld sw;
+  const auto cfg = sw.config(Algorithm::kLoadOnDemand, /*async=*/true);
+  const std::uint64_t block_bytes = sw.w.source->block_bytes(0);
+  const RunMetrics sim = sw.run(cfg);
+  const RunMetrics threads =
+      run_experiment_threads(cfg, sw.w.decomp(), *sw.w.source, sw.seeds);
+  for (const RunMetrics* m : {&sim, &threads}) {
+    ASSERT_FALSE(m->failed_oom);
+    ASSERT_GT(m->total_prefetch_hits(), 0u);
+    EXPECT_GE(m->total_bytes_read(), m->total_blocks_loaded() * block_bytes)
+        << (m == &sim ? "SimRuntime" : "ThreadRuntime");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Focus pinning at tiny cache capacities (the PR's eviction regression)
 // ---------------------------------------------------------------------------

@@ -171,6 +171,63 @@ TEST(ThreadRuntime, ScheduleFuzzMatchesSerialAcrossSeeds) {
   }
 }
 
+TEST(ThreadRuntime, OomNamesTheRank) {
+  auto w = sf::testing::rotor_world(2);
+  Rng rng(17);
+  const auto seeds = random_seeds(w.dataset->bounds(), 20, rng);
+  ExperimentConfig cfg = sf::testing::test_config(Algorithm::kLoadOnDemand, 3);
+  cfg.runtime.model.particle_memory_bytes = 1000;  // under one particle
+  const RunMetrics m =
+      run_experiment_threads(cfg, w.decomp(), *w.source, seeds);
+  EXPECT_TRUE(m.failed_oom);
+  EXPECT_NE(m.abort_reason.find("exceeded its particle memory budget"),
+            std::string::npos)
+      << m.abort_reason;
+}
+
+// Rank 0 terminates a particle and waits; rank 1 terminates one and then
+// blows its particle-memory budget.  The failed run still reports both
+// terminated particles, like SimRuntime's partial results.
+class TerminateThenMaybeOom final : public RankProgram {
+ public:
+  explicit TerminateThenMaybeOom(int rank) : rank_(rank) {}
+  void start(RankContext& ctx) override {
+    Particle p;
+    p.id = static_cast<std::uint32_t>(rank_);
+    p.status = ParticleStatus::kMaxSteps;
+    done_.push_back(p);
+    if (rank_ == 1) ctx.charge_particle_memory(1 << 20);
+  }
+  void on_message(RankContext&, Message) override {}
+  void on_block_loaded(RankContext&, BlockId) override {}
+  void on_compute_done(RankContext&) override {}
+  bool finished() const override { return false; }
+  void collect_particles(std::vector<Particle>& out) const override {
+    out.insert(out.end(), done_.begin(), done_.end());
+  }
+
+ private:
+  int rank_;
+  std::vector<Particle> done_;
+};
+
+TEST(ThreadRuntime, OomKeepsPartialResults) {
+  auto w = sf::testing::rotor_world(2);
+  ThreadRuntimeConfig cfg = thread_config(2);
+  cfg.model.particle_memory_bytes = 1000;
+  ThreadRuntime rt(cfg, &w.decomp(), w.source.get(), iparams(), limits());
+  const RunMetrics m = rt.run([](int rank, int) {
+    return std::make_unique<TerminateThenMaybeOom>(rank);
+  });
+  EXPECT_TRUE(m.failed_oom);
+  EXPECT_TRUE(m.ranks[1].oom);
+  EXPECT_NE(m.abort_reason.find("rank 1 "), std::string::npos)
+      << m.abort_reason;
+  ASSERT_EQ(m.particles.size(), 2u);
+  EXPECT_EQ(m.particles[0].id, 0u);
+  EXPECT_EQ(m.particles[1].id, 1u);
+}
+
 TEST(ThreadRuntime, Validation) {
   auto w = sf::testing::rotor_world(2);
   ThreadRuntimeConfig bad = thread_config(0);
