@@ -82,11 +82,19 @@ std::pair<int, int> HybridLayout::leaves_of(int root_rank) const {
 
 namespace {
 
-std::size_t particles_resident_bytes(const std::vector<Particle>& ps,
-                                     const MachineModel& model) {
-  std::size_t n = 0;
-  for (const Particle& p : ps) n += resident_particle_bytes(p, model);
-  return n;
+// Straggler detection (DESIGN.md §16): a progress window spans this many
+// heartbeat periods, and a slave is flagged when its effective speed
+// falls below this fraction of the working-group median.
+constexpr int kStragglerMinBeats = 3;
+constexpr double kStragglerSlowness = 0.25;
+// Seeds the Send_hint rule's pick among equally busy slaves.
+constexpr std::uint64_t kHintRngSeed = 0x1dd51c3ULL;
+
+// How long a peer may stay silent before it is presumed dead: the
+// master's sixth rule for slaves, a slave's failover for its master.
+double heartbeat_deadline(const HybridParams& params) {
+  return static_cast<double>(params.heartbeat_miss_limit) *
+         params.heartbeat_period;
 }
 
 // The failover successor: the lowest live original master, or — when every
@@ -104,62 +112,99 @@ int successor_rank(const RankContext& ctx, const HybridLayout& layout) {
   return 0;
 }
 
+// The unique live rank responsible for absorbing a dead coordinator, and
+// so the rank its orphaned slaves re-home to: its parent root when the
+// tree is on and the parent survives, else the global successor (which
+// may be an orphan itself, promoting).  Uniqueness keeps ledger recovery
+// single-fire on the primary path (duplicate adoption stays safe —
+// recovered credits max-merge and re-run terminations dedup — but never
+// happens fault-free under this rule).
+int adopter_of(const RankContext& ctx, const HybridLayout& layout,
+               int dead_coordinator) {
+  if (layout.num_roots > 0 && dead_coordinator >= layout.num_roots &&
+      dead_coordinator < layout.num_masters) {
+    const int parent = layout.root_of(dead_coordinator);
+    if (ctx.is_alive(parent)) return parent;
+  }
+  return successor_rank(ctx, layout);
+}
+
 // ---------------------------------------------------------------------------
 // Master scheduling core
 // ---------------------------------------------------------------------------
 
 // The whole master-side state machine — the five balancing rules, the
 // sixth (declare-dead) rule, master-to-master seed balancing, and the
-// survivable termination board — extracted from the master *program* so a
-// slave promoted by failover runs the identical logic.  Hosted by
-// HybridMaster from the start of a run, or by HybridSlave from the moment
-// it promotes itself (DESIGN.md §11).
-class MasterCore {
+// survivable termination board.  It is the program of every coordinator
+// rank, and a slave promoted by failover hosts one from the moment it
+// promotes itself, so both run the identical logic (DESIGN.md §11).
+class MasterCore final : public RankProgram {
  public:
   MasterCore(const BlockDecomposition* decomp, int self, HybridLayout layout,
-             HybridParams params, std::uint32_t total_active)
+             HybridParams params, std::uint32_t total_active,
+             std::vector<Particle> seeds = {})
       : decomp_(decomp),
         self_(self),
         layout_(layout),
         params_(params),
         total_active_(total_active),
-        rng_(params.rng_seed + static_cast<std::uint64_t>(self)) {}
+        initial_seeds_(std::move(seeds)),
+        rng_(kHintRngSeed + static_cast<std::uint64_t>(self)) {}
 
-  bool finished() const { return finished_; }
+  void start(RankContext& ctx) override {
+    start_as_master(ctx);
+    if (params_.heartbeat_period > 0.0 && !finished_) {
+      ctx.set_timer(params_.heartbeat_period);
+    }
+  }
+
+  void on_timer(RankContext& ctx) override {
+    if (finished_) return;
+    tick(ctx);
+    if (!finished_) ctx.set_timer(params_.heartbeat_period);
+  }
+
+  // The coordinator dispatch, for a master rank and a promoted slave
+  // alike.  Particle batches, commands and beacons are worker traffic
+  // (a promoted slave handles them before forwarding the rest here), and
+  // ControlAck is consumed by the runtime's transport layer.
+  void on_message(RankContext& ctx, Message msg) override {
+    // protocol-lint: ignores ParticleBatch, Command, MasterBeacon
+    // protocol-lint: ignores ControlAck
+    // protocol-lint: ignores QuerySubmit, QueryCancel, QueryResult
+    // protocol-lint: ignores QueryDone
+    if (auto* undeliv = std::get_if<Undeliverable>(&msg.payload)) {
+      reclaim_undelivered(ctx, std::move(*undeliv));
+    } else if (auto* status = std::get_if<StatusUpdate>(&msg.payload)) {
+      on_status(ctx, msg.from, std::move(*status));
+    } else if (auto* term = std::get_if<TerminationCount>(&msg.payload)) {
+      on_termination_count(ctx, term->totals);
+    } else if (std::holds_alternative<SeedRequest>(msg.payload)) {
+      on_seed_demand(ctx, msg.from, /*relayed=*/false);
+    } else if (std::holds_alternative<SeedRelay>(msg.payload)) {
+      on_seed_demand(ctx, msg.from, /*relayed=*/true);
+    } else if (auto* transfer = std::get_if<SeedTransfer>(&msg.payload)) {
+      on_seed_transfer(ctx, msg.from, std::move(*transfer));
+    } else if (std::holds_alternative<DoneSignal>(msg.payload)) {
+      if (!finished_) terminate_group(ctx);
+    }
+  }
+
+  void on_block_loaded(RankContext&, BlockId) override {}
+  void on_compute_done(RankContext&) override {}
+
+  bool finished() const override { return finished_; }
+
+  void collect_particles(std::vector<Particle>&) const override {}
+
+  void snapshot_particles(std::vector<Particle>& out) const override {
+    out.insert(out.end(), initial_seeds_.begin(), initial_seeds_.end());
+    seeds_.append_all(out);
+  }
 
   // No live slave registered: a promoted host must integrate the seed
   // pool itself or the run would stall.
   bool solo() const { return records_.empty(); }
-
-  void start_as_master(RankContext& ctx, std::vector<Particle> seeds) {
-    const auto [first, last] = layout_.slaves_of(self_);
-    for (int s = first; s < last; ++s) records_[s] = SlaveRecord{};
-
-    for (Particle& p : seeds) {
-      // Pooled seeds are bare seed points, not active streamline
-      // objects: charge them at solver-state size.
-      ctx.charge_particle_memory(
-          static_cast<std::int64_t>(particle_message_bytes(p, false)));
-      seeds_.add(decomp_->block_of(p.pos), std::move(p));
-    }
-
-    if (total_active_ == 0 && successor_rank(ctx, layout_) == self_) {
-      finish_everyone(ctx);
-      return;
-    }
-
-    // Initial allocation: N seeds per slave through Assign_unloaded.
-    for (auto& [slave, record] : records_) {
-      if (seeds_.empty()) break;
-      assign_seeds(ctx, slave, record);
-    }
-
-    if (params_.heartbeat_period > 0.0 && !finished_) {
-      for (const auto& [slave, record] : records_) {
-        last_heard_[slave] = ctx.now();
-      }
-    }
-  }
 
   // Promotion entry point: adopt every dead coordinator's group — ledger
   // recovery of the dead ranks plus registration of the survivors, whose
@@ -177,9 +222,10 @@ class MasterCore {
     // The sixth rule: a slave silent for heartbeat_miss_limit periods is
     // declared dead and its streamlines are reclaimed and reassigned.
     // Detection is purely silence-based — no liveness oracle.
+    const double deadline = heartbeat_deadline(params_);
     std::vector<int> missing;
     for (const auto& [slave, heard_at] : last_heard_) {
-      if (ctx.now() - heard_at > deadline()) missing.push_back(slave);
+      if (ctx.now() - heard_at > deadline) missing.push_back(slave);
     }
     for (const int slave : missing) {
       declare_dead(ctx, slave);
@@ -207,7 +253,7 @@ class MasterCore {
     if (successor_rank(ctx, layout_) == self_) {
       for (int m = 0; m < layout_.num_masters; ++m) {
         if (m == self_ || ctx.is_alive(m)) continue;
-        if (adopter_of(ctx, m) != self_) continue;
+        if (adopter_of(ctx, layout_, m) != self_) continue;
         adopt_coordinator(ctx, m);
         if (finished_) return;
       }
@@ -242,9 +288,7 @@ class MasterCore {
       if (params_.failover) {
         // A re-home that arrived after the run ended: answer with the
         // terminate the orphan missed so it can quiesce.
-        Command cmd;
-        cmd.type = Command::Type::kTerminate;
-        send_command(ctx, from, std::move(cmd));
+        send_terminate(ctx, from);
       }
       return;
     }
@@ -269,6 +313,9 @@ class MasterCore {
     assignment_pass(ctx);
   }
 
+  // A peer's board, or — from a promoted host — its own advection
+  // credits, which flow straight into the board instead of through a
+  // StatusUpdate to itself.
   void on_termination_count(
       RankContext& ctx,
       const std::vector<std::pair<int, std::uint32_t>>& totals) {
@@ -277,41 +324,23 @@ class MasterCore {
     publish_totals(ctx);
   }
 
-  // The promoted host's own advection credits flow straight into the
-  // board instead of through a StatusUpdate to itself.
-  void note_local_terminations(RankContext& ctx, int rank,
-                               std::uint32_t total) {
-    if (finished_) return;
-    merge_total(rank, total);
-    publish_totals(ctx);
-  }
-
-  void on_seed_request(RankContext& ctx, int requester) {
+  // A starving master's SeedRequest, or a broker root's SeedRelay: donate
+  // to `requester` (a relay's seeds flow back to the broker, which
+  // forwards them to whichever starving master it is serving).  In tree
+  // mode a root brokers demand it cannot satisfy from its own pool
+  // instead of answering dry — the requester's one candidate is its
+  // root, so a dry answer here would quench balancing for the whole
+  // subtree while leaf pools still hold seeds.  A relay is brokered
+  // within the root's own subtree but never escalated again: the
+  // one-escalation rule is what bounds the chain.
+  void on_seed_demand(RankContext& ctx, int requester, bool relayed) {
     if (finished_) return;
     if (layout_.num_roots > 0 && layout_.is_root(self_)) {
-      // Tree mode: a root brokers demand it cannot satisfy from its own
-      // pool instead of answering dry — the requester's one candidate is
-      // its root, so a dry answer here would quench balancing for the
-      // whole subtree while leaf pools still hold seeds.
-      pending_requests_.push_back({requester, /*may_escalate=*/true});
+      pending_requests_.push_back({requester, /*may_escalate=*/!relayed});
       broker(ctx);
       return;
     }
     answer_seed_request(ctx, requester);
-  }
-
-  // A relayed demand from a broker root: donate back to the broker, which
-  // forwards the seeds to whichever starving master it is serving.  A
-  // root receiving a relay brokers it within its own subtree but must not
-  // escalate again — the one-escalation rule is what bounds the chain.
-  void on_seed_relay(RankContext& ctx, int broker_rank) {
-    if (finished_) return;
-    if (layout_.num_roots > 0 && layout_.is_root(self_)) {
-      pending_requests_.push_back({broker_rank, /*may_escalate=*/false});
-      broker(ctx);
-      return;
-    }
-    answer_seed_request(ctx, broker_rank);
   }
 
   void on_seed_transfer(RankContext& ctx, int from, SeedTransfer transfer) {
@@ -323,22 +352,13 @@ class MasterCore {
     if (transfer.seeds.empty()) {
       dry_masters_.insert(from);
     } else {
-      for (Particle& p : transfer.seeds) {
-        ctx.charge_particle_memory(
-            static_cast<std::int64_t>(particle_message_bytes(p, false)));
-        seeds_.add(decomp_->block_of(p.pos), std::move(p));
-      }
+      pool_seeds(ctx, std::move(transfer.seeds));
     }
     if (!pending_requests_.empty()) {
       broker(ctx);
       if (finished_) return;
     }
     assignment_pass(ctx);
-  }
-
-  void on_done_signal(RankContext& ctx) {
-    if (finished_) return;
-    terminate_group(ctx);
   }
 
   // A particle-bearing message we sent bounced (dropped link or dead
@@ -377,11 +397,7 @@ class MasterCore {
       }
       it->second.outstanding = false;
     }
-    for (Particle& p : u.particles) {
-      ctx.charge_particle_memory(
-          static_cast<std::int64_t>(particle_message_bytes(p, false)));
-      seeds_.add(decomp_->block_of(p.pos), std::move(p));
-    }
+    pool_seeds(ctx, std::move(u.particles));
     assignment_pass(ctx);
   }
 
@@ -391,49 +407,68 @@ class MasterCore {
     while (!seeds_.empty()) {
       const BlockId b = seeds_.densest_block();
       if (b == kInvalidBlock) break;
-      std::vector<Particle> batch = seeds_.drain_block(b);
-      ctx.charge_particle_memory(-static_cast<std::int64_t>(
-          [&] {
-            std::size_t n = 0;
-            for (const Particle& p : batch) {
-              n += particle_message_bytes(p, false);
-            }
-            return n;
-          }()));
-      out.insert(out.end(), std::make_move_iterator(batch.begin()),
-                 std::make_move_iterator(batch.end()));
+      take_seeds(ctx, b, seeds_.count_in(b), out);
     }
     return out;
   }
 
-  void snapshot_seeds(std::vector<Particle>& out) const {
-    seeds_.append_all(out);
-  }
-
  private:
-  struct BlockSet {
-    std::set<BlockId> s;
-    void assign_from(const std::vector<BlockId>& v) {
-      s.clear();
-      s.insert(v.begin(), v.end());
-    }
-    bool contains(BlockId b) const { return s.count(b) != 0; }
-    void insert(BlockId b) { s.insert(b); }
-  };
-
   struct SlaveRecord {
     std::map<BlockId, std::uint32_t> queued;  // waiting, by current block
-    BlockSet loaded;
-    BlockSet loading;
+    std::set<BlockId> loaded;
+    std::set<BlockId> loading;
     std::uint32_t workable = 0;
     bool outstanding = false;  // assigned work since its last status
     bool needs_work = false;
     bool hint_requested = false;  // a Send_hint on its behalf is pending
   };
 
-  double deadline() const {
-    return static_cast<double>(params_.heartbeat_miss_limit) *
-           params_.heartbeat_period;
+  void start_as_master(RankContext& ctx) {
+    const auto [first, last] = layout_.slaves_of(self_);
+    for (int s = first; s < last; ++s) records_[s] = SlaveRecord{};
+
+    pool_seeds(ctx, std::move(initial_seeds_));
+    initial_seeds_.clear();
+
+    if (total_active_ == 0 && successor_rank(ctx, layout_) == self_) {
+      finish_everyone(ctx);
+      return;
+    }
+
+    // Initial allocation: N seeds per slave through Assign_unloaded.
+    for (auto& [slave, record] : records_) {
+      if (seeds_.empty()) break;
+      assign_seeds(ctx, slave, record);
+    }
+
+    if (params_.heartbeat_period > 0.0 && !finished_) {
+      for (const auto& [slave, record] : records_) {
+        last_heard_[slave] = ctx.now();
+      }
+    }
+  }
+
+  // The seed pool holds bare seed points, not active streamline objects,
+  // so a seed is charged at solver-state size on the way in and out.
+  void pool_seeds(RankContext& ctx, std::vector<Particle> seeds) {
+    for (Particle& p : seeds) {
+      ctx.charge_particle_memory(
+          static_cast<std::int64_t>(particle_message_bytes(p, false)));
+      seeds_.add(decomp_->block_of(p.pos), std::move(p));
+    }
+  }
+
+  // Move up to `max` seeds out of block `from` of the pool onto `out`.
+  void take_seeds(RankContext& ctx, BlockId from, std::size_t max,
+                  std::vector<Particle>& out) {
+    std::size_t bytes = 0;
+    for (std::size_t i = 0; i < max; ++i) {
+      auto p = seeds_.take_from(from);
+      if (!p) break;
+      bytes += particle_message_bytes(*p, false);
+      out.push_back(std::move(*p));
+    }
+    ctx.charge_particle_memory(-static_cast<std::int64_t>(bytes));
   }
 
   // --- straggler detection (gray failures, DESIGN.md §16) ------------------
@@ -460,8 +495,7 @@ class MasterCore {
   // all-or-nothing noise (a burst credits its steps at acceptance), while
   // a multi-beat window averages over the burst cadence.
   double progress_window() const {
-    return static_cast<double>(params_.straggler_min_beats) *
-           params_.heartbeat_period;
+    return static_cast<double>(kStragglerMinBeats) * params_.heartbeat_period;
   }
 
   // Straggler detection (gray failures): every status carries the
@@ -554,7 +588,7 @@ class MasterCore {
       if (t.flagged || t.windows < 1) continue;
       if (t.last_busy < busy_floor) continue;
       if (!detection_candidate(slave, t)) continue;
-      if (t.rate >= params_.straggler_slowness * median) continue;
+      if (t.rate >= kStragglerSlowness * median) continue;
       t.flagged = true;
       speculate_straggler(ctx, slave);
     }
@@ -566,12 +600,7 @@ class MasterCore {
   // merged here (it reports its own credits; first-terminal-wins dedups
   // whichever copy loses the race).
   void speculate_straggler(RankContext& ctx, int straggler) {
-    std::vector<Particle> copies = ctx.speculate_rank(straggler);
-    for (Particle& p : copies) {
-      ctx.charge_particle_memory(
-          static_cast<std::int64_t>(particle_message_bytes(p, false)));
-      seeds_.add(decomp_->block_of(p.pos), std::move(p));
-    }
+    pool_seeds(ctx, ctx.speculate_rank(straggler));
   }
 
   // --- index maintenance ---------------------------------------------------
@@ -601,28 +630,35 @@ class MasterCore {
 
   void apply_status(int slave, SlaveRecord& rec, const StatusUpdate& status) {
     for (const auto& [b, count] : rec.queued) index_unqueue(slave, b);
-    for (const BlockId b : rec.loaded.s) index_unhold(slave, b);
-    for (const BlockId b : rec.loading.s) index_unhold(slave, b);
+    for (const BlockId b : rec.loaded) index_unhold(slave, b);
+    for (const BlockId b : rec.loading) index_unhold(slave, b);
 
     rec.queued.clear();
     for (const auto& [block, count] : status.queued_by_block) {
       rec.queued[block] = count;
       index_queue(slave, block, count);
     }
-    rec.loaded.assign_from(status.loaded);
-    rec.loading.assign_from(status.loading);
-    for (const BlockId b : rec.loaded.s) index_hold(slave, b);
-    for (const BlockId b : rec.loading.s) index_hold(slave, b);
+    rec.loaded = std::set<BlockId>(status.loaded.begin(), status.loaded.end());
+    rec.loading =
+        std::set<BlockId>(status.loading.begin(), status.loading.end());
+    for (const BlockId b : rec.loaded) index_hold(slave, b);
+    for (const BlockId b : rec.loading) index_hold(slave, b);
     rec.workable = status.workable;
     rec.outstanding = false;
     rec.needs_work = (status.workable == 0);
     rec.hint_requested = false;
   }
 
-  // Optimistic bookkeeping for a Send_force: move the queued particles
-  // of block `b` from one record to another.
-  void move_queued(int from_slave, SlaveRecord& from_rec, BlockId b,
-                   int to_slave) {
+  // Send_force (rules 1 and 3): `from_slave` must ship its particles in
+  // `b` to `to_slave`.  The queued count moves between the records
+  // optimistically, before either slave reports.
+  void send_force(RankContext& ctx, int from_slave, SlaveRecord& from_rec,
+                  BlockId b, int to_slave) {
+    Command cmd;
+    cmd.type = Command::Type::kSendForce;
+    cmd.block = b;
+    cmd.target = to_slave;
+    send_command(ctx, from_slave, std::move(cmd));
     const auto it = from_rec.queued.find(b);
     if (it == from_rec.queued.end()) return;
     const std::uint32_t count = it->second;
@@ -635,6 +671,29 @@ class MasterCore {
   void note_load_command(int slave, SlaveRecord& rec, BlockId b) {
     rec.loading.insert(b);
     index_hold(slave, b);
+  }
+
+  // Load (rules 2 and 6): the slave must read block `b`.
+  void order_load(RankContext& ctx, int slave, SlaveRecord& rec, BlockId b) {
+    Command cmd;
+    cmd.type = Command::Type::kLoad;
+    cmd.block = b;
+    send_command(ctx, slave, std::move(cmd));
+    note_load_command(slave, rec, b);
+  }
+
+  // The unloaded block holding the most of the slave's queued particles,
+  // if that is more than `floor` (ties -> lowest id); else kInvalidBlock.
+  BlockId most_stuck_block(const SlaveRecord& rec,
+                           std::uint32_t floor) const {
+    BlockId best = kInvalidBlock;
+    for (const auto& [b, count] : rec.queued) {
+      if (!has_block(rec, b) && count > floor) {
+        best = b;
+        floor = count;
+      }
+    }
+    return best;
   }
 
   static std::uint32_t workload(const SlaveRecord& rec) {
@@ -652,19 +711,6 @@ class MasterCore {
                                       params_.assign_batch);
   }
 
-  // Take up to N seeds out of one block of the master pool.
-  std::vector<Particle> pick_seeds(RankContext& ctx, BlockId from) {
-    std::vector<Particle> out;
-    for (int i = 0; i < params_.assign_batch; ++i) {
-      auto p = seeds_.take_from(from);
-      if (!p) break;
-      out.push_back(std::move(*p));
-    }
-    ctx.charge_particle_memory(-static_cast<std::int64_t>(
-        particles_resident_bytes(out, ctx.model())));
-    return out;
-  }
-
   void assign_seeds(RankContext& ctx, int slave, SlaveRecord& rec) {
     // Prefer a block the slave already has loaded (Assign_loaded), else
     // the densest seed block (Assign_unloaded).
@@ -678,7 +724,9 @@ class MasterCore {
     if (from == kInvalidBlock) from = seeds_.densest_block();
     if (from == kInvalidBlock) return;
 
-    std::vector<Particle> batch = pick_seeds(ctx, from);
+    std::vector<Particle> batch;
+    take_seeds(ctx, from, static_cast<std::size_t>(params_.assign_batch),
+               batch);
     rec.queued[from] += static_cast<std::uint32_t>(batch.size());
     index_queue(slave, from, static_cast<std::uint32_t>(batch.size()));
     // The slave auto-loads the blocks of assigned seeds (Assign_unloaded).
@@ -699,6 +747,12 @@ class MasterCore {
     Message m;
     m.payload = std::move(cmd);
     ctx.send(to, std::move(m));
+  }
+
+  void send_terminate(RankContext& ctx, int to) {
+    Command cmd;
+    cmd.type = Command::Type::kTerminate;
+    send_command(ctx, to, std::move(cmd));
   }
 
   // The §4.3 rule sequence for one workless slave.  Returns true when S
@@ -732,34 +786,16 @@ class MasterCore {
             break;
           }
         }
-        if (target >= 0) {
-          Command cmd;
-          cmd.type = Command::Type::kSendForce;
-          cmd.block = b;
-          cmd.target = target;
-          send_command(ctx, slave, std::move(cmd));
-          move_queued(slave, rec, b, target);
-        }
+        if (target >= 0) send_force(ctx, slave, rec, b, target);
       }
     }
 
     // (2) Load: S has more than NL particles stuck in one unloaded block.
     {
-      BlockId best = kInvalidBlock;
-      std::uint32_t best_count =
-          static_cast<std::uint32_t>(params_.load_threshold);
-      for (const auto& [b, count] : rec.queued) {
-        if (!has_block(rec, b) && count > best_count) {
-          best = b;
-          best_count = count;
-        }
-      }
+      const BlockId best = most_stuck_block(
+          rec, static_cast<std::uint32_t>(params_.load_threshold));
       if (best != kInvalidBlock) {
-        Command cmd;
-        cmd.type = Command::Type::kLoad;
-        cmd.block = best;
-        send_command(ctx, slave, std::move(cmd));
-        note_load_command(slave, rec, best);
+        order_load(ctx, slave, rec, best);
         assigned = true;
       }
     }
@@ -767,12 +803,12 @@ class MasterCore {
     // (3) The loads above changed the group's loaded sets: other slaves
     // may now Send_force their stuck particles to S.
     {
-      std::vector<BlockId> held(rec.loaded.s.begin(), rec.loaded.s.end());
-      held.insert(held.end(), rec.loading.s.begin(), rec.loading.s.end());
+      std::vector<BlockId> held(rec.loaded.begin(), rec.loaded.end());
+      held.insert(held.end(), rec.loading.begin(), rec.loading.end());
       for (const BlockId b : held) {
         const auto qit = queued_idx_.find(b);
         if (qit == queued_idx_.end()) continue;
-        // Copy: move_queued mutates the index.
+        // Copy: send_force mutates the index.
         const std::vector<std::pair<int, std::uint32_t>> waiters(
             qit->second.begin(), qit->second.end());
         for (const auto& [other, count] : waiters) {
@@ -780,12 +816,7 @@ class MasterCore {
           SlaveRecord& orec = records_[other];
           if (has_block(orec, b)) continue;  // they can run it themselves
           if (workload(rec) + count > overload_limit()) break;
-          Command cmd;
-          cmd.type = Command::Type::kSendForce;
-          cmd.block = b;
-          cmd.target = slave;
-          send_command(ctx, other, std::move(cmd));
-          move_queued(other, orec, b, slave);
+          send_force(ctx, other, orec, b, slave);
           assigned = true;
         }
       }
@@ -800,20 +831,14 @@ class MasterCore {
     // (6) Still nothing: make S load the block holding its most
     // streamlines (or, failing that, the group's hottest block).
     if (!assigned) {
-      BlockId best = kInvalidBlock;
-      std::uint32_t best_count = 0;
-      for (const auto& [b, count] : rec.queued) {
-        if (!has_block(rec, b) && count > best_count) {
-          best = b;
-          best_count = count;
-        }
-      }
+      BlockId best = most_stuck_block(rec, 0);
       if (best == kInvalidBlock && allow_expensive) {
         // Fall back to the group's hottest block — but only one held by
         // *no* group slave.  If somebody already holds it, migration
         // (rules 1/3/7) is strictly cheaper than a duplicate 12 MB read,
         // and without this guard every starved slave in a large group
         // re-loads the same hot block.
+        std::uint32_t best_count = 0;
         for (const auto& [b, waiters] : queued_idx_) {
           if (holders_.count(b) != 0) continue;
           std::uint32_t total = 0;
@@ -825,11 +850,7 @@ class MasterCore {
         }
       }
       if (best != kInvalidBlock) {
-        Command cmd;
-        cmd.type = Command::Type::kLoad;
-        cmd.block = best;
-        send_command(ctx, slave, std::move(cmd));
-        note_load_command(slave, rec, best);
+        order_load(ctx, slave, rec, best);
         assigned = true;
       }
     }
@@ -953,18 +974,13 @@ class MasterCore {
     SeedTransfer transfer;
     const std::size_t spare_floor =
         static_cast<std::size_t>(params_.assign_batch) * records_.size();
-    std::size_t donated = 0;
     const std::size_t donate_cap =
         static_cast<std::size_t>(4 * params_.assign_batch);
-    while (seeds_.size() > spare_floor && donated < donate_cap) {
+    // One seed at a time: the densest block can change after each take.
+    while (seeds_.size() > spare_floor && transfer.seeds.size() < donate_cap) {
       const BlockId b = seeds_.densest_block();
       if (b == kInvalidBlock) break;
-      auto p = seeds_.take_from(b);
-      if (!p) break;
-      ctx.charge_particle_memory(
-          -static_cast<std::int64_t>(particle_message_bytes(*p, false)));
-      transfer.seeds.push_back(std::move(*p));
-      ++donated;
+      take_seeds(ctx, b, 1, transfer.seeds);
     }
     return transfer;
   }
@@ -1045,7 +1061,7 @@ class MasterCore {
     // may declare them: their own re-home detection runs on the same
     // silence clock as ours, so a fresh adoptee may legitimately report
     // up to a full deadline late.
-    last_heard_[slave] = ctx.now() + deadline();
+    last_heard_[slave] = ctx.now() + heartbeat_deadline(params_);
   }
 
   // Absorb a dead coordinator: its unassigned seed pool and termination
@@ -1073,11 +1089,7 @@ class MasterCore {
 
   void absorb_recovered(RankContext& ctx, int dead) {
     RecoveredWork work = ctx.recover_rank(dead);
-    for (Particle& p : work.active) {
-      ctx.charge_particle_memory(
-          static_cast<std::int64_t>(particle_message_bytes(p, false)));
-      seeds_.add(decomp_->block_of(p.pos), std::move(p));
-    }
+    pool_seeds(ctx, std::move(work.active));
     merge_total(dead, work.terminated_total);
   }
 
@@ -1105,11 +1117,7 @@ class MasterCore {
   // --- termination board ---------------------------------------------------
 
   void merge_total(int rank, std::uint32_t total) {
-    if (total == 0) return;
-    auto& hw = totals_[rank];
-    if (total <= hw) return;
-    hw = total;
-    totals_dirty_ = true;
+    if (board_.merge(rank, total)) totals_dirty_ = true;
   }
 
   // Where this coordinator publishes its board.  Flat layout: straight to
@@ -1143,11 +1151,9 @@ class MasterCore {
       return;
     }
     if (!totals_dirty_ && counter == last_published_counter_) return;
+    if (board_.totals().empty()) return;
     TerminationCount tc;
-    for (const auto& [rank, total] : totals_) {
-      if (total > 0) tc.totals.emplace_back(rank, total);
-    }
-    if (tc.totals.empty()) return;
+    tc.totals.assign(board_.totals().begin(), board_.totals().end());
     Message m;
     m.payload = std::move(tc);
     ctx.send(counter, std::move(m));
@@ -1156,9 +1162,7 @@ class MasterCore {
   }
 
   void maybe_finish(RankContext& ctx) {
-    std::uint64_t done = 0;
-    for (const auto& [rank, total] : totals_) done += total;
-    if (done >= total_active_) finish_everyone(ctx);
+    if (board_.sum() >= total_active_) finish_everyone(ctx);
   }
 
   void finish_everyone(RankContext& ctx) {
@@ -1175,9 +1179,7 @@ class MasterCore {
       // directly (duplicate kTerminates are idempotent).
       for (int s = layout_.num_masters; s < layout_.num_ranks; ++s) {
         if (s == self_ || !ctx.is_alive(s)) continue;
-        Command cmd;
-        cmd.type = Command::Type::kTerminate;
-        send_command(ctx, s, std::move(cmd));
+        send_terminate(ctx, s);
       }
       finished_ = true;
       return;
@@ -1192,9 +1194,7 @@ class MasterCore {
     for (int s = layout_.num_masters; s < layout_.num_ranks; ++s) {
       if (s == self_ || !ctx.is_alive(s)) continue;
       if (records_.count(s) == 0 && !coordinates(ctx, s)) continue;
-      Command cmd;
-      cmd.type = Command::Type::kTerminate;
-      send_command(ctx, s, std::move(cmd));
+      send_terminate(ctx, s);
     }
     finished_ = true;
   }
@@ -1202,22 +1202,7 @@ class MasterCore {
   bool coordinates(const RankContext& ctx, int slave) const {
     const int m = layout_.master_of(slave);
     if (ctx.is_alive(m)) return m == self_;
-    return adopter_of(ctx, m) == self_;
-  }
-
-  // The unique live rank responsible for absorbing a dead coordinator:
-  // its parent root when the tree is on and the parent survives, else the
-  // global successor.  Uniqueness keeps ledger recovery single-fire on
-  // the primary path (duplicate adoption stays safe — recovered credits
-  // max-merge and re-run terminations dedup — but never happens fault-
-  // free under this rule).
-  int adopter_of(const RankContext& ctx, int dead_master) const {
-    if (layout_.num_roots > 0 && dead_master >= layout_.num_roots &&
-        dead_master < layout_.num_masters) {
-      const int parent = layout_.root_of(dead_master);
-      if (ctx.is_alive(parent)) return parent;
-    }
-    return successor_rank(ctx, layout_);
+    return adopter_of(ctx, layout_, m) == self_;
   }
 
   const BlockDecomposition* decomp_;
@@ -1225,6 +1210,7 @@ class MasterCore {
   HybridLayout layout_;
   HybridParams params_;
   std::uint32_t total_active_;  // global streamline count
+  std::vector<Particle> initial_seeds_;  // this master's pool until start
   Rng rng_;
 
   ParticlePool seeds_;
@@ -1249,10 +1235,9 @@ class MasterCore {
   int relay_cursor_ = 0;
   bool relay_outstanding_ = false;
   int relay_target_ = -1;
-  // Survivable termination accounting (§11): per-rank cumulative
-  // high-water marks, max-merged from statuses, peer boards, and ledger
-  // recoveries; global done = sum of the board.
-  std::map<int, std::uint32_t> totals_;
+  // Survivable termination accounting (§11), max-merged from statuses,
+  // peer boards, and ledger recoveries.
+  TerminationBoard board_;
   bool totals_dirty_ = false;
   int last_published_counter_ = -1;
   // Dead coordinators (and dead slaves) whose ledger state was already
@@ -1274,8 +1259,8 @@ class HybridSlave final : public RankProgram {
         layout_(layout),
         params_(params),
         total_active_(total_active),
-        master_(layout.master_of(rank)),
-        coord_(master_) {}
+        coord_(layout.master_of(rank)),
+        worker_(decomp) {}
 
   void start(RankContext& ctx) override {
     // Slaves begin idle; everything arrives from the master.  Do not
@@ -1305,26 +1290,16 @@ class HybridSlave final : public RankProgram {
 
   void on_message(RankContext& ctx, Message msg) override {
     // ControlAck is consumed by the runtime's transport layer and never
-    // reaches a program.
+    // reaches a program.  The coordinator kinds go to the hosted
+    // MasterCore::on_message once this slave is promoted.
     // protocol-lint: ignores ControlAck
     // protocol-lint: ignores QuerySubmit, QueryCancel, QueryResult
     // protocol-lint: ignores QueryDone
+    // protocol-lint: ignores StatusUpdate, TerminationCount, SeedRequest
+    // protocol-lint: ignores SeedRelay, SeedTransfer, DoneSignal
     if (auto* batch = std::get_if<ParticleBatch>(&msg.payload)) {
-      accept_particles(ctx, std::move(batch->particles));
+      accept(ctx, std::move(batch->particles));
       try_start(ctx);
-      return;
-    }
-    if (auto* undeliv = std::get_if<Undeliverable>(&msg.payload)) {
-      // A shipment bounced (dropped link or dead receiver): take the
-      // particles back.  A plain worker re-pools them for re-routing; an
-      // acting master reclaims them through its scheduling machinery.
-      if (core_) {
-        core_->reclaim_undelivered(ctx, std::move(*undeliv));
-        core_post(ctx);
-      } else {
-        accept_particles(ctx, std::move(undeliv->particles));
-        try_start(ctx);
-      }
       return;
     }
     if (std::holds_alternative<MasterBeacon>(msg.payload)) {
@@ -1345,6 +1320,15 @@ class HybridSlave final : public RankProgram {
       on_command(ctx, std::move(*cmd));
       return;
     }
+    // A shipment bounced (dropped link or dead receiver): take the
+    // particles back.  A plain worker re-pools them for re-routing; an
+    // acting master reclaims them through its scheduling machinery.
+    const bool bounced = std::holds_alternative<Undeliverable>(msg.payload);
+    if (!core_ && bounced) {
+      accept(ctx, std::move(std::get<Undeliverable>(msg.payload).particles));
+      try_start(ctx);
+      return;
+    }
 
     // Coordinator-side traffic (statuses, boards, seed balancing, done):
     // only meaningful once this slave is the failover successor.  A peer
@@ -1355,20 +1339,8 @@ class HybridSlave final : public RankProgram {
         successor_rank(ctx, layout_) == rank_) {
       promote(ctx);
     }
-    if (!core_ || finished_) return;
-    if (auto* status = std::get_if<StatusUpdate>(&msg.payload)) {
-      core_->on_status(ctx, msg.from, std::move(*status));
-    } else if (auto* term = std::get_if<TerminationCount>(&msg.payload)) {
-      core_->on_termination_count(ctx, term->totals);
-    } else if (std::holds_alternative<SeedRequest>(msg.payload)) {
-      core_->on_seed_request(ctx, msg.from);
-    } else if (std::holds_alternative<SeedRelay>(msg.payload)) {
-      core_->on_seed_relay(ctx, msg.from);
-    } else if (auto* transfer = std::get_if<SeedTransfer>(&msg.payload)) {
-      core_->on_seed_transfer(ctx, msg.from, std::move(*transfer));
-    } else if (std::holds_alternative<DoneSignal>(msg.payload)) {
-      core_->on_done_signal(ctx);
-    }
+    if (!core_ || (finished_ && !bounced)) return;
+    core_->on_message(ctx, std::move(msg));
     core_post(ctx);
   }
 
@@ -1382,24 +1354,10 @@ class HybridSlave final : public RankProgram {
     steps_total_ += in_flight_steps_;
     in_flight_steps_ = 0;
     busy_total_ += ctx.now() - burst_start_;
-    std::vector<Particle> batch = std::move(in_flight_);
-    in_flight_.clear();
-    std::vector<AdvanceOutcome> outcomes = std::move(flights_);
-    flights_.clear();
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      Particle& p = batch[i];
-      if (is_terminal(outcomes[i].status)) {
-        // Only first-time terminations count toward the global total; a
-        // re-run duplicate (recovery overlap) must not double-count.
-        if (ctx.log_termination(p)) ++terminated_total_;
-        done_.push_back(std::move(p));
-      } else {
-        pool_.add(outcomes[i].blocking_block, std::move(p));
-      }
-    }
+    terminated_total_ += worker_.finish_burst(ctx);
     reported_ = false;
     if (core_) {
-      core_->note_local_terminations(ctx, rank_, terminated_total_);
+      core_->on_termination_count(ctx, {{rank_, terminated_total_}});
       core_post(ctx);
       return;
     }
@@ -1409,13 +1367,12 @@ class HybridSlave final : public RankProgram {
   bool finished() const override { return finished_; }
 
   void collect_particles(std::vector<Particle>& out) const override {
-    out.insert(out.end(), done_.begin(), done_.end());
+    worker_.collect(out);
   }
 
   void snapshot_particles(std::vector<Particle>& out) const override {
-    pool_.append_all(out);
-    out.insert(out.end(), in_flight_.begin(), in_flight_.end());
-    if (core_) core_->snapshot_seeds(out);
+    worker_.snapshot(out);
+    if (core_) core_->snapshot_particles(out);
   }
 
  private:
@@ -1428,7 +1385,7 @@ class HybridSlave final : public RankProgram {
         for (const Particle& p : cmd.particles) {
           blocks.insert(decomp_->block_of(p.pos));
         }
-        accept_particles(ctx, std::move(cmd.particles));
+        accept(ctx, std::move(cmd.particles));
         for (const BlockId b : blocks) {
           request_if_needed(ctx, b);
         }
@@ -1439,22 +1396,21 @@ class HybridSlave final : public RankProgram {
         request_if_needed(ctx, cmd.block);
         try_start(ctx);
         break;
-      case Command::Type::kSendForce: {
+      case Command::Type::kSendForce:
         // Mandatory migration of our particles in `block` to `target`.
-        std::vector<Particle> moving = pool_.drain_block(cmd.block);
-        ship_particles(ctx, cmd.target, cmd.block, std::move(moving));
+        worker_.ship(ctx, cmd.target, cmd.block,
+                     worker_.pool().drain_block(cmd.block));
         reported_ = false;
         try_start(ctx);
         break;
-      }
       case Command::Type::kSendHint: {
         // Optional: offload particles waiting in *unloaded* hint blocks.
         // If none are appropriate, ignore the hint (the autonomy rule).
         for (const BlockId b : cmd.hint_blocks) {
           if (ctx.block_resident(b) || ctx.block_pending(b)) continue;
-          std::vector<Particle> moving = pool_.drain_block(b);
+          std::vector<Particle> moving = worker_.pool().drain_block(b);
           if (!moving.empty()) {
-            ship_particles(ctx, cmd.target, b, std::move(moving));
+            worker_.ship(ctx, cmd.target, b, std::move(moving));
             reported_ = false;
           }
         }
@@ -1469,18 +1425,17 @@ class HybridSlave final : public RankProgram {
 
   // Silence-based master failure detection (§11): beacons and commands
   // refresh master_heard_; a coordinator silent past the miss limit whose
-  // death the runtime confirms triggers re-homing — to the successor, or
-  // to ourselves by promotion when no master survives.  The liveness
-  // confirmation is what prevents a lossy-link silence from electing two
-  // acting masters.
+  // death the runtime confirms triggers re-homing to the rank that
+  // adopts its group — or to ourselves by promotion when no master
+  // survives.  The liveness confirmation is what prevents a lossy-link
+  // silence from electing two acting masters.
   void maybe_failover(RankContext& ctx) {
     if (!params_.failover || params_.heartbeat_period <= 0.0) return;
-    const double deadline =
-        static_cast<double>(params_.heartbeat_miss_limit) *
-        params_.heartbeat_period;
-    if (ctx.now() - master_heard_ <= deadline) return;  // not silent yet
+    if (ctx.now() - master_heard_ <= heartbeat_deadline(params_)) {
+      return;  // not silent yet
+    }
     if (ctx.is_alive(coord_)) return;  // silent but alive: keep waiting
-    const int succ = rehome_target(ctx);
+    const int succ = adopter_of(ctx, layout_, coord_);
     if (succ == rank_) {
       promote(ctx);
       return;
@@ -1491,27 +1446,13 @@ class HybridSlave final : public RankProgram {
     send_status(ctx, workable(ctx), orphaned);
   }
 
-  // Where an orphaned slave re-homes: the adopter of its dead coordinator
-  // — the parent root of a dead leaf master when the tree is on and that
-  // root survives, else the global successor (which may be this slave
-  // itself, promoting).  Mirrors MasterCore::adopter_of so the slave
-  // re-reports to exactly the rank that absorbed its group.
-  int rehome_target(const RankContext& ctx) const {
-    if (layout_.num_roots > 0 && coord_ >= layout_.num_roots &&
-        coord_ < layout_.num_masters) {
-      const int parent = layout_.root_of(coord_);
-      if (ctx.is_alive(parent)) return parent;
-    }
-    return successor_rank(ctx, layout_);
-  }
-
   // Become the acting master: instantiate the identical scheduling core a
   // real master runs, adopt every dead coordinator's ledger state, and
   // keep advecting our own pool alongside (the core never schedules us).
   void promote(RankContext& ctx) {
     core_.emplace(decomp_, rank_, layout_, params_, total_active_);
     core_->start_as_successor(ctx);
-    core_->note_local_terminations(ctx, rank_, terminated_total_);
+    core_->on_termination_count(ctx, {{rank_, terminated_total_}});
     core_post(ctx);
   }
 
@@ -1525,36 +1466,22 @@ class HybridSlave final : public RankProgram {
     }
     if (core_->solo()) {
       std::vector<Particle> adopted = core_->drain_seeds(ctx);
-      if (!adopted.empty()) accept_particles(ctx, std::move(adopted));
+      if (!adopted.empty()) accept(ctx, std::move(adopted));
     }
     try_start(ctx);
   }
 
   std::uint32_t workable(RankContext& ctx) const {
     std::uint32_t n = 0;
-    for (const auto& [block, count] : pool_.census()) {
+    for (const auto& [block, count] : worker_.pool().census()) {
       if (ctx.block_resident(block)) n += count;
     }
     return n;
   }
 
-  void accept_particles(RankContext& ctx, std::vector<Particle> particles) {
-    for (Particle& p : particles) {
-      ctx.charge_particle_memory(static_cast<std::int64_t>(
-          resident_particle_bytes(p, ctx.model())));
-      pool_.add(decomp_->block_of(p.pos), std::move(p));
-    }
+  void accept(RankContext& ctx, std::vector<Particle> particles) {
+    worker_.accept(ctx, std::move(particles));
     reported_ = false;
-  }
-
-  void ship_particles(RankContext& ctx, int target, BlockId block,
-                      std::vector<Particle> particles) {
-    if (particles.empty()) return;
-    ctx.charge_particle_memory(-static_cast<std::int64_t>(
-        particles_resident_bytes(particles, ctx.model())));
-    Message m;
-    m.payload = ParticleBatch{block, std::move(particles)};
-    ctx.send(target, std::move(m));
   }
 
   void request_if_needed(RankContext& ctx, BlockId b) {
@@ -1590,13 +1517,11 @@ class HybridSlave final : public RankProgram {
   void send_status(RankContext& ctx, std::uint32_t workable_now,
                    int orphaned_from = -1) {
     StatusUpdate s;
-    for (const auto& [block, count] : pool_.census()) {
+    for (const auto& [block, count] : worker_.pool().census()) {
       s.queued_by_block.emplace_back(block, count);
-    }
-    s.loaded = ctx.resident_blocks();
-    for (const auto& [block, count] : pool_.census()) {
       if (ctx.block_pending(block)) s.loading.push_back(block);
     }
+    s.loaded = ctx.resident_blocks();
     s.workable = workable_now;
     s.terminated_total = terminated_total_;
     s.steps_total = watermark(ctx);
@@ -1612,39 +1537,33 @@ class HybridSlave final : public RankProgram {
   }
 
   void try_start(RankContext& ctx) {
-    if (finished_ || ctx.busy() || !in_flight_.empty()) return;
+    if (finished_ || ctx.busy() || worker_.in_burst()) return;
 
-    const BlockId runnable = pool_.first_block_where(
-        [&ctx](BlockId id) { return ctx.block_resident(id); });
+    const ParticlePool& pool = worker_.pool();
+    const BlockId runnable = worker_.runnable_block(ctx);
     if (runnable != kInvalidBlock) {
       // Latency hiding (§4.3): report *before* a burst that will drain
       // the last workable streamlines so the master's reply overlaps it.
       // The burst takes runnable's whole queue, so that is the case when
       // nothing else is workable.
-      const auto draining =
-          static_cast<std::uint32_t>(pool_.count_in(runnable));
+      const auto draining = static_cast<std::uint32_t>(pool.count_in(runnable));
       if (!core_ && !reported_ && workable(ctx) == draining) {
         send_status(ctx, 0);
       }
-      // Advance the whole block queue in one burst (§9 batching).
-      in_flight_ = pool_.drain_block(runnable);
       // A slave's useful horizon is one Load round: a deep speculative
       // pipeline claims blocks the master never schedules here and
       // perturbs its Load/Send decisions more than it hides latency,
       // so the slave pipeline stays shallow regardless of the
       // configured depth.
       const int lookahead = std::min(4, ctx.prefetch_capacity());
-      BatchAdvanceResult r = advance_block_and_charge(ctx, in_flight_);
-      flights_ = std::move(r.outcomes);
       // Folded into steps_total_ when the burst completes; a heartbeat
       // status mid-burst reports the burst's steps pro-rated by elapsed
       // planned time (see watermark()), so the master sees progress as a
       // smooth rate rather than burst-sized quanta.
-      in_flight_steps_ = r.total_steps;
+      in_flight_steps_ = worker_.start_burst(ctx, runnable);
       burst_start_ = ctx.now();
-      burst_duration_ = static_cast<double>(r.total_steps) *
+      burst_duration_ = static_cast<double>(in_flight_steps_) *
                         ctx.model().seconds_per_step;
-      ctx.begin_compute(burst_duration_, r.total_steps);
       // Overlap: background-read where this burst is headed (its
       // outcomes name the blocks exactly), then the densest blocked
       // queues, so the master's next kLoad (or our own wait for it)
@@ -1652,8 +1571,8 @@ class HybridSlave final : public RankProgram {
       // non-blocking claim.  No streamline lookahead here: the master
       // schedules this rank's loads, so two-ahead speculation only
       // claims blocks it never sends us to.
-      prefetch_blocking_targets(ctx, flights_, runnable, lookahead);
-      prefetch_densest(ctx, pool_, runnable, lookahead);
+      prefetch_blocking_targets(ctx, worker_.outcomes(), runnable, lookahead);
+      prefetch_densest(ctx, pool, runnable, lookahead);
       return;
     }
 
@@ -1662,7 +1581,7 @@ class HybridSlave final : public RankProgram {
     if (core_) {
       // Acting master: nobody commands our loads, so self-serve the
       // densest pooled block, Load-On-Demand style.
-      const BlockId next = pool_.densest_block();
+      const BlockId next = pool.densest_block();
       if (next != kInvalidBlock && !ctx.block_pending(next)) {
         ++pending_loads_;
         ctx.request_block(next);
@@ -1679,13 +1598,9 @@ class HybridSlave final : public RankProgram {
   HybridLayout layout_;
   HybridParams params_;
   std::uint32_t total_active_;  // global streamline count
-  int master_;                  // the layout's master for this slave
   int coord_;                   // current coordinator (re-homed on failover)
 
-  ParticlePool pool_;
-  std::vector<Particle> done_;
-  std::vector<Particle> in_flight_;      // the burst being computed
-  std::vector<AdvanceOutcome> flights_;  // outcome per in_flight_[i]
+  StreamlineWorker worker_;
   std::uint32_t terminated_total_ = 0;   // cumulative first-time credits
   std::uint64_t steps_total_ = 0;      // completed-burst steps (§16)
   std::uint64_t in_flight_steps_ = 0;  // accepted steps of the burst
@@ -1700,77 +1615,6 @@ class HybridSlave final : public RankProgram {
   std::optional<MasterCore> core_;
 };
 
-// ---------------------------------------------------------------------------
-// Master
-// ---------------------------------------------------------------------------
-
-class HybridMaster final : public RankProgram {
- public:
-  HybridMaster(const BlockDecomposition* decomp, int rank,
-               HybridLayout layout, HybridParams params,
-               std::vector<Particle> seeds, std::uint32_t total_active)
-      : core_(decomp, rank, layout, params, total_active),
-        params_(params),
-        initial_seeds_(std::move(seeds)) {}
-
-  void start(RankContext& ctx) override {
-    core_.start_as_master(ctx, std::move(initial_seeds_));
-    initial_seeds_.clear();
-    if (params_.heartbeat_period > 0.0 && !core_.finished()) {
-      ctx.set_timer(params_.heartbeat_period);
-    }
-  }
-
-  void on_timer(RankContext& ctx) override {
-    if (core_.finished()) return;
-    core_.tick(ctx);
-    if (!core_.finished()) ctx.set_timer(params_.heartbeat_period);
-  }
-
-  void on_message(RankContext& ctx, Message msg) override {
-    // Masters never receive raw particle traffic: slaves ship batches to
-    // each other and report via StatusUpdate, and only masters issue
-    // Commands.  Beacons flow master -> slave, and ControlAck is consumed
-    // by the runtime's transport layer.
-    // protocol-lint: ignores ParticleBatch, Command, MasterBeacon
-    // protocol-lint: ignores ControlAck
-    // protocol-lint: ignores QuerySubmit, QueryCancel, QueryResult
-    // protocol-lint: ignores QueryDone
-    if (auto* undeliv = std::get_if<Undeliverable>(&msg.payload)) {
-      core_.reclaim_undelivered(ctx, std::move(*undeliv));
-    } else if (auto* status = std::get_if<StatusUpdate>(&msg.payload)) {
-      core_.on_status(ctx, msg.from, std::move(*status));
-    } else if (auto* term = std::get_if<TerminationCount>(&msg.payload)) {
-      core_.on_termination_count(ctx, term->totals);
-    } else if (std::holds_alternative<SeedRequest>(msg.payload)) {
-      core_.on_seed_request(ctx, msg.from);
-    } else if (std::holds_alternative<SeedRelay>(msg.payload)) {
-      core_.on_seed_relay(ctx, msg.from);
-    } else if (auto* transfer = std::get_if<SeedTransfer>(&msg.payload)) {
-      core_.on_seed_transfer(ctx, msg.from, std::move(*transfer));
-    } else if (std::holds_alternative<DoneSignal>(msg.payload)) {
-      core_.on_done_signal(ctx);
-    }
-  }
-
-  void on_block_loaded(RankContext&, BlockId) override {}
-  void on_compute_done(RankContext&) override {}
-
-  bool finished() const override { return core_.finished(); }
-
-  void collect_particles(std::vector<Particle>&) const override {}
-
-  void snapshot_particles(std::vector<Particle>& out) const override {
-    out.insert(out.end(), initial_seeds_.begin(), initial_seeds_.end());
-    core_.snapshot_seeds(out);
-  }
-
- private:
-  MasterCore core_;
-  HybridParams params_;
-  std::vector<Particle> initial_seeds_;
-};
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -1779,16 +1623,7 @@ class HybridMaster final : public RankProgram {
 
 std::vector<std::vector<Particle>> partition_for_masters(
     int num_masters, std::vector<Particle> particles) {
-  std::vector<std::vector<Particle>> out(
-      static_cast<std::size_t>(num_masters));
-  const std::size_t total = particles.size();
-  for (std::size_t m = 0; m < out.size(); ++m) {
-    const std::size_t first = total * m / out.size();
-    const std::size_t last = total * (m + 1) / out.size();
-    out[m].assign(std::make_move_iterator(particles.begin() + first),
-                  std::make_move_iterator(particles.begin() + last));
-  }
-  return out;
+  return split_evenly(num_masters, std::move(particles));
 }
 
 ProgramFactory make_hybrid(const BlockDecomposition* decomp,
@@ -1809,8 +1644,8 @@ ProgramFactory make_hybrid(const BlockDecomposition* decomp,
         seeds = std::move(
             (*shared)[static_cast<std::size_t>(rank - layout.num_roots)]);
       }
-      return std::make_unique<HybridMaster>(decomp, rank, layout, params,
-                                            std::move(seeds), total_active);
+      return std::make_unique<MasterCore>(decomp, rank, layout, params,
+                                          total_active, std::move(seeds));
     }
     return std::make_unique<HybridSlave>(decomp, rank, layout, params,
                                          total_active);

@@ -40,7 +40,6 @@ struct HybridParams {
   int overload_factor = 20;   // NO = overload_factor * N
   int load_threshold = 40;    // NL: load instead of migrating
   int slaves_per_master = 32; // W
-  std::uint64_t rng_seed = 0x1dd51c3ULL;
   // Fault tolerance (DESIGN.md §7): when heartbeat_period > 0 slaves
   // report status at least every period and the master declares a slave
   // dead after heartbeat_miss_limit silent periods, reclaiming its
@@ -56,19 +55,18 @@ struct HybridParams {
   bool failover = false;
   // Gray-failure mitigation (DESIGN.md §16): every status carries a
   // cumulative step watermark and a cumulative busy clock; the master
-  // differentiates them over windows of straggler_min_beats heartbeat
-  // periods into a per-slave *effective compute speed* (steps per busy
-  // second — immune to starvation, unlike wall-clock rates), and flags a
-  // slave that holds work but whose speed falls below
-  // straggler_slowness x the working-group median.  A flagged
+  // differentiates them over windows of three heartbeat periods into a
+  // per-slave *effective compute speed* (steps per busy second — immune
+  // to starvation, unlike wall-clock rates), and flags a slave that holds
+  // work but whose speed falls below a quarter of the working-group
+  // median (both thresholds are constants in hybrid.cpp).  A flagged
   // slave's ledger-owned streamlines are speculatively re-issued to
   // healthy slaves (ownership stays with the straggler; the ledger's
   // first-terminal-wins credit dedups the losing copies) and it receives
-  // no further assignments.  Only active when heartbeat_period > 0, i.e.
-  // on fault runs, so fault-free runs keep the exact five-rule message
-  // sequence.
-  double straggler_slowness = 0.25;
-  int straggler_min_beats = 3;
+  // no further assignments.  speculative_reissue = false turns detection
+  // and re-issue off (the unmitigated baseline).  Only active when
+  // heartbeat_period > 0, i.e. on fault runs, so fault-free runs keep the
+  // exact five-rule message sequence.
   bool speculative_reissue = true;
   // Two-level master tree (DESIGN.md §15): when the flat layout would
   // produce more than root_fanout masters, a root tier is carved out above

@@ -109,6 +109,19 @@ std::vector<Particle> make_particles(const BlockDecomposition& decomp,
   return out;
 }
 
+std::vector<std::vector<Particle>> split_evenly(
+    int parts, std::vector<Particle> particles) {
+  std::vector<std::vector<Particle>> out(static_cast<std::size_t>(parts));
+  const std::size_t total = particles.size();
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const std::size_t first = total * i / out.size();
+    const std::size_t last = total * (i + 1) / out.size();
+    out[i].assign(std::make_move_iterator(particles.begin() + first),
+                  std::make_move_iterator(particles.begin() + last));
+  }
+  return out;
+}
+
 namespace {
 
 // Shared tail of every predictor: hint the ranked candidates (count
@@ -202,42 +215,90 @@ int live_owner(const RankContext& ctx, int num_blocks, BlockId block) {
   return ctx.is_alive(owner) ? owner : next_live_rank(ctx, owner);
 }
 
-AdvanceOutcome advance_and_charge(RankContext& ctx, Particle& particle) {
-  const std::uint32_t points_before = particle.geometry_points;
-  const AdvanceOutcome outcome = ctx.tracer().advance(
-      particle, [&ctx](BlockId id) { return ctx.block(id); });
-  const std::uint32_t grown = particle.geometry_points - points_before;
-  if (grown != 0) {
-    ctx.charge_particle_memory(static_cast<std::int64_t>(grown) *
-                               static_cast<std::int64_t>(sizeof(Vec3)));
-  }
-  return outcome;
+void StreamlineWorker::accept(RankContext& ctx, Particle p) {
+  ctx.charge_particle_memory(
+      static_cast<std::int64_t>(resident_particle_bytes(p, ctx.model())));
+  pool_.add(decomp_->block_of(p.pos), std::move(p));
 }
 
-BatchAdvanceResult advance_block_and_charge(RankContext& ctx,
-                                            std::span<Particle> batch) {
-  std::int64_t points_before = 0;
-  for (const Particle& p : batch) points_before += p.geometry_points;
+void StreamlineWorker::accept(RankContext& ctx,
+                              std::vector<Particle> particles) {
+  for (Particle& p : particles) accept(ctx, std::move(p));
+}
 
-  BatchAdvanceResult r;
+void StreamlineWorker::ship(RankContext& ctx, int to, BlockId block,
+                            std::vector<Particle> particles) {
+  if (particles.empty()) return;
+  std::size_t bytes = 0;
+  for (const Particle& p : particles) {
+    bytes += resident_particle_bytes(p, ctx.model());
+  }
+  ctx.charge_particle_memory(-static_cast<std::int64_t>(bytes));
+  Message m;
+  m.payload = ParticleBatch{block, std::move(particles)};
+  ctx.send(to, std::move(m));
+}
+
+BlockId StreamlineWorker::runnable_block(const RankContext& ctx) const {
+  return pool_.first_block_where(
+      [&ctx](BlockId id) { return ctx.block_resident(id); });
+}
+
+std::uint64_t StreamlineWorker::start_burst(RankContext& ctx, BlockId block,
+                                            std::vector<Vec3>* starts) {
+  burst_ = pool_.drain_block(block);
+  if (starts != nullptr) {
+    starts->clear();
+    starts->reserve(burst_.size());
+    for (const Particle& p : burst_) starts->push_back(p.pos);
+  }
+  std::int64_t points_before = 0;
+  for (const Particle& p : burst_) points_before += p.geometry_points;
   // The focus block of each batch round is pinned in the rank's cache so
   // async load completions landing between rounds can't evict it from
   // under the tracer's cursor (no-ops on contexts without a cache).
   const BlockPinHooks pins{
       [&ctx](BlockId id) { ctx.pin_block(id); },
       [&ctx](BlockId id) { ctx.unpin_block(id); }};
-  r.outcomes = ctx.tracer().advance_batch(
-      batch, [&ctx](BlockId id) { return ctx.block(id); }, nullptr, &pins);
+  outcomes_ = ctx.tracer().advance_batch(
+      burst_, [&ctx](BlockId id) { return ctx.block(id); }, nullptr, &pins);
 
   std::int64_t points_after = 0;
-  for (const Particle& p : batch) points_after += p.geometry_points;
+  for (const Particle& p : burst_) points_after += p.geometry_points;
   const std::int64_t grown = points_after - points_before;
   if (grown != 0) {
     ctx.charge_particle_memory(grown *
                                static_cast<std::int64_t>(sizeof(Vec3)));
   }
-  for (const AdvanceOutcome& o : r.outcomes) r.total_steps += o.steps;
-  return r;
+  std::uint64_t steps = 0;
+  for (const AdvanceOutcome& o : outcomes_) steps += o.steps;
+  ctx.begin_compute(
+      static_cast<double>(steps) * ctx.model().seconds_per_step, steps);
+  return steps;
+}
+
+void StreamlineWorker::collect(std::vector<Particle>& out) const {
+  out.insert(out.end(), done_.begin(), done_.end());
+}
+
+void StreamlineWorker::snapshot(std::vector<Particle>& out) const {
+  pool_.append_all(out);
+  out.insert(out.end(), burst_.begin(), burst_.end());
+}
+
+bool TerminationBoard::merge(int rank, std::uint32_t total) {
+  if (total == 0) return false;
+  auto [it, inserted] = totals_.try_emplace(rank, total);
+  if (inserted) return true;
+  if (total <= it->second) return false;
+  it->second = total;
+  return true;
+}
+
+std::uint64_t TerminationBoard::sum() const {
+  std::uint64_t n = 0;
+  for (const auto& [rank, total] : totals_) n += total;
+  return n;
 }
 
 }  // namespace sf

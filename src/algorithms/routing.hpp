@@ -1,8 +1,8 @@
 #pragma once
 
 // Shared helpers for the three parallelization strategies: contiguous
-// block ownership, per-block particle pools, and resident-particle memory
-// accounting.
+// block ownership, per-block particle pools, the streamline worker every
+// rank that integrates runs, and the termination board.
 
 #include <cstdint>
 #include <deque>
@@ -79,21 +79,9 @@ std::vector<Particle> make_particles(const BlockDecomposition& decomp,
                                      std::span<const Vec3> seeds,
                                      std::vector<Particle>& rejected);
 
-// Advance one particle against the rank's cache and account for the
-// geometry its trajectory grew.  Returns the outcome; the caller charges
-// compute cost via ctx.begin_compute.
-AdvanceOutcome advance_and_charge(RankContext& ctx, Particle& particle);
-
-// Batched form: advance every particle of one block's pool queue in a
-// single burst through Tracer::advance_batch (shared block/cell cursor),
-// charging the summed geometry growth.  outcome[i] matches batch[i];
-// total_steps sums the accepted steps for ctx.begin_compute.
-struct BatchAdvanceResult {
-  std::vector<AdvanceOutcome> outcomes;
-  std::uint64_t total_steps = 0;
-};
-BatchAdvanceResult advance_block_and_charge(RankContext& ctx,
-                                            std::span<Particle> batch);
+// Deal particles, in order, into `parts` equal contiguous chunks.
+std::vector<std::vector<Particle>> split_evenly(
+    int parts, std::vector<Particle> particles);
 
 // Prefetch predictor shared by the three algorithms (DESIGN.md §10):
 // hint the runtime at the pooled blocks most likely to be demanded next
@@ -139,5 +127,107 @@ int next_live_rank(const RankContext& ctx, int after);
 // contiguous_owner, redirected to the next live rank when the owner is
 // dead (Static Allocation's crash re-routing).
 int live_owner(const RankContext& ctx, int num_blocks, BlockId block);
+
+// One rank's streamline work, the duty all three algorithms share (§4):
+// pool streamlines by the block they are in, integrate everything waiting
+// in one resident block as a single burst, then settle the outcomes.  The
+// worker owns the pool, the burst in flight and its outcomes, the done
+// list, and the particle-memory charges for all of them.  Each program
+// keeps its own policy: which block to run, what to prefetch and load,
+// and where a streamline that is still live after its burst goes.
+class StreamlineWorker {
+ public:
+  explicit StreamlineWorker(const BlockDecomposition* decomp)
+      : decomp_(decomp) {}
+
+  ParticlePool& pool() { return pool_; }
+  const ParticlePool& pool() const { return pool_; }
+
+  // Charge each particle's resident bytes and pool it under its block.
+  void accept(RankContext& ctx, Particle p);
+  void accept(RankContext& ctx, std::vector<Particle> particles);
+
+  // Un-charge `particles` and send them to rank `to` as one ParticleBatch
+  // for `block`.  Nothing is sent when `particles` is empty.
+  void ship(RankContext& ctx, int to, BlockId block,
+            std::vector<Particle> particles);
+
+  // First pooled block (id order) resident in the rank's cache, or
+  // kInvalidBlock.
+  BlockId runnable_block(const RankContext& ctx) const;
+
+  bool in_burst() const { return !burst_.empty(); }
+
+  // Drain `block`'s queue and integrate it as one burst (§9 batching):
+  // advance it through Tracer::advance_batch (shared block/cell cursor),
+  // charge the geometry it grew, and start the modelled compute of the
+  // accepted steps.  Returns those steps.  `starts`, when given, receives
+  // each particle's position before the advance.
+  std::uint64_t start_burst(RankContext& ctx, BlockId block,
+                            std::vector<Vec3>* starts = nullptr);
+
+  // The burst in flight and the outcome of each of its particles.
+  std::span<const Particle> burst() const { return burst_; }
+  std::span<const AdvanceOutcome> outcomes() const { return outcomes_; }
+
+  // Settle the burst whose compute just finished.  A terminated particle
+  // is logged with the runtime and kept on the done list; a live one goes
+  // to `on_live(Particle&&, BlockId blocking_block)`.  Returns the number
+  // of first-time terminations (a recovery re-run's duplicate does not
+  // count twice).
+  template <typename OnLive>
+  std::uint32_t finish_burst(RankContext& ctx, OnLive&& on_live) {
+    std::vector<Particle> batch = std::move(burst_);
+    burst_.clear();
+    std::vector<AdvanceOutcome> outcomes = std::move(outcomes_);
+    outcomes_.clear();
+    std::uint32_t first_time = 0;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (is_terminal(outcomes[i].status)) {
+        if (ctx.log_termination(batch[i])) ++first_time;
+        done_.push_back(std::move(batch[i]));
+      } else {
+        on_live(std::move(batch[i]), outcomes[i].blocking_block);
+      }
+    }
+    return first_time;
+  }
+
+  // The same, re-pooling every live particle under its blocking block.
+  std::uint32_t finish_burst(RankContext& ctx) {
+    return finish_burst(ctx, [this](Particle&& p, BlockId need) {
+      pool_.add(need, std::move(p));
+    });
+  }
+
+  // Append the done list (run results).
+  void collect(std::vector<Particle>& out) const;
+  // Append every live particle: the pool, then the burst in flight.
+  void snapshot(std::vector<Particle>& out) const;
+
+ private:
+  const BlockDecomposition* decomp_;
+  ParticlePool pool_;
+  std::vector<Particle> burst_;
+  std::vector<AdvanceOutcome> outcomes_;  // outcome per burst_[i]
+  std::vector<Particle> done_;
+};
+
+// Per-rank cumulative termination totals: Static Allocation's global
+// streamline count (§4.1) and the hybrid coordinators' survivable board
+// (DESIGN.md §11).  Reports are cumulative, so merging keeps the maximum:
+// a duplicated, re-ordered, stale or zero report changes nothing, and the
+// global done count is the sum of the board.
+class TerminationBoard {
+ public:
+  // Raise `rank`'s total to `total`.  True iff the total rose.
+  bool merge(int rank, std::uint32_t total);
+  std::uint64_t sum() const;
+  // Every rank with a nonzero total, by rank.
+  const std::map<int, std::uint32_t>& totals() const { return totals_; }
+
+ private:
+  std::map<int, std::uint32_t> totals_;
+};
 
 }  // namespace sf

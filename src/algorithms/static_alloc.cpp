@@ -16,14 +16,11 @@ class StaticProgram final : public RankProgram {
         rank_(rank),
         num_ranks_(num_ranks),
         initial_(std::move(initial)),
-        total_active_(total_active) {}
+        total_active_(total_active),
+        worker_(decomp) {}
 
   void start(RankContext& ctx) override {
-    for (Particle& p : initial_) {
-      ctx.charge_particle_memory(static_cast<std::int64_t>(
-          resident_particle_bytes(p, ctx.model())));
-      pool_.add(decomp_->block_of(p.pos), std::move(p));
-    }
+    worker_.accept(ctx, std::move(initial_));
     initial_.clear();
     if (total_active_ == 0 && rank_ == counter_rank(ctx)) {
       broadcast_done(ctx);
@@ -56,7 +53,8 @@ class StaticProgram final : public RankProgram {
     } else if (auto* term = std::get_if<TerminationCount>(&msg.payload)) {
       // A worker's cumulative report, or the runtime's full-ledger
       // recount delivered to us as the new acting counter after a crash.
-      merge_board(ctx, term->totals);
+      for (const auto& [r, total] : term->totals) board_.merge(r, total);
+      maybe_finish(ctx);
     } else if (std::holds_alternative<DoneSignal>(msg.payload)) {
       finished_ = true;
     }
@@ -65,46 +63,26 @@ class StaticProgram final : public RankProgram {
   void on_block_loaded(RankContext& ctx, BlockId) override { try_start(ctx); }
 
   void on_compute_done(RankContext& ctx) override {
-    std::vector<Particle> batch = std::move(in_flight_);
-    in_flight_.clear();
-    std::vector<AdvanceOutcome> outcomes = std::move(flights_);
-    flights_.clear();
-
     // Group hand-offs by (owner, block) so one burst produces one
     // ParticleBatch per destination instead of one per streamline.
     std::map<std::pair<int, BlockId>, std::vector<Particle>> forwards;
-    std::uint32_t new_terminations = 0;
-
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      Particle& p = batch[i];
-      if (is_terminal(outcomes[i].status)) {
-        // First-time terminations only: a recovery re-run's duplicate
-        // must not decrement the global count twice.
-        if (ctx.log_termination(p)) ++new_terminations;
-        done_.push_back(std::move(p));
-        continue;
-      }
-      const BlockId need = outcomes[i].blocking_block;
-      // The static block->rank map, redirected past dead ranks: a dead
-      // owner's blocks fall to the next live rank in cyclic order.
-      const int owner = live_owner(ctx, decomp_->num_blocks(), need);
-      if (owner == rank_) {
-        pool_.add(need, std::move(p));
-        if (!ctx.block_resident(need) && !ctx.block_pending(need)) {
-          ctx.request_block(need);
-        }
-      } else {
-        // Communicate the streamline to the block's owner (§4.1).
-        ctx.charge_particle_memory(-static_cast<std::int64_t>(
-            resident_particle_bytes(p, ctx.model())));
-        forwards[{owner, need}].push_back(std::move(p));
-      }
-    }
-
+    const std::uint32_t new_terminations =
+        worker_.finish_burst(ctx, [&](Particle&& p, BlockId need) {
+          // The static block->rank map, redirected past dead ranks: a dead
+          // owner's blocks fall to the next live rank in cyclic order.
+          const int owner = live_owner(ctx, decomp_->num_blocks(), need);
+          if (owner == rank_) {
+            worker_.pool().add(need, std::move(p));
+            if (!ctx.block_resident(need) && !ctx.block_pending(need)) {
+              ctx.request_block(need);
+            }
+          } else {
+            // Communicate the streamline to the block's owner (§4.1).
+            forwards[{owner, need}].push_back(std::move(p));
+          }
+        });
     for (auto& [dest, particles] : forwards) {
-      Message m;
-      m.payload = ParticleBatch{dest.second, std::move(particles)};
-      ctx.send(dest.first, std::move(m));
+      worker_.ship(ctx, dest.first, dest.second, std::move(particles));
     }
     if (new_terminations > 0) note_terminations(ctx, new_terminations);
     try_start(ctx);
@@ -113,13 +91,12 @@ class StaticProgram final : public RankProgram {
   bool finished() const override { return finished_; }
 
   void collect_particles(std::vector<Particle>& out) const override {
-    out.insert(out.end(), done_.begin(), done_.end());
+    worker_.collect(out);
   }
 
   void snapshot_particles(std::vector<Particle>& out) const override {
     out.insert(out.end(), initial_.begin(), initial_.end());
-    pool_.append_all(out);
-    out.insert(out.end(), in_flight_.begin(), in_flight_.end());
+    worker_.snapshot(out);
   }
 
  private:
@@ -130,9 +107,7 @@ class StaticProgram final : public RankProgram {
     const BlockId b = decomp_->block_of(p.pos);
     const int owner = live_owner(ctx, decomp_->num_blocks(), b);
     if (owner == rank_) {
-      ctx.charge_particle_memory(static_cast<std::int64_t>(
-          resident_particle_bytes(p, ctx.model())));
-      pool_.add(b, std::move(p));
+      worker_.accept(ctx, std::move(p));
     } else {
       Message m;
       m.payload = ParticleBatch{b, {std::move(p)}};
@@ -141,31 +116,24 @@ class StaticProgram final : public RankProgram {
   }
 
   void try_start(RankContext& ctx) {
-    if (finished_ || ctx.busy() || !in_flight_.empty()) return;
+    if (finished_ || ctx.busy() || worker_.in_burst()) return;
 
-    const BlockId runnable = pool_.first_block_where(
-        [&ctx](BlockId id) { return ctx.block_resident(id); });
+    const BlockId runnable = worker_.runnable_block(ctx);
     if (runnable != kInvalidBlock) {
-      // Advance the whole block queue in one burst (§9 batching).
-      in_flight_ = pool_.drain_block(runnable);
-      BatchAdvanceResult r = advance_block_and_charge(ctx, in_flight_);
-      flights_ = std::move(r.outcomes);
-      ctx.begin_compute(static_cast<double>(r.total_steps) *
-                            ctx.model().seconds_per_step,
-                        r.total_steps);
+      worker_.start_burst(ctx, runnable);
       // Overlap: hand-offs that arrived during earlier bursts pooled
       // under not-yet-resident owned blocks; read them in the background
       // while this burst integrates.  Shallow regardless of the
       // configured depth — this rank only ever reads its own contiguous
       // range, so a deep speculative pipeline just churns staging.
-      prefetch_densest(ctx, pool_, runnable,
+      prefetch_densest(ctx, worker_.pool(), runnable,
                        std::min(4, ctx.prefetch_capacity()));
       return;
     }
 
     // Nothing runnable: fetch every pooled block that has waiting work
     // (owned blocks by construction, plus any adopted from a dead rank).
-    for (const auto& [block, count] : pool_.census()) {
+    for (const auto& [block, count] : worker_.pool().census()) {
       if (!ctx.block_resident(block) && !ctx.block_pending(block)) {
         ctx.request_block(block);
       }
@@ -186,7 +154,7 @@ class StaticProgram final : public RankProgram {
 
   void note_terminations(RankContext& ctx, std::uint32_t n) {
     my_total_ += n;
-    if (board_[rank_] < my_total_) board_[rank_] = my_total_;
+    board_.merge(rank_, my_total_);
     const int counter = counter_rank(ctx);
     if (counter == rank_) {
       maybe_finish(ctx);
@@ -200,22 +168,11 @@ class StaticProgram final : public RankProgram {
     ctx.send(counter, std::move(m));
   }
 
-  // Max-merge per-rank cumulative totals into the board; when this rank
-  // is the acting counter and every streamline is accounted for, finish.
-  void merge_board(RankContext& ctx,
-                   const std::vector<std::pair<int, std::uint32_t>>& totals) {
-    for (const auto& [r, total] : totals) {
-      auto& hw = board_[r];
-      if (total > hw) hw = total;
-    }
-    maybe_finish(ctx);
-  }
-
+  // When this rank is the acting counter and every streamline is
+  // accounted for, finish.
   void maybe_finish(RankContext& ctx) {
     if (finished_ || rank_ != counter_rank(ctx)) return;
-    std::uint64_t done = 0;
-    for (const auto& [r, total] : board_) done += total;
-    if (done >= total_active_) broadcast_done(ctx);
+    if (board_.sum() >= total_active_) broadcast_done(ctx);
   }
 
   void broadcast_done(RankContext& ctx) {
@@ -234,14 +191,10 @@ class StaticProgram final : public RankProgram {
   std::vector<Particle> initial_;
   std::uint32_t total_active_;  // global streamline count (every rank)
   std::uint32_t my_total_ = 0;  // cumulative first-time terminations here
-  // Per-rank cumulative high-water marks; authoritative on the acting
-  // counter, where global done = sum of the board.
-  std::map<int, std::uint32_t> board_;
+  // Authoritative on the acting counter, where global done = its sum.
+  TerminationBoard board_;
 
-  ParticlePool pool_;
-  std::vector<Particle> done_;
-  std::vector<Particle> in_flight_;          // the burst being computed
-  std::vector<AdvanceOutcome> flights_;      // outcome per in_flight_[i]
+  StreamlineWorker worker_;
   bool finished_ = false;
 };
 

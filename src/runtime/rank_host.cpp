@@ -46,7 +46,13 @@ const StructuredGrid* RankHost::block(BlockId id) {
 }
 
 void RankHost::charge_particle_memory(std::int64_t delta_bytes) {
-  particle_bytes_ = std::max<std::int64_t>(0, particle_bytes_ + delta_bytes);
+  particle_bytes_ += delta_bytes;
+  if (particle_bytes_ < 0) {
+    // A program released more than it charged: its accounting is wrong,
+    // and the budget no longer sees what the rank holds.
+    throw std::logic_error("rank " + std::to_string(rank_) +
+                           " released more particle memory than it held");
+  }
   metrics.peak_particle_bytes =
       std::max(metrics.peak_particle_bytes,
                static_cast<std::size_t>(particle_bytes_));

@@ -186,7 +186,8 @@ class RankHost : public RankContext {
   }
   const StructuredGrid* block(BlockId id) final;
 
-  // Over budget, marks the rank OOM and throws SimAbort naming it.
+  // Over budget, marks the rank OOM and throws SimAbort naming it.  A
+  // release below zero is a program bug: std::logic_error naming the rank.
   void charge_particle_memory(std::int64_t delta_bytes) final;
 
   std::unique_ptr<RankProgram> program;

@@ -113,5 +113,33 @@ TEST(MakeParticles, SplitsValidAndRejected) {
   }
 }
 
+TEST(TerminationBoard, MergeReportsOnlyARise) {
+  TerminationBoard board;
+  EXPECT_TRUE(board.merge(2, 5));
+  EXPECT_TRUE(board.merge(0, 3));
+  EXPECT_EQ(board.sum(), 8u);
+  EXPECT_FALSE(board.merge(2, 5));  // duplicate
+  EXPECT_FALSE(board.merge(2, 4));  // stale (lower)
+  EXPECT_FALSE(board.merge(1, 0));  // zero
+  EXPECT_EQ(board.sum(), 8u);
+  EXPECT_EQ(board.totals().count(1), 0u);  // a zero report adds no entry
+  EXPECT_TRUE(board.merge(2, 7));
+  EXPECT_EQ(board.sum(), 10u);
+}
+
+TEST(TerminationBoard, ReorderedReportsReachTheSameBoard) {
+  const std::vector<std::pair<int, std::uint32_t>> reports{
+      {0, 1}, {1, 4}, {0, 3}, {2, 2}, {1, 6}, {2, 2}};
+  TerminationBoard in_order;
+  TerminationBoard reversed;
+  for (const auto& [rank, total] : reports) in_order.merge(rank, total);
+  for (auto it = reports.rbegin(); it != reports.rend(); ++it) {
+    reversed.merge(it->first, it->second);
+  }
+  EXPECT_EQ(in_order.sum(), 11u);
+  EXPECT_EQ(reversed.sum(), 11u);
+  EXPECT_EQ(in_order.totals(), reversed.totals());
+}
+
 }  // namespace
 }  // namespace sf

@@ -184,6 +184,27 @@ TEST(SimRuntime, OomAbortsRun) {
   EXPECT_GE(m.ranks[0].peak_particle_bytes, 1100u);
 }
 
+TEST(SimRuntime, ReleasingMoreParticleMemoryThanHeldFailsTheRun) {
+  TestWorld w = testing::rotor_world(2);
+  SimRuntime rt(config_for(1), &w.decomp(), w.source.get(),
+                IntegratorParams{}, TraceLimits{});
+  try {
+    rt.run([&](int, int) {
+      auto p = std::make_unique<ScriptProgram>();
+      p->on_start = [](ScriptProgram& self, RankContext& ctx) {
+        ctx.charge_particle_memory(100);
+        ctx.charge_particle_memory(-200);
+        self.done = true;
+      };
+      return p;
+    });
+    FAIL() << "an underflowing release must fail the run";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("rank 0"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(SimRuntime, QuiescenceWithUnfinishedProgramIsAnError) {
   TestWorld w = testing::rotor_world(2);
   SimRuntime rt(config_for(1), &w.decomp(), w.source.get(),

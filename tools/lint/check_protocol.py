@@ -15,28 +15,25 @@ Static checks that clang-tidy cannot express, run in CI next to it:
    drops, so adding a ninth message kind fails the lint everywhere until
    each dispatcher either handles it or documents why it will not.
 
-2. Command::Type switch exhaustiveness.  Any switch whose body contains
-   `case Command::Type::k...` labels must cover every enumerator or have
-   a default: label.
+2. No naked new / delete in src/ (RAII only; `= delete` declarations and
+   comments/strings are excluded).  .clang-tidy enables no owning-memory
+   check, so nothing else enforces this.
 
-3. No naked new / delete in src/ (RAII only; `= delete` declarations and
-   comments/strings are excluded).
-
-4. Payload-kind side-table completeness.  Every variant alternative must
+3. Payload-kind side-table completeness.  Every variant alternative must
    have an operator()(const X&) in message.cpp's ByteSizer (the network
    cost model) and in invariants.cpp's payload Namer (checker
    diagnostics).  Adding a message kind — the failover control plane
    added MasterBeacon and ControlAck — without costing and naming it
    fails the lint, not the first faulted run.
 
-5. Service control-plane coverage.  The streamline service owns every
+4. Service control-plane coverage.  The streamline service owns every
    Query*-prefixed message kind (QuerySubmit, QueryCancel, QueryResult,
    QueryDone); each must be constructed somewhere under src/service/, so
    a service kind cannot be declared in the variant yet never journalled
    — and conversely a Query* kind constructed outside src/service/ is a
    layering violation (ranks never exchange query control traffic).
 
-6. Tree-coordination coverage.  The master-tree kinds (SeedRelay) belong
+5. Tree-coordination coverage.  The master-tree kinds (SeedRelay) belong
    to the hybrid algorithm: each must be constructed in
    src/algorithms/hybrid.cpp and nowhere else — only a root master
    brokers seed demand, so a relay minted by another layer would bypass
@@ -44,6 +41,9 @@ Static checks that clang-tidy cannot express, run in CI next to it:
 
 Randomness hygiene (unseeded RNG / wall-clock engines) lives in
 check_determinism.py, next to the other sources of nondeterminism.
+Switch exhaustiveness over Command::Type and LoadState is the compiler's
+job: -Wswitch (in -Wall) flags a missing enumerator in a switch without
+default:, and CI builds with -Werror.
 
 Translation units come from build*/compile_commands.json when present
 (headers are always globbed); see lintutil.source_files.
@@ -79,24 +79,6 @@ def parse_message_alternatives(message_hpp: str) -> list[str]:
     if not all(re.fullmatch(r"\w+", a) for a in names):
         sys.exit(f"check_protocol: unparsable variant alternatives: {names}")
     return names
-
-
-def parse_command_enumerators(message_hpp: str) -> list[str]:
-    clean = strip_comments_and_strings(message_hpp)
-    m = re.search(r"enum\s+class\s+Type\s*:[^{]*\{([^}]*)\}", clean)
-    if not m:
-        sys.exit("check_protocol: cannot find Command::Type enum in "
-                 "message.hpp")
-    return re.findall(r"\bk\w+", m.group(1))
-
-
-def parse_load_states(async_loader_hpp: str) -> list[str]:
-    clean = strip_comments_and_strings(async_loader_hpp)
-    m = re.search(r"enum\s+class\s+LoadState\s*:[^{]*\{([^}]*)\}", clean)
-    if not m:
-        sys.exit("check_protocol: cannot find LoadState enum in "
-                 "async_loader.hpp")
-    return re.findall(r"\bk\w+", m.group(1))
 
 
 def check_dispatch(path: pathlib.Path, raw: str, clean: str,
@@ -135,46 +117,6 @@ def check_dispatch(path: pathlib.Path, raw: str, clean: str,
                    f"protocol-lint waiver names unknown message kind "
                    f"'{extra}'")
     return count
-
-
-def check_command_switches(path: pathlib.Path, clean: str,
-                           enumerators: list[str]) -> None:
-    for m in re.finditer(r"\bswitch\s*\(", clean):
-        open_idx = clean.find("{", m.end())
-        if open_idx < 0:
-            continue
-        body = clean[open_idx:match_brace(clean, open_idx)]
-        if "Command::Type::" not in body:
-            continue
-        if re.search(r"\bdefault\s*:", body):
-            continue
-        covered = set(re.findall(r"case\s+Command::Type::(k\w+)", body))
-        for missing in [e for e in enumerators if e not in covered]:
-            report(path, line_of(clean, m.start()),
-                   f"switch on Command::Type misses case {missing} and has "
-                   f"no default")
-
-
-def check_load_state_switches(path: pathlib.Path, clean: str,
-                              states: list[str]) -> None:
-    # The async loader's request lifecycle is a state machine; a switch
-    # that silently skips a LoadState is how a kCancelled or kFailed
-    # request leaks out of the accounting.  Same completeness rule as
-    # Command::Type: cover every enumerator or carry a default.
-    for m in re.finditer(r"\bswitch\s*\(", clean):
-        open_idx = clean.find("{", m.end())
-        if open_idx < 0:
-            continue
-        body = clean[open_idx:match_brace(clean, open_idx)]
-        if "LoadState::" not in body:
-            continue
-        if re.search(r"\bdefault\s*:", body):
-            continue
-        covered = set(re.findall(r"case\s+LoadState::(k\w+)", body))
-        for missing in [s for s in states if s not in covered]:
-            report(path, line_of(clean, m.start()),
-                   f"switch on LoadState misses case {missing} and has "
-                   f"no default")
 
 
 def check_naked_new_delete(path: pathlib.Path, clean: str) -> None:
@@ -271,9 +213,6 @@ def main() -> int:
     src = args.root / "src"
     message_hpp = (src / "runtime" / "message.hpp").read_text()
     alternatives = parse_message_alternatives(message_hpp)
-    enumerators = parse_command_enumerators(message_hpp)
-    load_states = parse_load_states(
-        (src / "io" / "async_loader.hpp").read_text())
 
     files = source_files(args.root)
     dispatchers = 0
@@ -282,8 +221,6 @@ def main() -> int:
         clean = strip_comments_and_strings(raw)
         rel = path.relative_to(args.root)
         dispatchers += check_dispatch(rel, raw, clean, alternatives)
-        check_command_switches(rel, clean, enumerators)
-        check_load_state_switches(rel, clean, load_states)
         check_naked_new_delete(rel, clean)
 
     for rel_path, table in [
@@ -304,8 +241,6 @@ def main() -> int:
         print(f)
     print(f"check_protocol: {dispatchers} dispatchers, "
           f"{len(alternatives)} message kinds, "
-          f"{len(enumerators)} command types, "
-          f"{len(load_states)} load states, "
           f"{len(FINDINGS)} problem(s)")
     return 1 if FINDINGS else 0
 
