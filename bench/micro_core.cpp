@@ -1,20 +1,10 @@
 // Microbenchmarks of the hot kernels (google-benchmark): analytic field
 // evaluation, trilinear sampling, the integrators, the tracer's
-// block-crossing loop, the LRU cache, the event queue, and the mailbox
-// transports (lock-free SPSC ring vs the historical mutex mailbox).
-//
-// The BM_Mailbox* rows are the regression gate for the lock-free data
-// plane (DESIGN.md §14): run with
-//   --benchmark_filter=Mailbox --benchmark_out=BENCH_micro.json
-//   --benchmark_out_format=json
-// and diff with tools/bench/compare.py against the committed baseline.
+// block-crossing loop, the LRU cache and the event queue.
 
 #include <benchmark/benchmark.h>
 
-#include <condition_variable>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/analytic_fields.hpp"
@@ -24,7 +14,6 @@
 #include "core/rng.hpp"
 #include "core/tracer.hpp"
 #include "runtime/block_cache.hpp"
-#include "runtime/spsc_ring.hpp"
 #include "sim/event_queue.hpp"
 
 namespace {
@@ -216,178 +205,6 @@ void BM_BlockCacheChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BlockCacheChurn)->Arg(8)->Arg(64);
-
-// --- mailbox transports (DESIGN.md §14) ------------------------------------
-//
-// Single-threaded transport-op-cost comparison: on a one-vCPU container
-// both endpoints share the core, so a two-thread harness would measure
-// the scheduler, not the mailbox.  Each iteration replays the runtime's
-// burst shape — deliver a burst, then drain it — through the exact
-// templates ThreadRuntime instantiates (SpscChannel + ParkingLot vs the
-// historical mutex + cond-var + deque), including the wake-signal each
-// side pays per message (ParkingLot::unpark vs notify_one) and the old
-// receive path's timed predicate wait.
-//
-// The payload is a fixed 16-byte envelope: sf::Message's variant is 112
-// bytes and its construction cost is identical through either
-// transport, so carrying it would dilute the transport difference the
-// rows exist to gate on.
-
-struct MailEnvelope {
-  int from = -1;
-  std::uint32_t seq = 0;
-  std::uint64_t tag = 0;
-};
-
-// The pre-ring ThreadRuntime mailbox: one mutex + cond-var + deque per
-// receiver; deliver() locked, appended and notified; thread_main
-// locked, ran a timed predicate wait (immediate when a message is
-// already queued) and popped the front.  (Bench-only replica with std::
-// primitives; src/ code goes through sf::Mutex, outside this file.)
-struct MutexMailbox {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::deque<MailEnvelope> queue;
-  void push(MailEnvelope&& m) {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      queue.push_back(std::move(m));
-    }
-    cv.notify_one();
-  }
-  // The old thread_main receive; call only when a message is known to
-  // be queued (an empty mailbox would sleep out the timeout).
-  bool receive(MailEnvelope& out) {
-    std::unique_lock<std::mutex> lock(mutex);
-    cv.wait_for(lock, std::chrono::milliseconds(20),
-                [this] { return !queue.empty(); });
-    if (queue.empty()) return false;
-    out = std::move(queue.front());
-    queue.pop_front();
-    return true;
-  }
-  // The final empty poll every drain ends with.
-  bool try_pop(MailEnvelope& out) {
-    std::lock_guard<std::mutex> lock(mutex);
-    if (queue.empty()) return false;
-    out = std::move(queue.front());
-    queue.pop_front();
-    return true;
-  }
-};
-
-// One sender, one receiver: a burst the size of the default mailbox
-// ring (64 slots), then a full drain plus the final empty poll the
-// runtime's scan always pays.
-constexpr int kMailboxBurst = 64;
-
-void BM_MailboxMutex1P1C(benchmark::State& state) {
-  MutexMailbox box;
-  MailEnvelope out;
-  for (auto _ : state) {
-    for (int i = 0; i < kMailboxBurst; ++i) {
-      box.push(MailEnvelope{0, static_cast<std::uint32_t>(i), 0});
-    }
-    for (int i = 0; i < kMailboxBurst; ++i) box.receive(out);
-    benchmark::DoNotOptimize(box.try_pop(out));
-  }
-  state.SetItemsProcessed(state.iterations() * kMailboxBurst);
-}
-BENCHMARK(BM_MailboxMutex1P1C);
-
-void BM_MailboxRing1P1C(benchmark::State& state) {
-  sf::SpscChannel<MailEnvelope> lane(kMailboxBurst);
-  sf::ParkingLot parking;  // deliver() unparks the receiver per message
-  MailEnvelope out;
-  for (auto _ : state) {
-    for (int i = 0; i < kMailboxBurst; ++i) {
-      lane.push(MailEnvelope{0, static_cast<std::uint32_t>(i), 0});
-      parking.unpark();
-    }
-    while (lane.pop(out)) benchmark::DoNotOptimize(out.from);
-  }
-  state.SetItemsProcessed(state.iterations() * kMailboxBurst);
-}
-BENCHMARK(BM_MailboxRing1P1C);
-
-// All-to-all at 8/32 ranks: every rank streams a burst of 16 messages to
-// every other rank (the shape of a Static/Hybrid hand-off round), then
-// every rank drains its inbox — the mutex design's single shared
-// mailbox per receiver vs the ring design's per-(sender, receiver) lane
-// matrix with the runtime's round-robin lane sweep.
-constexpr int kAllToAllDepth = 16;
-
-void BM_MailboxMutexAllToAll(benchmark::State& state) {
-  const int ranks = static_cast<int>(state.range(0));
-  std::vector<MutexMailbox> boxes(static_cast<std::size_t>(ranks));
-  MailEnvelope out;
-  for (auto _ : state) {
-    for (int s = 0; s < ranks; ++s) {
-      for (int r = 0; r < ranks; ++r) {
-        if (r == s) continue;
-        for (int k = 0; k < kAllToAllDepth; ++k) {
-          boxes[static_cast<std::size_t>(r)].push(
-              MailEnvelope{s, static_cast<std::uint32_t>(k), 0});
-        }
-      }
-    }
-    for (int r = 0; r < ranks; ++r) {
-      MutexMailbox& box = boxes[static_cast<std::size_t>(r)];
-      for (int i = (ranks - 1) * kAllToAllDepth; i > 0; --i) box.receive(out);
-      benchmark::DoNotOptimize(box.try_pop(out));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * ranks * (ranks - 1) *
-                          kAllToAllDepth);
-}
-BENCHMARK(BM_MailboxMutexAllToAll)->Arg(8)->Arg(32);
-
-void BM_MailboxRingAllToAll(benchmark::State& state) {
-  const int ranks = static_cast<int>(state.range(0));
-  // lanes[receiver][sender], exactly ThreadRuntime's inbox matrix.
-  std::vector<std::vector<std::unique_ptr<sf::SpscChannel<MailEnvelope>>>>
-      lanes(static_cast<std::size_t>(ranks));
-  std::vector<sf::ParkingLot> parking(static_cast<std::size_t>(ranks));
-  for (auto& row : lanes) {
-    for (int s = 0; s < ranks; ++s) {
-      // Lanes sized to the burst: at 32 ranks the matrix is 1024 lanes,
-      // so slot storage (not per-message ops) dominates the footprint.
-      row.push_back(std::make_unique<sf::SpscChannel<MailEnvelope>>(
-          kAllToAllDepth));
-    }
-  }
-  MailEnvelope out;
-  for (auto _ : state) {
-    for (int s = 0; s < ranks; ++s) {
-      for (int r = 0; r < ranks; ++r) {
-        if (r == s) continue;
-        for (int k = 0; k < kAllToAllDepth; ++k) {
-          lanes[static_cast<std::size_t>(r)][static_cast<std::size_t>(s)]
-              ->push(MailEnvelope{s, static_cast<std::uint32_t>(k), 0});
-          parking[static_cast<std::size_t>(r)].unpark();
-        }
-      }
-    }
-    for (int r = 0; r < ranks; ++r) {
-      auto& row = lanes[static_cast<std::size_t>(r)];
-      // Round-robin sweep like pop_mailbox: keep sweeping the lanes
-      // until a full sweep comes up empty.
-      bool got = true;
-      while (got) {
-        got = false;
-        for (auto& lane : row) {
-          while (lane->pop(out)) {
-            benchmark::DoNotOptimize(out.from);
-            got = true;
-          }
-        }
-      }
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * ranks * (ranks - 1) *
-                          kAllToAllDepth);
-}
-BENCHMARK(BM_MailboxRingAllToAll)->Arg(8)->Arg(32);
 
 void BM_EventQueueThroughput(benchmark::State& state) {
   for (auto _ : state) {

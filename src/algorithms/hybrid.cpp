@@ -171,8 +171,6 @@ class MasterCore final : public RankProgram {
   void on_message(RankContext& ctx, Message msg) override {
     // protocol-lint: ignores ParticleBatch, Command, MasterBeacon
     // protocol-lint: ignores ControlAck
-    // protocol-lint: ignores QuerySubmit, QueryCancel, QueryResult
-    // protocol-lint: ignores QueryDone
     if (auto* undeliv = std::get_if<Undeliverable>(&msg.payload)) {
       reclaim_undelivered(ctx, std::move(*undeliv));
     } else if (auto* status = std::get_if<StatusUpdate>(&msg.payload)) {
@@ -1293,8 +1291,6 @@ class HybridSlave final : public RankProgram {
     // reaches a program.  The coordinator kinds go to the hosted
     // MasterCore::on_message once this slave is promoted.
     // protocol-lint: ignores ControlAck
-    // protocol-lint: ignores QuerySubmit, QueryCancel, QueryResult
-    // protocol-lint: ignores QueryDone
     // protocol-lint: ignores StatusUpdate, TerminationCount, SeedRequest
     // protocol-lint: ignores SeedRelay, SeedTransfer, DoneSignal
     if (auto* batch = std::get_if<ParticleBatch>(&msg.payload)) {

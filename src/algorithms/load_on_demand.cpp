@@ -30,8 +30,6 @@ class LoadOnDemandProgram final : public RankProgram {
     // protocol-lint: ignores DoneSignal, SeedRequest, SeedRelay
     // protocol-lint: ignores SeedTransfer
     // protocol-lint: ignores MasterBeacon, ControlAck
-    // protocol-lint: ignores QuerySubmit, QueryCancel, QueryResult
-    // protocol-lint: ignores QueryDone
     std::vector<Particle>* adopted = nullptr;
     if (auto* batch = std::get_if<ParticleBatch>(&msg.payload)) {
       adopted = &batch->particles;

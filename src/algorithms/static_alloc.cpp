@@ -36,8 +36,6 @@ class StaticProgram final : public RankProgram {
     // protocol-lint: ignores StatusUpdate, Command, SeedRequest
     // protocol-lint: ignores SeedRelay, SeedTransfer, MasterBeacon
     // protocol-lint: ignores ControlAck
-    // protocol-lint: ignores QuerySubmit, QueryCancel, QueryResult
-    // protocol-lint: ignores QueryDone
     if (auto* batch = std::get_if<ParticleBatch>(&msg.payload)) {
       for (Particle& p : batch->particles) {
         accept_or_forward(ctx, std::move(p));

@@ -38,8 +38,6 @@ class PathlineLodProgram final : public RankProgram {
     // protocol-lint: ignores TerminationCount, DoneSignal, SeedRequest
     // protocol-lint: ignores SeedRelay, SeedTransfer, Undeliverable
     // protocol-lint: ignores MasterBeacon, ControlAck
-    // protocol-lint: ignores QuerySubmit, QueryCancel, QueryResult
-    // protocol-lint: ignores QueryDone
   }
 
   void on_block_loaded(RankContext& ctx, BlockId) override {

@@ -63,10 +63,6 @@ const char* payload_name(const Message& msg) {
     const char* operator()(const Undeliverable&) { return "Undeliverable"; }
     const char* operator()(const MasterBeacon&) { return "MasterBeacon"; }
     const char* operator()(const ControlAck&) { return "ControlAck"; }
-    const char* operator()(const QuerySubmit&) { return "QuerySubmit"; }
-    const char* operator()(const QueryCancel&) { return "QueryCancel"; }
-    const char* operator()(const QueryResult&) { return "QueryResult"; }
-    const char* operator()(const QueryDone&) { return "QueryDone"; }
   };
   return std::visit(Namer{}, msg.payload);
 }
@@ -686,14 +682,6 @@ void InvariantChecker::check_protocol(int from, int to, const Message& msg,
   }
   if (std::holds_alternative<ControlAck>(msg.payload)) {
     illegal("only the runtime transport may emit control acks");
-  }
-  // Service control-plane kinds live between the service frontend and its
-  // clients; no rank program or runtime ever puts one on a rank link.
-  if (std::holds_alternative<QuerySubmit>(msg.payload) ||
-      std::holds_alternative<QueryCancel>(msg.payload) ||
-      std::holds_alternative<QueryResult>(msg.payload) ||
-      std::holds_alternative<QueryDone>(msg.payload)) {
-    illegal("service control-plane kinds never travel on rank links");
   }
 
   switch (config_.protocol) {

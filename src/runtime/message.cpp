@@ -45,14 +45,6 @@ struct ByteSizer {
   std::size_t operator()(const Undeliverable& u) const {
     return kEnvelope + 8 + particles_bytes(u.particles, carry_geometry);
   }
-  std::size_t operator()(const QuerySubmit& q) const {
-    return kEnvelope + 4 + q.seeds.size() * sizeof(Vec3);
-  }
-  std::size_t operator()(const QueryCancel&) const { return kEnvelope + 4; }
-  std::size_t operator()(const QueryResult& q) const {
-    return kEnvelope + 4 + particles_bytes(q.particles, carry_geometry);
-  }
-  std::size_t operator()(const QueryDone&) const { return kEnvelope + 12; }
 };
 
 }  // namespace

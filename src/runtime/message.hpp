@@ -22,12 +22,6 @@
 //   * ControlAck         — transport-level acknowledgement of a sequenced
 //                          control message; consumed by the runtime's
 //                          retransmit layer, never seen by programs
-//   * QuerySubmit/QueryCancel/QueryResult/QueryDone
-//                        — the service control plane (src/service):
-//                          client-facing query lifecycle records, costed
-//                          and journalled like any other message but never
-//                          carried on an inter-rank link (the invariant
-//                          checker rejects them there)
 //
 // message_bytes() is the serialized size the network model charges; with
 // carry_geometry set (the paper's behaviour) particles pay for their full
@@ -148,43 +142,11 @@ struct Undeliverable {
   std::vector<Particle> particles;
 };
 
-// --- service control plane (src/service) ----------------------------------
-// The StreamlineService's client-facing lifecycle messages.  They share
-// the Message envelope so the byte accounting and checker diagnostics
-// cover them, but they travel only between the service frontend and its
-// clients: rank programs must waive them and the invariant checker
-// rejects them on any rank link unconditionally (like ControlAck).
-
-// A new query: seed positions plus the id the service assigned it.
-struct QuerySubmit {
-  std::uint32_t query = 0;
-  std::vector<Vec3> seeds;
-};
-
-// Client request to cancel a queued or running query.
-struct QueryCancel {
-  std::uint32_t query = 0;
-};
-
-// Final per-query particle states, in seed order.
-struct QueryResult {
-  std::uint32_t query = 0;
-  std::vector<Particle> particles;
-};
-
-// Completion notification: the service clock when the query's last
-// particle terminated.
-struct QueryDone {
-  std::uint32_t query = 0;
-  double done_time = 0.0;
-};
-
 struct Message {
   int from = -1;
   std::variant<ParticleBatch, StatusUpdate, Command, TerminationCount,
                DoneSignal, SeedRequest, SeedRelay, SeedTransfer,
-               Undeliverable, MasterBeacon, ControlAck, QuerySubmit,
-               QueryCancel, QueryResult, QueryDone>
+               Undeliverable, MasterBeacon, ControlAck>
       payload;
   // Sequence number stamped by the sender's control transport on sequenced
   // control messages (0 = unsequenced).  Receivers dedup on it, so

@@ -13,7 +13,6 @@
 
 #include "core/rng.hpp"
 #include "core/thread_annotations.hpp"
-#include "runtime/spsc_ring.hpp"
 #include "sim/sim_engine.hpp"
 
 namespace sf {
@@ -26,7 +25,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 // The RankContext handed to one rank's program: RankHost's per-rank
-// state on the rank's own thread, with real reads and SPSC mailboxes.
+// state on the rank's own thread, with real reads and a locked inbox.
 class ThreadRuntime::Context final : public RankHost {
  public:
   Context(ThreadRuntime* runtime, int rank,
@@ -42,16 +41,6 @@ class ThreadRuntime::Context final : public RankHost {
                        0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(
                                                   rank + 1);
     fuzz_ = Rng(splitmix64(sm));
-    // One SPSC lane per sender (including self-sends): each lane has
-    // exactly one producer (the sender's thread) and one consumer (this
-    // thread), which is the whole SPSC contract.  Slots are constructed
-    // here, once — steady-state delivery allocates nothing.
-    const int n = runtime->config_.num_ranks;
-    inboxes_.reserve(static_cast<std::size_t>(n));
-    for (int s = 0; s < n; ++s) {
-      inboxes_.push_back(std::make_unique<SpscChannel<Message>>(
-          runtime->config_.mailbox_ring_slots));
-    }
   }
 
   double now() const override { return seconds_since(epoch_); }
@@ -139,13 +128,22 @@ class ThreadRuntime::Context final : public RankHost {
   // --- thread driver -------------------------------------------------------
 
   // Called from the sender's thread; must not touch this rank's Rng.
-  // Lock-free in the steady state: a ring push plus the parking-lot
-  // fence.  msg.from selects the SPSC lane, so the single-producer
-  // contract is exactly "each rank sets from = its own rank", which
-  // send() enforces.
-  void deliver(Message msg) {
-    inboxes_[static_cast<std::size_t>(msg.from)]->push(std::move(msg));
-    parking_.unpark();
+  void deliver(Message msg) SF_EXCLUDES(inbox_mutex_) {
+    {
+      MutexLock lock(inbox_mutex_);
+      inbox_.push_back(std::move(msg));
+    }
+    inbox_ready_.notify_one();
+  }
+
+  // After the join: a message still in the inbox reached this rank, so
+  // its bytes count, as SimRuntime counts a delivery to a finished
+  // program.
+  void count_undrained() SF_EXCLUDES(inbox_mutex_) {
+    MutexLock lock(inbox_mutex_);
+    for (const Message& msg : inbox_) {
+      metrics.bytes_received += message_bytes(msg, config().carry_geometry);
+    }
   }
 
   void thread_main() {
@@ -155,23 +153,8 @@ class ThreadRuntime::Context final : public RankHost {
       while (!program->finished() && !abort_->load()) {
         poll_arrivals();
         Message msg;
-        bool have = pop_mailbox(msg);
-        if (!have && !abort_->load()) {
-          // Announce, re-check every lane, then sleep (bounded: the
-          // timeout doubles as the abort-flag poll interval, exactly
-          // like the old cond-var wait).  A spurious or stale wake just
-          // re-enters the outer poll loop.
-          parking_.park([this] { return mailbox_nonempty(); },
-                        std::chrono::milliseconds(20));
-          have = pop_mailbox(msg);
-        }
-        if (!have) continue;
-        maybe_perturb();
-        // Receiver-side accounting happens on the owning thread (the
-        // sender must not touch this rank's metrics).
-        metrics.bytes_received += message_bytes(msg, config().carry_geometry);
-        SF_INVARIANT_HOOK(checker(), on_deliver(rank(), msg, now()));
-        program->on_message(*this, std::move(msg));
+        if (!pop_inbox(msg, /*wait=*/true)) continue;
+        receive(std::move(msg));
         drain_local();
       }
       // Every issued prefetch must be resolved before the run ends:
@@ -236,15 +219,10 @@ class ThreadRuntime::Context final : public RankHost {
   void drain_local() {
     poll_arrivals();
     while (!local_.empty() && !abort_->load()) {
-      // Drain the mailbox between local events so commands interleave
+      // Drain the inbox between local events so commands interleave
       // with compute, like they do under the simulator.
-      for (;;) {
-        Message msg;
-        if (!pop_mailbox(msg)) break;
-        maybe_perturb();
-        SF_INVARIANT_HOOK(checker(), on_deliver(rank(), msg, now()));
-        program->on_message(*this, std::move(msg));
-      }
+      Message msg;
+      while (pop_inbox(msg, /*wait=*/false)) receive(std::move(msg));
       if (local_.empty()) break;
       LocalEvent ev = local_.front();
       local_.pop_front();
@@ -256,27 +234,27 @@ class ThreadRuntime::Context final : public RankHost {
     }
   }
 
-  // Pop the next message off any inbox lane, round-robin across senders
-  // so one chatty peer cannot starve the others.  Consumer-thread only
-  // (this rank's thread), like every SpscChannel::pop.
-  bool pop_mailbox(Message& out) {
-    const std::size_t n = inboxes_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t lane = (next_lane_ + i) % n;
-      if (inboxes_[lane]->pop(out)) {
-        next_lane_ = (lane + 1) % n;
-        return true;
-      }
+  // The oldest inbox message, if any.  With `wait`, an empty inbox
+  // sleeps first; the bounded timeout doubles as the abort-flag poll
+  // interval, and a spurious wake just re-enters the caller's loop.
+  bool pop_inbox(Message& out, bool wait) SF_EXCLUDES(inbox_mutex_) {
+    MutexLock lock(inbox_mutex_);
+    if (inbox_.empty() && wait) {
+      inbox_ready_.wait_for(inbox_mutex_, std::chrono::milliseconds(20));
     }
-    return false;
+    if (inbox_.empty()) return false;
+    out = std::move(inbox_.front());
+    inbox_.pop_front();
+    return true;
   }
 
-  // Parking predicate: any lane with a (possibly) pending message.
-  bool mailbox_nonempty() const {
-    for (const auto& lane : inboxes_) {
-      if (!lane->empty()) return true;
-    }
-    return false;
+  // The one receive path.  Receiver-side accounting happens here, on the
+  // owning thread (the sender must not touch this rank's metrics).
+  void receive(Message msg) {
+    maybe_perturb();
+    metrics.bytes_received += message_bytes(msg, config().carry_geometry);
+    SF_INVARIANT_HOOK(checker(), on_deliver(rank(), msg, now()));
+    program->on_message(*this, std::move(msg));
   }
 
   // Seeded schedule perturbation: nudge the OS scheduler at the points
@@ -300,13 +278,11 @@ class ThreadRuntime::Context final : public RankHost {
   Rng fuzz_;
   std::deque<LocalEvent> local_;
 
-  // Lock-free mailbox (DESIGN.md §14): one SPSC lane per sender, an
-  // eventcount to sleep on, and a round-robin drain cursor (owned by
-  // this rank's thread).  unique_ptr because channels hold atomics and
-  // never move once threads are live.
-  std::vector<std::unique_ptr<SpscChannel<Message>>> inboxes_;
-  ParkingLot parking_;
-  std::size_t next_lane_ = 0;
+  // The inbox (DESIGN.md §14): every sender appends, only this rank's
+  // thread pops.  One FIFO keeps each sender's messages in order.
+  Mutex inbox_mutex_{LockRank::kMailbox};
+  CondVar inbox_ready_;
+  std::deque<Message> inbox_ SF_GUARDED_BY(inbox_mutex_);
 };
 
 ThreadRuntime::ThreadRuntime(const ThreadRuntimeConfig& config,
@@ -361,6 +337,7 @@ RunMetrics ThreadRuntime::run(const ProgramFactory& factory) {
     threads.emplace_back([c = &context(r)] { c->thread_main(); });
   }
   for (std::thread& t : threads) t.join();
+  for (int r = 0; r < config_.num_ranks; ++r) context(r).count_undrained();
   loader_.reset();  // cancels leftover queued reads, joins the workers
   abort_flag_ = nullptr;
   std::exception_ptr failure;

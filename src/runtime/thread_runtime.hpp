@@ -41,12 +41,6 @@ struct ThreadRuntimeConfig : RuntimeConfig {
   // mid-run instant, so the thread runtime applies cancellations only at
   // epoch boundaries (timed mid-flight cancels are a SimRuntime feature).
   std::vector<std::uint32_t> cancelled_queries;
-  // Slots per (sender, receiver) mailbox ring (DESIGN.md §14; rounded up
-  // to a power of two).  Bursts beyond this spill to the channel's
-  // mutex-guarded overflow queue — delivery never blocks and never
-  // drops, the spill just pays the old lock price.  Small values are
-  // for tests that want to exercise the overflow path.
-  std::size_t mailbox_ring_slots = 64;
 };
 
 class ThreadRuntime {

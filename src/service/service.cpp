@@ -86,9 +86,6 @@ QueryId StreamlineService::submit_at(std::vector<Vec3> seeds, double at,
   rec.num_seeds = seeds.size();
   rec.submit_time = at;
   rec.deadline = deadline;
-  Message m;
-  m.payload = QuerySubmit{id, seeds};
-  journal_push(at, std::move(m));
   if (seeds.empty() || seeds.size() > config_.max_seeds_per_query) {
     // Malformed submissions never enter the queue.
     rec.state = QueryState::kRejected;
@@ -114,9 +111,6 @@ bool StreamlineService::cancel_at(QueryId id, double at) {
     return false;
   }
   cancels_.push_back(PendingCancel{id, at});
-  Message m;
-  m.payload = QueryCancel{id};
-  journal_push(at, std::move(m));
   return true;
 }
 
@@ -129,14 +123,6 @@ const QueryRecord& StreamlineService::record(QueryId id) const {
 
 QueryRecord& StreamlineService::record_mut(QueryId id) {
   return const_cast<QueryRecord&>(record(id));
-}
-
-void StreamlineService::journal_push(double time, Message msg) {
-  JournalEntry e;
-  e.time = time;
-  e.bytes = message_bytes(msg, config_.base.runtime.carry_geometry);
-  e.msg = std::move(msg);
-  journal_.push_back(std::move(e));
 }
 
 void StreamlineService::ingest_arrivals() {
@@ -299,12 +285,6 @@ RunMetrics StreamlineService::run_epoch(
       rec.deadline_expired = true;
       rec.cancel_time = rec.submit_time + rec.deadline;
     }
-    Message result;
-    result.payload = QueryResult{q.id, rec.particles};
-    journal_push(rec.done_time, std::move(result));
-    Message done;
-    done.payload = QueryDone{q.id, rec.done_time};
-    journal_push(rec.done_time, std::move(done));
   }
   return m;
 }

@@ -33,7 +33,6 @@
 #include "algorithms/driver.hpp"
 #include "core/dataset.hpp"
 #include "runtime/block_cache.hpp"
-#include "runtime/message.hpp"
 #include "runtime/metrics.hpp"
 #include "service/query.hpp"
 #include "service/query_queue.hpp"
@@ -91,17 +90,6 @@ struct ServiceReport {
   std::uint64_t blocks_loaded = 0;
 };
 
-// One entry of the service's control-plane journal: every submit /
-// cancel / result / done event as the Message it would be on a wire,
-// with its modeled size.  These kinds never travel on rank links (the
-// protocol checker rejects them there); the journal is the service's
-// own ledger of its client-facing traffic.
-struct JournalEntry {
-  double time = 0.0;
-  std::size_t bytes = 0;
-  Message msg;
-};
-
 class StreamlineService {
  public:
   StreamlineService(const ServiceConfig& config,
@@ -137,7 +125,6 @@ class StreamlineService {
   // Per-epoch metrics accumulated without double-counting (satellite:
   // RunMetrics::accumulate/reset).
   const RunMetrics& cumulative() const { return cumulative_; }
-  const std::vector<JournalEntry>& journal() const { return journal_; }
   ServiceReport report() const;
 
  private:
@@ -147,7 +134,6 @@ class StreamlineService {
   };
 
   QueryRecord& record_mut(QueryId id);
-  void journal_push(double time, Message msg);
   // Move submissions with arrival <= now into the queue, enforcing
   // admission control.
   void ingest_arrivals();
@@ -170,7 +156,6 @@ class StreamlineService {
   std::vector<QueryRecord> records_;        // index = QueryId - 1
   std::vector<StreamlineQuery> pending_;    // future arrivals, by submit_at
   std::vector<PendingCancel> cancels_;
-  std::vector<JournalEntry> journal_;
   RunMetrics cumulative_;
   std::size_t epochs_ = 0;
 };

@@ -1,9 +1,10 @@
 // Lint fixture (never compiled): the clean idioms of the AVX2 kernel TU
-// (src/core/integrator_simd.cpp) and the lock-free data plane it feeds
-// (src/runtime/spsc_ring.hpp).  Lane-minor scratch arrays, fixed-order
-// lane loops, and marked atomics must pass BOTH lints: the determinism
-// lint (no unordered iteration, no wall-clock decisions, no entropy)
-// and the lock-order lint's raw-atomic marker discipline.
+// (src/core/integrator_simd.cpp) plus a marked release/acquire flag
+// like QueryCancelSet's (src/core/tracer.hpp).  Lane-minor scratch
+// arrays, fixed-order lane loops, and marked atomics must pass BOTH
+// lints: the determinism lint (no unordered iteration, no wall-clock
+// decisions, no entropy) and the lock-order lint's raw-atomic marker
+// discipline.
 
 #include <atomic>
 #include <cstddef>
@@ -29,8 +30,8 @@ inline void accumulate_stage(LaneBlock& b, int stage, double h) {
   }
 }
 
-// The kernel's completion flag, published the way the mailbox plane
-// publishes ring indices.
+// The kernel's completion flag, published the way QueryCancelSet
+// publishes its count.
 class RoundFlag {
  public:
   void publish() {

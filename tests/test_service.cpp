@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "check/invariants.hpp"
@@ -451,30 +450,6 @@ TEST(Service, PoissonScheduleDrivesQueueWaits) {
     EXPECT_GE(rec.admit_time, rec.submit_time);
     EXPECT_GT(rec.done_time, rec.admit_time);
   }
-}
-
-TEST(Service, JournalRecordsControlPlaneTraffic) {
-  auto w = sf::testing::rotor_world(2);
-  ServiceConfig sc = service_config(Algorithm::kStaticAllocation, 2);
-  StreamlineService svc(sc, &w.decomp(), w.source.get());
-  const QueryId done = svc.submit(seeds_for(w, 6, 5));
-  const QueryId gone = svc.submit(seeds_for(w, 6, 6));
-  svc.cancel(gone);
-  svc.run_until_idle();
-  (void)done;
-
-  std::size_t submits = 0, cancels = 0, results = 0, dones = 0;
-  for (const JournalEntry& e : svc.journal()) {
-    EXPECT_GT(e.bytes, 0u);
-    if (std::holds_alternative<QuerySubmit>(e.msg.payload)) ++submits;
-    if (std::holds_alternative<QueryCancel>(e.msg.payload)) ++cancels;
-    if (std::holds_alternative<QueryResult>(e.msg.payload)) ++results;
-    if (std::holds_alternative<QueryDone>(e.msg.payload)) ++dones;
-  }
-  EXPECT_EQ(submits, 2u);
-  EXPECT_EQ(cancels, 1u);
-  EXPECT_EQ(results, 1u);
-  EXPECT_EQ(dones, 1u);
 }
 
 // --- Metrics ----------------------------------------------------------------

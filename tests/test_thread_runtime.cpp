@@ -26,11 +26,11 @@ TraceLimits limits() {
   return {.max_time = 15.0, .max_steps = 1500, .min_speed = 1e-8};
 }
 
-std::vector<Particle> run_threads(Algorithm algo, int ranks,
-                                  const sf::testing::TestWorld& w,
-                                  const std::vector<Vec3>& seeds,
-                                  const BlockSource& source,
-                                  std::uint64_t fuzz_seed = 0) {
+RunMetrics run_threads_metrics(Algorithm algo, int ranks,
+                               const sf::testing::TestWorld& w,
+                               const std::vector<Vec3>& seeds,
+                               const BlockSource& source,
+                               std::uint64_t fuzz_seed = 0) {
   std::vector<Particle> rejected;
   std::vector<Particle> particles =
       make_particles(w.decomp(), seeds, rejected);
@@ -69,7 +69,16 @@ std::vector<Particle> run_threads(Algorithm algo, int ranks,
   m.particles.insert(m.particles.end(), rejected.begin(), rejected.end());
   std::sort(m.particles.begin(), m.particles.end(),
             [](const Particle& a, const Particle& b) { return a.id < b.id; });
-  return m.particles;
+  return m;
+}
+
+std::vector<Particle> run_threads(Algorithm algo, int ranks,
+                                  const sf::testing::TestWorld& w,
+                                  const std::vector<Vec3>& seeds,
+                                  const BlockSource& source,
+                                  std::uint64_t fuzz_seed = 0) {
+  return run_threads_metrics(algo, ranks, w, seeds, source, fuzz_seed)
+      .particles;
 }
 
 TEST(ThreadRuntime, LoadOnDemandMatchesSerial) {
@@ -168,6 +177,85 @@ TEST(ThreadRuntime, ScheduleFuzzMatchesSerialAcrossSeeds) {
             << " particle " << i;
       }
     }
+  }
+}
+
+// Every byte a rank sends reaches some rank's bytes_received, whether the
+// message is popped between local events, popped by the main loop, or
+// still in the inbox when the run ends (as on SimRuntime).
+TEST(ThreadRuntime, BytesReceivedEqualBytesSent) {
+  auto w = sf::testing::rotor_world(4);
+  Rng rng(19);
+  const auto seeds = random_seeds(w.dataset->bounds(), 400, rng);
+  for (const Algorithm algo :
+       {Algorithm::kStaticAllocation, Algorithm::kHybridMasterSlave}) {
+    const RunMetrics m = run_threads_metrics(algo, 6, w, seeds, *w.source);
+    std::uint64_t received = 0;
+    for (const RankMetrics& r : m.ranks) received += r.bytes_received;
+    EXPECT_GT(m.total_bytes_sent(), 0u) << static_cast<int>(algo);
+    EXPECT_EQ(received, m.total_bytes_sent()) << static_cast<int>(algo);
+  }
+}
+
+// Every rank sends kInboxBurst numbered messages to every other rank
+// from start(); each receiver checks that every sender's numbers arrive
+// in order, once each, and finishes when all have arrived.  A lost
+// message or a lost wakeup leaves a receiver short and the run hanging.
+constexpr std::uint32_t kInboxBurst = 1000;
+
+class NumberedSender final : public RankProgram {
+ public:
+  NumberedSender(int rank, int ranks)
+      : rank_(rank), ranks_(ranks),
+        next_(static_cast<std::size_t>(ranks), 0) {}
+  void start(RankContext& ctx) override {
+    for (std::uint32_t seq = 0; seq < kInboxBurst; ++seq) {
+      for (int to = 0; to < ranks_; ++to) {
+        if (to == rank_) continue;
+        Message msg;
+        msg.payload = TerminationCount{{{rank_, seq}}};
+        ctx.send(to, std::move(msg));
+      }
+    }
+  }
+  void on_message(RankContext&, Message msg) override {
+    // Expect, not assert: every message must still count, or a failure
+    // would leave this rank waiting forever instead of reporting.
+    const auto [from, seq] =
+        std::get<TerminationCount>(msg.payload).totals.at(0);
+    EXPECT_EQ(from, msg.from);
+    std::uint32_t& next = next_.at(static_cast<std::size_t>(from));
+    EXPECT_EQ(seq, next) << "rank " << rank_ << " from rank " << from;
+    next = seq + 1;
+    ++received_;
+  }
+  void on_block_loaded(RankContext&, BlockId) override {}
+  void on_compute_done(RankContext&) override {}
+  bool finished() const override {
+    return received_ == static_cast<std::uint64_t>(ranks_ - 1) * kInboxBurst;
+  }
+  void collect_particles(std::vector<Particle>&) const override {}
+
+ private:
+  int rank_;
+  int ranks_;
+  std::vector<std::uint32_t> next_;
+  std::uint64_t received_ = 0;
+};
+
+TEST(ThreadRuntime, InboxDeliversEachSendersMessagesOnceInOrder) {
+  auto w = sf::testing::rotor_world(2);
+  ThreadRuntimeConfig cfg = thread_config(4);
+  cfg.schedule_fuzz_seed = 29;
+  cfg.checked_protocol = CheckedProtocol::kNone;
+  ThreadRuntime rt(cfg, &w.decomp(), w.source.get(), iparams(), limits());
+  const RunMetrics m = rt.run([](int rank, int ranks) {
+    return std::make_unique<NumberedSender>(rank, ranks);
+  });
+  EXPECT_FALSE(m.failed_oom);
+  ASSERT_EQ(m.ranks.size(), 4u);
+  for (const RankMetrics& r : m.ranks) {
+    EXPECT_EQ(r.messages_sent, 3u * kInboxBurst);
   }
 }
 

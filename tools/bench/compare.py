@@ -15,10 +15,6 @@ its own improvement direction:
                      wall_s, lower is better.
   service_load       keyed (scenario, cache); compares p99_latency_s
                      (lower is better) and hit_rate (higher is better).
-  micro_core         google-benchmark JSON (the mailbox transport rows;
-                     detected by its top-level "benchmarks" array);
-                     keyed by benchmark name, compares items_per_second,
-                     higher is better.
   scale_sweep        keyed (procs,); compares wall_s and
                      ctrl_msgs_per_rank, both lower is better.
   fault_straggler    keyed (algorithm, mode); compares wall_s, lower is
@@ -51,8 +47,6 @@ SCHEMAS = {
                    [("wall_s", False)]),
     "service_load": (("scenario", "cache"),
                      [("p99_latency_s", False), ("hit_rate", True)]),
-    "micro_core": (("name",),
-                   [("items_per_second", True)]),
     "scale_sweep": (("procs",),
                     [("wall_s", False), ("ctrl_msgs_per_rank", False)]),
     "fault_straggler": (("algorithm", "mode"),
@@ -63,16 +57,6 @@ SCHEMAS = {
 def load(path):
     with open(path) as f:
         doc = json.load(f)
-    if "benchmarks" in doc and "bench" not in doc:
-        # google-benchmark --benchmark_out JSON (bench/micro_core).
-        out = {}
-        for r in doc["benchmarks"]:
-            if r.get("run_type", "iteration") != "iteration":
-                continue  # skip aggregate (mean/median/stddev) rows
-            out[(r["name"],)] = {"items_per_second": r["items_per_second"]}
-        if not out:
-            sys.exit(f"{path}: no results")
-        return "micro_core", out, set()
     bench = doc.get("bench", "advect_throughput")
     if bench not in SCHEMAS:
         sys.exit(f"{path}: unknown bench kind {bench!r}")

@@ -25,8 +25,8 @@ the offending line or the line above):
                   checker cannot see at all; the marker pins the proof
                   obligation to the site so a reviewer — and this lint —
                   can hold each ordering to its documented pairing.
-                  The lock-free mailbox plane (runtime/spsc_ring.hpp)
-                  and the cancel-set fast path are the intended users.
+                  The cancel-set fast path (core/tracer.hpp) is the
+                  intended user.
 
   unranked-mutex  An sf::Mutex member constructed without an explicit
                   LockRank.  Unranked mutexes opt out of the runtime

@@ -26,14 +26,7 @@ Static checks that clang-tidy cannot express, run in CI next to it:
    added MasterBeacon and ControlAck — without costing and naming it
    fails the lint, not the first faulted run.
 
-4. Service control-plane coverage.  The streamline service owns every
-   Query*-prefixed message kind (QuerySubmit, QueryCancel, QueryResult,
-   QueryDone); each must be constructed somewhere under src/service/, so
-   a service kind cannot be declared in the variant yet never journalled
-   — and conversely a Query* kind constructed outside src/service/ is a
-   layering violation (ranks never exchange query control traffic).
-
-5. Tree-coordination coverage.  The master-tree kinds (SeedRelay) belong
+4. Tree-coordination coverage.  The master-tree kinds (SeedRelay) belong
    to the hybrid algorithm: each must be constructed in
    src/algorithms/hybrid.cpp and nowhere else — only a root master
    brokers seed demand, so a relay minted by another layer would bypass
@@ -144,36 +137,6 @@ def check_payload_side_table(path: pathlib.Path, clean: str,
                    f"every Message payload kind must be covered")
 
 
-def check_service_kinds(files: list[pathlib.Path], root: pathlib.Path,
-                        alternatives: list[str]) -> None:
-    """Query* payload kinds belong to the service layer, both ways."""
-    service_kinds = [a for a in alternatives if a.startswith("Query")]
-    if not service_kinds:
-        return
-    service_dir = root / "src" / "service"
-    service_text = "".join(
-        strip_comments_and_strings(p.read_text())
-        for p in files if service_dir in p.parents)
-    for kind in service_kinds:
-        if not re.search(r"\b" + kind + r"\s*\{", service_text):
-            report(pathlib.Path("src/service"), 1,
-                   f"service message kind '{kind}' is never constructed "
-                   f"under src/service/ — journal it or drop it from the "
-                   f"Message variant")
-    for path in files:
-        if service_dir in path.parents:
-            continue
-        if path.name in ("message.hpp", "message.cpp", "invariants.cpp"):
-            continue  # variant declaration and the side tables
-        clean = strip_comments_and_strings(path.read_text())
-        for kind in service_kinds:
-            for m in re.finditer(r"\b" + kind + r"\s*\{", clean):
-                report(path.relative_to(root), line_of(clean, m.start()),
-                       f"service message kind '{kind}' constructed outside "
-                       f"src/service/ — query control traffic never rides "
-                       f"rank links")
-
-
 TREE_KINDS = ["SeedRelay"]
 
 
@@ -230,7 +193,6 @@ def main() -> int:
         clean = strip_comments_and_strings((args.root / rel_path).read_text())
         check_payload_side_table(rel_path, clean, alternatives, table)
 
-    check_service_kinds(files, args.root, alternatives)
     check_tree_kinds(files, args.root, alternatives)
 
     if dispatchers == 0:
