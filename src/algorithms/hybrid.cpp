@@ -1,13 +1,17 @@
 #include "algorithms/hybrid.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <deque>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "core/rng.hpp"
 
@@ -127,6 +131,67 @@ int adopter_of(const RankContext& ctx, const HybridLayout& layout,
     if (ctx.is_alive(parent)) return parent;
   }
   return successor_rank(ctx, layout);
+}
+
+// A status's queued list as a SlaveRecord keeps it: sorted by block, each
+// block once, zero counts dropped.
+void normalize_queued(std::vector<std::pair<BlockId, std::uint32_t>>& list) {
+  std::erase_if(list, [](const auto& e) { return e.second == 0; });
+  std::sort(list.begin(), list.end());
+  list.erase(std::unique(list.begin(), list.end(),
+                         [](const auto& a, const auto& b) {
+                           return a.first == b.first;
+                         }),
+             list.end());
+}
+
+// In a list of (key, value) pairs sorted by key: the entry for `key`, or
+// where it would go.
+template <typename K, typename V>
+auto key_slot(std::vector<std::pair<K, V>>& list, K key) {
+  return std::lower_bound(
+      list.begin(), list.end(), key,
+      [](const std::pair<K, V>& e, K k) { return e.first < k; });
+}
+
+// Insert `v` into a sorted list unless it is there already.
+template <typename T>
+void insert_sorted(std::vector<T>& list, T v) {
+  const auto it = std::lower_bound(list.begin(), list.end(), v);
+  if (it == list.end() || *it != v) list.insert(it, v);
+}
+
+void sort_unique(std::vector<BlockId>& list) {
+  std::sort(list.begin(), list.end());
+  list.erase(std::unique(list.begin(), list.end()), list.end());
+}
+
+// The union of two sorted lists, into `out`.
+void sorted_union(const std::vector<BlockId>& a, const std::vector<BlockId>& b,
+                  std::vector<BlockId>& out) {
+  out.clear();
+  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                 std::back_inserter(out));
+}
+
+// Walk two lists sorted by key(element) in step: gone(e) for a key only
+// in `before`, kept(was, now) for a key in both, added(e) for a key only
+// in `after`.
+template <typename T, typename Key, typename Gone, typename Kept,
+          typename Added>
+void diff_sorted(const std::vector<T>& before, const std::vector<T>& after,
+                 Key key, Gone gone, Kept kept, Added added) {
+  auto b = before.begin();
+  auto a = after.begin();
+  while (b != before.end() || a != after.end()) {
+    if (a == after.end() || (b != before.end() && key(*b) < key(*a))) {
+      gone(*b++);
+    } else if (b == before.end() || key(*a) < key(*b)) {
+      added(*a++);
+    } else {
+      kept(*b++, *a++);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -318,7 +383,7 @@ class MasterCore final : public RankProgram {
       RankContext& ctx,
       const std::vector<std::pair<int, std::uint32_t>>& totals) {
     if (finished_) return;
-    for (const auto& [rank, total] : totals) merge_total(rank, total);
+    if (board_.merge(totals)) totals_dirty_ = true;
     publish_totals(ctx);
   }
 
@@ -382,18 +447,11 @@ class MasterCore final : public RankProgram {
     // accounting so the rules do not chase phantom particles.
     auto it = records_.find(u.target);
     if (it != records_.end() && u.block != kInvalidBlock) {
-      auto qit = it->second.queued.find(u.block);
-      if (qit != it->second.queued.end()) {
-        const auto n = static_cast<std::uint32_t>(u.particles.size());
-        index_unqueue(u.target, u.block);
-        if (qit->second > n) {
-          qit->second -= n;
-          index_queue(u.target, u.block, qit->second);
-        } else {
-          it->second.queued.erase(qit);
-        }
-      }
+      const auto n = static_cast<std::uint32_t>(u.particles.size());
+      const std::uint32_t count = take_queued(u.target, it->second, u.block);
+      if (count > n) add_queued(u.target, it->second, u.block, count - n);
       it->second.outstanding = false;
+      audit_indexes();
     }
     pool_seeds(ctx, std::move(u.particles));
     assignment_pass(ctx);
@@ -411,14 +469,26 @@ class MasterCore final : public RankProgram {
   }
 
  private:
+  // What the master believes about one slave.  The block lists are
+  // sorted by id, so a status applies as a diff against them.
   struct SlaveRecord {
-    std::map<BlockId, std::uint32_t> queued;  // waiting, by current block
-    std::set<BlockId> loaded;
-    std::set<BlockId> loading;
+    // Waiting particles by current block; every count is nonzero.
+    std::vector<std::pair<BlockId, std::uint32_t>> queued;
+    std::vector<BlockId> loaded;
+    std::vector<BlockId> loading;
     std::uint32_t workable = 0;
+    std::uint32_t workload = 0;  // workable plus every queued count
     bool outstanding = false;  // assigned work since its last status
     bool needs_work = false;
     bool hint_requested = false;  // a Send_hint on its behalf is pending
+
+    bool has_loaded(BlockId b) const {
+      return std::binary_search(loaded.begin(), loaded.end(), b);
+    }
+    bool has_block(BlockId b) const {
+      return has_loaded(b) ||
+             std::binary_search(loading.begin(), loading.end(), b);
+    }
   };
 
   void start_as_master(RankContext& ctx) {
@@ -604,47 +674,126 @@ class MasterCore final : public RankProgram {
   // --- index maintenance ---------------------------------------------------
   // Two inverted indexes keep the rule passes O(own state) instead of
   // O(slaves x blocks): which slaves hold a block (loaded or loading),
-  // and which slaves have particles queued in it.
+  // and which slaves have particles queued in it.  Each block's list is
+  // sorted by slave.
 
-  void index_hold(int slave, BlockId b) { holders_[b].insert(slave); }
+  void index_hold(int slave, BlockId b) { insert_sorted(holders_[b], slave); }
 
   void index_unhold(int slave, BlockId b) {
-    auto it = holders_.find(b);
+    const auto it = holders_.find(b);
     if (it == holders_.end()) return;
-    it->second.erase(slave);
+    std::erase(it->second, slave);
     if (it->second.empty()) holders_.erase(it);
   }
 
   void index_queue(int slave, BlockId b, std::uint32_t count) {
-    if (count > 0) queued_idx_[b][slave] += count;
+    auto& waiters = queued_idx_[b];
+    const auto it = key_slot(waiters, slave);
+    if (it != waiters.end() && it->first == slave) {
+      it->second = count;
+    } else {
+      waiters.insert(it, {slave, count});
+    }
   }
 
   void index_unqueue(int slave, BlockId b) {
-    auto it = queued_idx_.find(b);
+    const auto it = queued_idx_.find(b);
     if (it == queued_idx_.end()) return;
-    it->second.erase(slave);
+    std::erase_if(it->second,
+                  [slave](const auto& e) { return e.first == slave; });
     if (it->second.empty()) queued_idx_.erase(it);
   }
 
-  void apply_status(int slave, SlaveRecord& rec, const StatusUpdate& status) {
-    for (const auto& [b, count] : rec.queued) index_unqueue(slave, b);
-    for (const BlockId b : rec.loaded) index_unhold(slave, b);
-    for (const BlockId b : rec.loading) index_unhold(slave, b);
-
-    rec.queued.clear();
-    for (const auto& [block, count] : status.queued_by_block) {
-      rec.queued[block] = count;
-      index_queue(slave, block, count);
+  // Equivalence audit: the indexes and the cached workloads, kept up to
+  // date edit by edit, must equal a rebuild from the records.  Debug-only
+  // — the rebuild is the O(slaves x blocks) cost the edits avoid.
+  void audit_indexes() const {
+#ifndef NDEBUG
+    // Slaves in ascending order, so every list is built sorted.
+    decltype(holders_) holders;
+    decltype(queued_idx_) queued;
+    for (const auto& [slave, rec] : records_) {
+      std::uint32_t workload = rec.workable;
+      for (const auto& [b, count] : rec.queued) {
+        queued[b].emplace_back(slave, count);
+        workload += count;
+      }
+      for (const auto* held : {&rec.loaded, &rec.loading}) {
+        for (const BlockId b : *held) {
+          std::vector<int>& h = holders[b];
+          if (h.empty() || h.back() != slave) h.push_back(slave);
+        }
+      }
+      assert(rec.workload == workload && "cached workload diverged");
     }
-    rec.loaded = std::set<BlockId>(status.loaded.begin(), status.loaded.end());
-    rec.loading =
-        std::set<BlockId>(status.loading.begin(), status.loading.end());
-    for (const BlockId b : rec.loaded) index_hold(slave, b);
-    for (const BlockId b : rec.loading) index_hold(slave, b);
+    assert(holders == holders_ && "holders index diverged from a rebuild");
+    assert(queued == queued_idx_ && "queued index diverged from a rebuild");
+#endif
+  }
+
+  // Queue `n` more particles in block `b` on a slave's record.
+  void add_queued(int slave, SlaveRecord& rec, BlockId b, std::uint32_t n) {
+    if (n == 0) return;
+    auto it = key_slot(rec.queued, b);
+    if (it != rec.queued.end() && it->first == b) {
+      it->second += n;
+    } else {
+      it = rec.queued.insert(it, {b, n});
+    }
+    rec.workload += n;
+    index_queue(slave, b, it->second);
+  }
+
+  // Drop block `b` from a slave's queue; returns the count it held.
+  std::uint32_t take_queued(int slave, SlaveRecord& rec, BlockId b) {
+    const auto it = key_slot(rec.queued, b);
+    if (it == rec.queued.end() || it->first != b) return 0;
+    const std::uint32_t n = it->second;
+    rec.queued.erase(it);
+    rec.workload -= n;
+    index_unqueue(slave, b);
+    return n;
+  }
+
+  // Replace the record's view with a status, taking over its lists.  The
+  // indexes change only where the slave's queued counts or held blocks
+  // changed, so a status costs a sort and a walk of its lists, plus an
+  // index update per changed block.
+  void apply_status(int slave, SlaveRecord& rec, StatusUpdate& status) {
+    normalize_queued(status.queued_by_block);
+    diff_sorted(
+        rec.queued, status.queued_by_block,
+        [](const auto& e) { return e.first; },
+        [&](const auto& gone) { index_unqueue(slave, gone.first); },
+        [&](const auto& was, const auto& now) {
+          if (was.second != now.second) {
+            index_queue(slave, now.first, now.second);
+          }
+        },
+        [&](const auto& added) {
+          index_queue(slave, added.first, added.second);
+        });
+    rec.queued.swap(status.queued_by_block);
+    rec.workload = status.workable;
+    for (const auto& [b, count] : rec.queued) rec.workload += count;
+
+    sort_unique(status.loaded);
+    sort_unique(status.loading);
+    sorted_union(rec.loaded, rec.loading, held_before_);
+    sorted_union(status.loaded, status.loading, held_after_);
+    diff_sorted(
+        held_before_, held_after_, [](BlockId b) { return b; },
+        [&](BlockId gone) { index_unhold(slave, gone); },
+        [](BlockId, BlockId) {},
+        [&](BlockId added) { index_hold(slave, added); });
+    rec.loaded.swap(status.loaded);
+    rec.loading.swap(status.loading);
+
     rec.workable = status.workable;
     rec.outstanding = false;
     rec.needs_work = (status.workable == 0);
     rec.hint_requested = false;
+    audit_indexes();
   }
 
   // Send_force (rules 1 and 3): `from_slave` must ship its particles in
@@ -657,17 +806,13 @@ class MasterCore final : public RankProgram {
     cmd.block = b;
     cmd.target = to_slave;
     send_command(ctx, from_slave, std::move(cmd));
-    const auto it = from_rec.queued.find(b);
-    if (it == from_rec.queued.end()) return;
-    const std::uint32_t count = it->second;
-    from_rec.queued.erase(it);
-    index_unqueue(from_slave, b);
-    records_[to_slave].queued[b] += count;
-    index_queue(to_slave, b, count);
+    const std::uint32_t count = take_queued(from_slave, from_rec, b);
+    add_queued(to_slave, records_[to_slave], b, count);
+    audit_indexes();
   }
 
   void note_load_command(int slave, SlaveRecord& rec, BlockId b) {
-    rec.loading.insert(b);
+    insert_sorted(rec.loading, b);
     index_hold(slave, b);
   }
 
@@ -686,22 +831,12 @@ class MasterCore final : public RankProgram {
                            std::uint32_t floor) const {
     BlockId best = kInvalidBlock;
     for (const auto& [b, count] : rec.queued) {
-      if (!has_block(rec, b) && count > floor) {
+      if (!rec.has_block(b) && count > floor) {
         best = b;
         floor = count;
       }
     }
     return best;
-  }
-
-  static std::uint32_t workload(const SlaveRecord& rec) {
-    std::uint32_t n = rec.workable;
-    for (const auto& [block, count] : rec.queued) n += count;
-    return n;
-  }
-
-  bool has_block(const SlaveRecord& rec, BlockId b) const {
-    return rec.loaded.contains(b) || rec.loading.contains(b);
   }
 
   std::uint32_t overload_limit() const {
@@ -712,23 +847,17 @@ class MasterCore final : public RankProgram {
   void assign_seeds(RankContext& ctx, int slave, SlaveRecord& rec) {
     // Prefer a block the slave already has loaded (Assign_loaded), else
     // the densest seed block (Assign_unloaded).
-    BlockId from = kInvalidBlock;
-    for (const auto& [block, count] : seeds_.census()) {
-      if (rec.loaded.contains(block)) {
-        from = block;
-        break;
-      }
-    }
+    BlockId from = seeds_.first_block_where(
+        [&rec](BlockId b) { return rec.has_loaded(b); });
     if (from == kInvalidBlock) from = seeds_.densest_block();
     if (from == kInvalidBlock) return;
 
     std::vector<Particle> batch;
     take_seeds(ctx, from, static_cast<std::size_t>(params_.assign_batch),
                batch);
-    rec.queued[from] += static_cast<std::uint32_t>(batch.size());
-    index_queue(slave, from, static_cast<std::uint32_t>(batch.size()));
+    add_queued(slave, rec, from, static_cast<std::uint32_t>(batch.size()));
     // The slave auto-loads the blocks of assigned seeds (Assign_unloaded).
-    if (!has_block(rec, from)) note_load_command(slave, rec, from);
+    if (!rec.has_block(from)) note_load_command(slave, rec, from);
     rec.outstanding = true;
     rec.needs_work = false;
 
@@ -768,18 +897,19 @@ class MasterCore final : public RankProgram {
     // NO).  A block still in flight counts: particles queue on the
     // receiving slave until its read lands.
     {
-      std::vector<BlockId> stuck;
+      // Copy: send_force edits the queue.  It only removes the entry it
+      // moves, so every count here stays current.
+      stuck_.clear();
       for (const auto& [b, count] : rec.queued) {
-        if (count > 0 && !has_block(rec, b)) stuck.push_back(b);
+        if (!rec.has_block(b)) stuck_.emplace_back(b, count);
       }
-      for (const BlockId b : stuck) {
+      for (const auto& [b, count] : stuck_) {
         const auto hit = holders_.find(b);
         if (hit == holders_.end()) continue;
-        const std::uint32_t count = rec.queued[b];
         int target = -1;
         for (const int cand : hit->second) {
           if (cand == slave || straggler_flagged(cand)) continue;
-          if (workload(records_[cand]) + count <= overload_limit()) {
+          if (records_[cand].workload + count <= overload_limit()) {
             target = cand;
             break;
           }
@@ -801,23 +931,23 @@ class MasterCore final : public RankProgram {
     // (3) The loads above changed the group's loaded sets: other slaves
     // may now Send_force their stuck particles to S.
     {
-      std::vector<BlockId> held(rec.loaded.begin(), rec.loaded.end());
-      held.insert(held.end(), rec.loading.begin(), rec.loading.end());
-      for (const BlockId b : held) {
+      // send_force leaves S's block lists alone, so they need no copy.
+      const auto take_waiters = [&](BlockId b) {
         const auto qit = queued_idx_.find(b);
-        if (qit == queued_idx_.end()) continue;
+        if (qit == queued_idx_.end()) return;
         // Copy: send_force mutates the index.
-        const std::vector<std::pair<int, std::uint32_t>> waiters(
-            qit->second.begin(), qit->second.end());
-        for (const auto& [other, count] : waiters) {
-          if (other == slave || count == 0) continue;
+        waiters_.assign(qit->second.begin(), qit->second.end());
+        for (const auto& [other, count] : waiters_) {
+          if (other == slave) continue;
           SlaveRecord& orec = records_[other];
-          if (has_block(orec, b)) continue;  // they can run it themselves
-          if (workload(rec) + count > overload_limit()) break;
+          if (orec.has_block(b)) continue;  // they can run it themselves
+          if (rec.workload + count > overload_limit()) break;
           send_force(ctx, other, orec, b, slave);
           assigned = true;
         }
-      }
+      };
+      for (const BlockId b : rec.loaded) take_waiters(b);
+      for (const BlockId b : rec.loading) take_waiters(b);
     }
 
     // (4) Assign_loaded / (5) Assign_unloaded from the master seed pool.
@@ -857,28 +987,27 @@ class MasterCore final : public RankProgram {
     // At most one outstanding hint per starving slave (re-armed by its
     // next status) — unthrottled hinting floods the group.
     if (!assigned && allow_expensive && !rec.hint_requested) {
-      std::vector<int> busiest;
+      busiest_.clear();
       std::uint32_t most = 0;
       for (const auto& [other, orec] : records_) {
         if (other == slave) continue;
-        const std::uint32_t w = workload(orec);
+        const std::uint32_t w = orec.workload;
         if (w > most) {
           most = w;
-          busiest.assign(1, other);
+          busiest_.assign(1, other);
         } else if (w == most && w > 0) {
-          busiest.push_back(other);
+          busiest_.push_back(other);
         }
       }
-      if (!busiest.empty() && most > 0) {
-        const int target = busiest[static_cast<std::size_t>(
-            rng_.next_below(busiest.size()))];
+      if (!busiest_.empty() && most > 0) {
+        const int target = busiest_[static_cast<std::size_t>(
+            rng_.next_below(busiest_.size()))];
+        const SlaveRecord& trec = records_[target];
         Command cmd;
         cmd.type = Command::Type::kSendHint;
         cmd.target = slave;
-        for (const auto& [b, count] : records_[target].queued) {
-          if (count > 0 && !has_block(records_[target], b)) {
-            cmd.hint_blocks.push_back(b);
-          }
+        for (const auto& [b, count] : trec.queued) {
+          if (!trec.has_block(b)) cmd.hint_blocks.push_back(b);
         }
         if (!cmd.hint_blocks.empty()) {
           send_command(ctx, target, std::move(cmd));
@@ -1100,8 +1229,10 @@ class MasterCore final : public RankProgram {
     if (it == records_.end()) return;
     // Purge the record's index entries by applying an empty status, then
     // drop the record: dead slaves take no further part in any rule.
-    apply_status(slave, it->second, StatusUpdate{});
+    StatusUpdate none;
+    apply_status(slave, it->second, none);
     records_.erase(it);
+    audit_indexes();
     last_heard_.erase(slave);
     progress_.erase(slave);
 
@@ -1216,8 +1347,15 @@ class MasterCore final : public RankProgram {
   std::map<int, double> last_heard_;  // heartbeat bookkeeping (§7)
   std::map<int, ProgressTrack> progress_;  // straggler detection (§16)
   // Inverted indexes over the records (see index_* helpers).
-  std::map<BlockId, std::set<int>> holders_;
-  std::map<BlockId, std::map<int, std::uint32_t>> queued_idx_;
+  std::map<BlockId, std::vector<int>> holders_;
+  std::map<BlockId, std::vector<std::pair<int, std::uint32_t>>> queued_idx_;
+  // Buffers reused across calls, so the status diff and the rule pass do
+  // not allocate once warm.
+  std::vector<BlockId> held_before_;
+  std::vector<BlockId> held_after_;
+  std::vector<std::pair<BlockId, std::uint32_t>> stuck_;
+  std::vector<std::pair<int, std::uint32_t>> waiters_;
+  std::vector<int> busiest_;
   std::set<int> dry_masters_;
   bool seed_request_outstanding_ = false;
   int seed_request_target_ = -1;

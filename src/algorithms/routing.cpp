@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <stdexcept>
 
 namespace sf {
@@ -289,16 +290,41 @@ void StreamlineWorker::snapshot(std::vector<Particle>& out) const {
 bool TerminationBoard::merge(int rank, std::uint32_t total) {
   if (total == 0) return false;
   auto [it, inserted] = totals_.try_emplace(rank, total);
-  if (inserted) return true;
+  if (inserted) {
+    sum_ += total;
+    return true;
+  }
   if (total <= it->second) return false;
+  sum_ += total - it->second;
   it->second = total;
   return true;
 }
 
-std::uint64_t TerminationBoard::sum() const {
-  std::uint64_t n = 0;
-  for (const auto& [rank, total] : totals_) n += total;
-  return n;
+bool TerminationBoard::merge(
+    std::span<const std::pair<int, std::uint32_t>> report) {
+  bool rose = false;
+  auto it = totals_.begin();
+  for (const auto& [rank, total] : report) {
+    if (total == 0) continue;
+    // Walk `it` to the first entry at or after `rank`.  In a by-rank
+    // report that is the previous entry's successor; only a gap in the
+    // report, or a report out of order, needs the log-time lookup.
+    if (it != totals_.end() && it->first < rank) ++it;
+    if ((it != totals_.end() && it->first < rank) ||
+        (it != totals_.begin() && std::prev(it)->first >= rank)) {
+      it = totals_.lower_bound(rank);
+    }
+    if (it == totals_.end() || it->first != rank) {
+      it = totals_.emplace_hint(it, rank, total);
+      sum_ += total;
+      rose = true;
+    } else if (total > it->second) {
+      sum_ += total - it->second;
+      it->second = total;
+      rose = true;
+    }
+  }
+  return rose;
 }
 
 }  // namespace sf

@@ -217,17 +217,22 @@ class StreamlineWorker {
 // streamline count (§4.1) and the hybrid coordinators' survivable board
 // (DESIGN.md §11).  Reports are cumulative, so merging keeps the maximum:
 // a duplicated, re-ordered, stale or zero report changes nothing, and the
-// global done count is the sum of the board.
+// global done count is the sum of the board, kept as a running total.
 class TerminationBoard {
  public:
   // Raise `rank`'s total to `total`.  True iff the total rose.
   bool merge(int rank, std::uint32_t total);
-  std::uint64_t sum() const;
+  // Merge a whole report (a peer's board).  True iff any total rose.  One
+  // forward pass over the board when the report is sorted by rank, as a
+  // published board is; any order gives the same result.
+  bool merge(std::span<const std::pair<int, std::uint32_t>> report);
+  std::uint64_t sum() const { return sum_; }
   // Every rank with a nonzero total, by rank.
   const std::map<int, std::uint32_t>& totals() const { return totals_; }
 
  private:
   std::map<int, std::uint32_t> totals_;
+  std::uint64_t sum_ = 0;  // the sum of totals_
 };
 
 }  // namespace sf

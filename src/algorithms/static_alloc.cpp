@@ -51,7 +51,7 @@ class StaticProgram final : public RankProgram {
     } else if (auto* term = std::get_if<TerminationCount>(&msg.payload)) {
       // A worker's cumulative report, or the runtime's full-ledger
       // recount delivered to us as the new acting counter after a crash.
-      for (const auto& [r, total] : term->totals) board_.merge(r, total);
+      board_.merge(term->totals);
       maybe_finish(ctx);
     } else if (std::holds_alternative<DoneSignal>(msg.payload)) {
       finished_ = true;

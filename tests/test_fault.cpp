@@ -536,6 +536,30 @@ TEST(ControlPlane, DropsAreRetransmittedAndDeduplicated) {
                         "control-drops-vs-clean");
 }
 
+TEST(ControlPlane, SlaveDeathUnderDropsKeepsParticlesIdentical) {
+  // A hybrid slave dies while the lossy control plane bounces seed
+  // assignments: the master takes bounced assignments back and declares
+  // the silent slave dead.  Both paths edit the master's scheduling
+  // indexes, which Debug builds audit after every edit.
+  const FaultWorld fw;
+  const RunMetrics clean =
+      fw.run(fw.config(Algorithm::kHybridMasterSlave, 9));
+  ASSERT_FALSE(clean.failed_oom);
+
+  auto cfg = fw.config(Algorithm::kHybridMasterSlave, 9);
+  cfg.runtime.fault.crashes = {{0.3 * clean.wall_clock, 2}};
+  cfg.runtime.fault.message_drop_rate = 0.2;
+  const RunMetrics m = fw.run(cfg);
+
+  ASSERT_FALSE(m.failed_oom);
+  ASSERT_FALSE(m.failed_fault);
+  EXPECT_EQ(m.fault.crashes_survived, 1u);
+  EXPECT_GT(m.fault.messages_dropped, 0u);
+  EXPECT_GT(m.fault.particles_recovered, 0u);
+  expect_same_particles(clean.particles, m.particles,
+                        "slave-death-under-drops-vs-clean");
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint / restart
 

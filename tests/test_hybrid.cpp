@@ -283,6 +283,37 @@ TEST(Hybrid, TreeLayoutIsBehaviorPreserving) {
   EXPECT_EQ(tree.ranks[1].steps, 0u);
 }
 
+TEST(Hybrid, TreeLayoutModelledOutputIsPinned) {
+  // Golden: the hybrid's modelled output on a tree layout, pinned to the
+  // exact values so a change to the coordinators' bookkeeping cannot move
+  // a single message.  150 ranks at W=4 / fanout=4 give 8 roots, 30 leaf
+  // masters and 112 slaves; a dense cluster plus a random spread over a
+  // small cache, with NL lowered, makes every rule of §4.3 fire.
+  auto w = sf::testing::rotor_world(4);
+  Rng rng(77);
+  auto seeds = random_seeds(w.dataset->bounds(), 600, rng);
+  const auto cluster =
+      cluster_seeds({1.0, 1.0, 1.0}, 0.1, 400, rng, w.dataset->bounds());
+  seeds.insert(seeds.end(), cluster.begin(), cluster.end());
+
+  auto cfg = test_config(Algorithm::kHybridMasterSlave, 150);
+  cfg.runtime.cache_blocks = 4;
+  cfg.hybrid.slaves_per_master = 4;
+  cfg.hybrid.root_fanout = 4;
+  cfg.hybrid.load_threshold = 8;
+  ASSERT_EQ(HybridLayout::make(150, 4, 4).num_roots, 8);
+  const RunMetrics m = run_experiment(cfg, w.decomp(), *w.source, seeds);
+  ASSERT_FALSE(m.failed_oom);
+  ASSERT_EQ(m.particles.size(), seeds.size());
+
+  EXPECT_EQ(m.wall_clock, 0.36796619600000074);
+  EXPECT_EQ(m.total_messages(), 21832u);
+  EXPECT_EQ(m.total_control_messages(), 18498u);
+  EXPECT_EQ(m.total_bytes_sent(), 31258312u);
+  EXPECT_EQ(m.ranks[0].bytes_received, 28976u);
+  EXPECT_EQ(m.total_steps(), 92566u);
+}
+
 TEST(Hybrid, TwoRanksMinimumWorks) {
   auto w = sf::testing::rotor_world(2);
   Rng rng(41);

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <numeric>
+#include <utility>
+#include <vector>
+
 #include "core/analytic_fields.hpp"
+#include "core/rng.hpp"
 
 namespace sf {
 namespace {
@@ -139,6 +146,122 @@ TEST(TerminationBoard, ReorderedReportsReachTheSameBoard) {
   EXPECT_EQ(in_order.sum(), 11u);
   EXPECT_EQ(reversed.sum(), 11u);
   EXPECT_EQ(in_order.totals(), reversed.totals());
+}
+
+using Report = std::vector<std::pair<int, std::uint32_t>>;
+
+std::uint64_t sum_of(const std::map<int, std::uint32_t>& totals) {
+  std::uint64_t n = 0;
+  for (const auto& [rank, total] : totals) n += total;
+  return n;
+}
+
+// Apply one report: a single entry through merge(rank, total), anything
+// longer through the whole-board merge.
+bool apply(TerminationBoard& board, const Report& report) {
+  if (report.size() == 1) {
+    return board.merge(report[0].first, report[0].second);
+  }
+  return board.merge(report);
+}
+
+// Thousands of random reports as the coordinators see them: single
+// entries and whole boards (sorted by rank like a published board, or
+// not), from ranks up to 16K, carrying rising, duplicated, stale and zero
+// totals.
+std::vector<Report> random_reports(Rng& rng) {
+  constexpr int kRanks = 16384;
+  std::vector<std::uint32_t> truth(kRanks, 0);  // each rank's real total
+  std::vector<Report> reports;
+  for (int i = 0; i < 2000; ++i) {
+    Report report;
+    const bool board = rng.next_below(3) == 0;
+    const int first = static_cast<int>(rng.next_below(kRanks));
+    const int len = board ? 1 + static_cast<int>(rng.next_below(64)) : 1;
+    for (int k = 0; k < len; ++k) {
+      // Boards cover a run of nearby ranks, with gaps, like a subtree.
+      const int offset = k * (1 + static_cast<int>(rng.next_below(3)));
+      const int rank = (first + offset) % kRanks;
+      std::uint32_t& real = truth[static_cast<std::size_t>(rank)];
+      std::uint32_t total = 0;
+      switch (rng.next_below(4)) {
+        case 0:  // rising
+          real += 1 + static_cast<std::uint32_t>(rng.next_below(50));
+          total = real;
+          break;
+        case 1:  // duplicate
+          total = real;
+          break;
+        case 2:  // stale
+          total = static_cast<std::uint32_t>(rng.next_below(real + 1));
+          break;
+        default:  // zero
+          break;
+      }
+      report.emplace_back(rank, total);
+    }
+    if (board && rng.next_below(2) == 0) {
+      std::sort(report.begin(), report.end());
+    }
+    reports.push_back(std::move(report));
+  }
+  return reports;
+}
+
+TEST(TerminationBoard, RandomReportsKeepTheSumAndTheMaximum) {
+  Rng rng(2009);
+  const std::vector<Report> reports = random_reports(rng);
+  TerminationBoard board;
+  std::map<int, std::uint32_t> expected;  // max-merge, done by hand
+  for (const Report& report : reports) {
+    bool should_rise = false;
+    for (const auto& [rank, total] : report) {
+      if (total == 0) continue;
+      std::uint32_t& e = expected[rank];
+      if (total > e) {
+        e = total;
+        should_rise = true;
+      }
+    }
+    ASSERT_EQ(apply(board, report), should_rise);
+    ASSERT_EQ(board.sum(), sum_of(board.totals()));
+  }
+  EXPECT_EQ(board.totals(), expected);
+  EXPECT_GT(board.totals().size(), 2000u);
+
+  // Any order of the same reports reaches the same board.
+  for (int trial = 0; trial < 3; ++trial) {
+    std::vector<std::size_t> order(reports.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    for (std::size_t i = order.size() - 1; i > 0; --i) {
+      std::swap(order[i], order[rng.next_below(i + 1)]);
+    }
+    TerminationBoard shuffled;
+    for (const std::size_t i : order) {
+      apply(shuffled, reports[i]);
+      ASSERT_EQ(shuffled.sum(), sum_of(shuffled.totals()));
+    }
+    EXPECT_EQ(shuffled.totals(), board.totals()) << "trial " << trial;
+    EXPECT_EQ(shuffled.sum(), board.sum()) << "trial " << trial;
+  }
+}
+
+TEST(TerminationBoard, BoardMergeEqualsEntryByEntryMerge) {
+  // A published board merged whole lands where its entries merged one at
+  // a time land, including entries the receiving board lacks and ranks
+  // it has that the report skips.
+  TerminationBoard whole;
+  TerminationBoard single;
+  for (const auto& [rank, total] : Report{{1, 5}, {4, 2}, {9, 7}}) {
+    whole.merge(rank, total);
+    single.merge(rank, total);
+  }
+  const Report board{{0, 3}, {1, 4}, {2, 6}, {4, 9}, {5, 0}, {12, 1}};
+  EXPECT_TRUE(whole.merge(board));
+  for (const auto& [rank, total] : board) single.merge(rank, total);
+  EXPECT_EQ(whole.totals(), single.totals());
+  EXPECT_EQ(whole.sum(), 3u + 5u + 6u + 9u + 7u + 1u);
+  EXPECT_FALSE(whole.merge(board));  // a re-report raises nothing
 }
 
 }  // namespace
