@@ -84,15 +84,4 @@ std::vector<Vec3> StructuredGrid::data() const {
   return nodes;
 }
 
-void StructuredGrid::set_data(const std::vector<Vec3>& nodes) {
-  if (nodes.size() != xs_.size()) {
-    throw std::invalid_argument("StructuredGrid::set_data: size mismatch");
-  }
-  for (std::size_t n = 0; n < nodes.size(); ++n) {
-    xs_[n] = nodes[n].x;
-    ys_[n] = nodes[n].y;
-    zs_[n] = nodes[n].z;
-  }
-}
-
 }  // namespace sf

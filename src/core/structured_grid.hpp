@@ -12,8 +12,10 @@
 // sample() and the cursor fast path go through the same inline kernels
 // below so their results are bit-identical.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/field.hpp"
@@ -113,12 +115,17 @@ class StructuredGrid final : public VectorField {
   bool sample(const Vec3& p, Vec3& out) const override;
   AABB bounds() const override { return bounds_; }
 
-  // AoS adapters for serialization: data() snapshots the nodes as
-  // x0 y0 z0 x1 y1 z1 ... in k-major order (the BlockStore on-disk
-  // payload, unchanged from the AoS layout), set_data scatters such a
-  // snapshot back into the component arrays.
+  // The component arrays x, y, z as spans, k-major node order.  The
+  // mutable overload is the one way to fill a grid in place: BlockStore
+  // reads its on-disk payload (these three arrays, in this order)
+  // straight into it.
+  std::array<std::span<const double>, 3> components() const {
+    return {xs_, ys_, zs_};
+  }
+  std::array<std::span<double>, 3> components() { return {xs_, ys_, zs_}; }
+
+  // AoS snapshot of the nodes, x0 y0 z0 x1 y1 z1 ... in k-major order.
   std::vector<Vec3> data() const;
-  void set_data(const std::vector<Vec3>& nodes);
 
   // Bytes of node payload (what BlockStore writes for this grid).
   std::size_t payload_bytes() const { return xs_.size() * sizeof(Vec3); }

@@ -1,26 +1,21 @@
 #include "io/block_store.hpp"
 
 #include <fstream>
-#include <sstream>
+#include <limits>
+#include <span>
 #include <stdexcept>
 
+#include "io/checksum.hpp"
 #include "io/io_error.hpp"
 
 namespace sf {
 
 namespace {
 
-constexpr char kMagic[8] = {'S', 'F', 'B', 'L', 'K', '0', '1', '\n'};
-
-std::uint64_t fnv1a(const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+// v2 stores the payload as the grid's three SoA component arrays, x then
+// y then z, under the word-parallel checksum; v1 files (AoS payload,
+// bytewise FNV-1a) are rejected as bad magic.
+constexpr char kMagic[8] = {'S', 'F', 'B', 'L', 'K', '0', '2', '\n'};
 
 struct BlockHeader {
   char magic[8];
@@ -30,6 +25,16 @@ struct BlockHeader {
   std::int32_t pad = 0;
   std::uint64_t payload_checksum;
 };
+
+// The three component arrays chained through the checksum seed, in file
+// order, so a change in any one word of any array is detected.
+std::uint64_t payload_checksum(const StructuredGrid& grid) {
+  std::uint64_t h = 0;
+  for (const std::span<const double> c : grid.components()) {
+    h = checksum64(c.data(), c.size_bytes(), h);
+  }
+  return h;
+}
 
 }  // namespace
 
@@ -70,10 +75,7 @@ void BlockStore::write(const std::filesystem::path& dir,
     h.nx = grid->nx();
     h.ny = grid->ny();
     h.nz = grid->nz();
-    // On-disk payload stays the AoS node order; data() snapshots the SoA
-    // component arrays into exactly that layout.
-    const std::vector<Vec3> nodes = grid->data();
-    h.payload_checksum = fnv1a(nodes.data(), grid->payload_bytes());
+    h.payload_checksum = payload_checksum(*grid);
 
     std::ofstream f(dir / ("block_" + std::to_string(id) + ".blk"),
                     std::ios::binary);
@@ -82,8 +84,10 @@ void BlockStore::write(const std::filesystem::path& dir,
                                std::to_string(id));
     }
     f.write(reinterpret_cast<const char*>(&h), sizeof(h));
-    f.write(reinterpret_cast<const char*>(nodes.data()),
-            static_cast<std::streamsize>(grid->payload_bytes()));
+    for (const std::span<const double> c : grid->components()) {
+      f.write(reinterpret_cast<const char*>(c.data()),
+              static_cast<std::streamsize>(c.size_bytes()));
+    }
   }
 }
 
@@ -112,8 +116,18 @@ BlockStore::BlockStore(std::filesystem::path dir) : dir_(std::move(dir)) {
       std::getline(manifest, line);  // skip unknown keys
     }
   }
-  if (nbx < 1 || nodes_per_axis_ < 2) {
+  if (nbx < 1 || nodes_per_axis_ < 2 || ghost_cells_ < 0) {
     throw std::runtime_error("BlockStore: manifest incomplete");
+  }
+  // A block's payload (n^3 nodes) must be addressable; load_block sizes
+  // its reads from this.
+  const std::uint64_t n = static_cast<std::uint64_t>(nodes_per_axis_) +
+                          2 * static_cast<std::uint64_t>(ghost_cells_);
+  const std::uint64_t max_nodes =
+      (std::numeric_limits<std::uint64_t>::max() - sizeof(BlockHeader)) /
+      sizeof(Vec3);
+  if (n > max_nodes / n / n) {
+    throw std::runtime_error("BlockStore: manifest block size overflows");
   }
   decomp_.emplace(AABB{lo, hi}, nbx, nby, nbz);
 }
@@ -126,36 +140,54 @@ GridPtr BlockStore::load_block(BlockId id) const {
   if (id < 0 || id >= num_blocks()) {
     throw std::out_of_range("BlockStore::load_block: bad id");
   }
-  std::ifstream f(block_path(id), std::ios::binary);
+  const std::filesystem::path path = block_path(id);
+  std::ifstream f(path, std::ios::binary);
   if (!f) {
     throw BlockReadError(BlockReadError::Kind::kMissing, id,
-                         "BlockStore: missing block file " +
-                             block_path(id).string());
+                         "BlockStore: missing block file " + path.string());
   }
   BlockHeader h{};
   f.read(reinterpret_cast<char*>(&h), sizeof(h));
   if (!f || !std::equal(std::begin(kMagic), std::end(kMagic), h.magic)) {
     throw BlockReadError(BlockReadError::Kind::kBadMagic, id,
-                         "BlockStore: bad magic in " +
-                             block_path(id).string());
+                         "BlockStore: bad magic in " + path.string());
   }
-  auto grid = std::make_shared<StructuredGrid>(
-      AABB{{h.lo[0], h.lo[1], h.lo[2]}, {h.hi[0], h.hi[1], h.hi[2]}}, h.nx,
-      h.ny, h.nz);
-  std::vector<Vec3> nodes(grid->num_nodes());
-  f.read(reinterpret_cast<char*>(nodes.data()),
-         static_cast<std::streamsize>(grid->payload_bytes()));
+  // The checksum does not cover the header: check its dims and bounds
+  // against the manifest, and the file size against header plus payload,
+  // before allocating anything.
+  const int n = nodes_per_axis_ + 2 * ghost_cells_;
+  const AABB bounds{{h.lo[0], h.lo[1], h.lo[2]}, {h.hi[0], h.hi[1], h.hi[2]}};
+  if (h.nx != n || h.ny != n || h.nz != n ||
+      bounds != decomp_->ghost_bounds(id, nodes_per_axis_, ghost_cells_)) {
+    throw BlockReadError(BlockReadError::Kind::kCorrupt, id,
+                         "BlockStore: header does not match the manifest in " +
+                             path.string());
+  }
+  const std::uint64_t nodes = static_cast<std::uint64_t>(n) * n * n;
+  const std::uint64_t expected = sizeof(h) + nodes * sizeof(Vec3);
+  std::error_code ec;
+  const std::uint64_t actual = std::filesystem::file_size(path, ec);
+  if (ec || actual < expected) {
+    throw BlockReadError(BlockReadError::Kind::kTruncated, id,
+                         "BlockStore: truncated block " + path.string());
+  }
+  if (actual > expected) {
+    throw BlockReadError(BlockReadError::Kind::kCorrupt, id,
+                         "BlockStore: trailing bytes in " + path.string());
+  }
+  auto grid = std::make_shared<StructuredGrid>(bounds, n, n, n);
+  for (const std::span<double> c : grid->components()) {
+    f.read(reinterpret_cast<char*>(c.data()),
+           static_cast<std::streamsize>(c.size_bytes()));
+  }
   if (!f) {
     throw BlockReadError(BlockReadError::Kind::kTruncated, id,
-                         "BlockStore: truncated block " +
-                             block_path(id).string());
+                         "BlockStore: truncated block " + path.string());
   }
-  if (fnv1a(nodes.data(), grid->payload_bytes()) != h.payload_checksum) {
+  if (payload_checksum(*grid) != h.payload_checksum) {
     throw BlockReadError(BlockReadError::Kind::kCorrupt, id,
-                         "BlockStore: checksum mismatch in " +
-                             block_path(id).string());
+                         "BlockStore: checksum mismatch in " + path.string());
   }
-  grid->set_data(nodes);
   return grid;
 }
 

@@ -40,10 +40,13 @@ class BlockStore {
     return decomp_->num_blocks();
   }
 
-  // Read one block from disk.  Verifies the payload checksum; throws a
-  // typed BlockReadError (io/io_error.hpp) on a missing file, bad
-  // header, truncation or checksum mismatch, so retry machinery can
-  // distinguish recoverable read faults from structural ones.
+  // Read one block from disk, straight into the grid's component arrays.
+  // Checks the header against the manifest and the file size before
+  // allocating, then verifies the payload checksum; throws a typed
+  // BlockReadError (io/io_error.hpp) on a missing file, bad magic, a
+  // header that disagrees with the manifest, truncation or checksum
+  // mismatch, so retry machinery can distinguish recoverable read faults
+  // from structural ones.
   GridPtr load_block(BlockId id) const;
 
   // Size of the block file on disk.

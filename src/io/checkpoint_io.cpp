@@ -6,24 +6,18 @@
 #include <string>
 #include <vector>
 
+#include "io/checksum.hpp"
+
 namespace sf {
 
 namespace {
 
 // Format v2 added the run-topology stamp (algorithm tag + dataset hash)
 // after num_ranks; v3 added the owning-query tag to every particle
-// record (src/service).  Older files are rejected with a clear error.
-constexpr char kMagic[8] = {'S', 'F', 'C', 'K', 'P', 'T', '3', '\n'};
-
-std::uint64_t fnv1a(const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+// record (src/service); v4 replaced the bytewise FNV-1a payload checksum
+// with the word-parallel one in io/checksum.hpp.  Older files are
+// rejected with a clear error.
+constexpr char kMagic[8] = {'S', 'F', 'C', 'K', 'P', 'T', '4', '\n'};
 
 struct CheckpointHeader {
   char magic[8];
@@ -150,7 +144,7 @@ void write_checkpoint(const std::filesystem::path& path,
   CheckpointHeader h{};
   std::copy(std::begin(kMagic), std::end(kMagic), h.magic);
   h.payload_bytes = w.bytes().size();
-  h.payload_checksum = fnv1a(w.bytes().data(), w.bytes().size());
+  h.payload_checksum = checksum64(w.bytes().data(), w.bytes().size());
 
   if (path.has_parent_path()) {
     std::filesystem::create_directories(path.parent_path());
@@ -182,7 +176,7 @@ Checkpoint read_checkpoint(const std::filesystem::path& path) {
     if (f && std::memcmp(h.magic, "SFCKPT", 6) == 0) {
       throw std::runtime_error(
           "checkpoint: " + path.string() +
-          " uses an unsupported format version (expected SFCKPT3)");
+          " uses an unsupported format version (expected SFCKPT4)");
     }
     throw std::runtime_error("checkpoint: bad magic in " + path.string());
   }
@@ -196,7 +190,7 @@ Checkpoint read_checkpoint(const std::filesystem::path& path) {
     // header length.  Either way the file is not what was written.
     throw std::runtime_error("checkpoint: trailing bytes in " + path.string());
   }
-  if (fnv1a(payload.data(), payload.size()) != h.payload_checksum) {
+  if (checksum64(payload.data(), payload.size()) != h.payload_checksum) {
     throw std::runtime_error("checkpoint: checksum mismatch in " +
                              path.string());
   }

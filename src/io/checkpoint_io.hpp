@@ -2,10 +2,11 @@
 
 // Binary checkpoint files.
 //
-// Layout: 8-byte magic, a fixed header carrying the payload size and an
-// FNV-1a checksum of the payload, then the payload itself — field-by-field
-// little-endian particle records and per-rank sections (no struct padding
-// on disk, unlike block files, because a Checkpoint nests vectors).
+// Layout: 8-byte magic, a fixed header carrying the payload size and a
+// checksum of the payload (io/checksum.hpp), then the payload itself —
+// field-by-field little-endian particle records and per-rank sections
+// (no struct padding on disk, unlike block files, because a Checkpoint
+// nests vectors).
 // Writes go through a temp file + rename so a crash mid-write never
 // leaves a truncated checkpoint behind the latest good one.
 

@@ -1,6 +1,6 @@
-// Corrupted checkpoint files must be rejected by the FNV-1a checksum (or
-// the structural checks around it) with a clear error — never
-// deserialized into garbage particles.
+// Corrupted checkpoint files must be rejected by the payload checksum
+// (io/checksum.hpp), or the structural checks around it, with a clear
+// error — never deserialized into garbage particles.
 
 #include <gtest/gtest.h>
 
@@ -143,6 +143,18 @@ TEST_F(CheckpointCorruptionTest, BitFlippedMagicRejected) {
   dump(bytes);
   const std::string err = read_error();
   EXPECT_NE(err.find("bad magic"), std::string::npos) << err;
+}
+
+TEST_F(CheckpointCorruptionTest, OlderFormatVersionRejected) {
+  // An SFCKPT3 file (bytewise FNV-1a checksum) gets the version error,
+  // not a checksum mismatch.
+  std::vector<char> bytes = slurp();
+  ASSERT_EQ(bytes[6], '4');
+  bytes[6] = '3';
+  dump(bytes);
+  const std::string err = read_error();
+  EXPECT_NE(err.find("unsupported format version"), std::string::npos)
+      << err;
 }
 
 TEST_F(CheckpointCorruptionTest, TrailingGarbageRejected) {

@@ -26,11 +26,11 @@ TraceLimits limits() {
   return {.max_time = 15.0, .max_steps = 1500, .min_speed = 1e-8};
 }
 
-RunMetrics run_threads_metrics(Algorithm algo, int ranks,
-                               const sf::testing::TestWorld& w,
-                               const std::vector<Vec3>& seeds,
-                               const BlockSource& source,
-                               std::uint64_t fuzz_seed = 0) {
+RunMetrics run_threads_with(Algorithm algo, const ThreadRuntimeConfig& cfg,
+                            const sf::testing::TestWorld& w,
+                            const std::vector<Vec3>& seeds,
+                            const BlockSource& source) {
+  const int ranks = cfg.num_ranks;
   std::vector<Particle> rejected;
   std::vector<Particle> particles =
       make_particles(w.decomp(), seeds, rejected);
@@ -61,8 +61,6 @@ RunMetrics run_threads_metrics(Algorithm algo, int ranks,
     }
   }
 
-  ThreadRuntimeConfig cfg = thread_config(ranks);
-  cfg.schedule_fuzz_seed = fuzz_seed;
   ThreadRuntime rt(cfg, &w.decomp(), &source, iparams(), limits());
   RunMetrics m = rt.run(factory);
   EXPECT_FALSE(m.failed_oom);
@@ -70,6 +68,16 @@ RunMetrics run_threads_metrics(Algorithm algo, int ranks,
   std::sort(m.particles.begin(), m.particles.end(),
             [](const Particle& a, const Particle& b) { return a.id < b.id; });
   return m;
+}
+
+RunMetrics run_threads_metrics(Algorithm algo, int ranks,
+                               const sf::testing::TestWorld& w,
+                               const std::vector<Vec3>& seeds,
+                               const BlockSource& source,
+                               std::uint64_t fuzz_seed = 0) {
+  ThreadRuntimeConfig cfg = thread_config(ranks);
+  cfg.schedule_fuzz_seed = fuzz_seed;
+  return run_threads_with(algo, cfg, w, seeds, source);
 }
 
 std::vector<Particle> run_threads(Algorithm algo, int ranks,
@@ -145,6 +153,47 @@ TEST(ThreadRuntime, RealDiskIoEndToEnd) {
   ASSERT_EQ(from_disk.size(), serial.size());
   for (std::size_t i = 0; i < from_disk.size(); ++i) {
     EXPECT_EQ(from_disk[i].steps, serial[i].steps);
+  }
+  fs::remove_all(dir);
+}
+
+// The threads_ooc path: hybrid on real threads over block files, with
+// one async loader worker reading and verifying blocks while the rank
+// threads trace, and a cache smaller than the block count so blocks are
+// evicted and read again.  Runs under the thread sanitizer in CI.
+TEST(ThreadRuntime, HybridAsyncDiskIoMatchesSerialBitForBit) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("sf_threads_async_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+
+  auto w = sf::testing::rotor_world(3);
+  BlockStore::write(dir, *w.dataset);
+  const DiskBlockSource disk_source(std::make_shared<BlockStore>(dir));
+
+  ThreadRuntimeConfig cfg = thread_config(5);
+  cfg.cache_blocks = 4;
+  cfg.async_io.enabled = true;
+  cfg.async_io.workers = 1;
+  ASSERT_LT(cfg.cache_blocks,
+            static_cast<std::size_t>(w.decomp().num_blocks()));
+
+  Rng rng(23);
+  const auto seeds = random_seeds(w.dataset->bounds(), 24, rng);
+  const RunMetrics m = run_threads_with(Algorithm::kHybridMasterSlave, cfg,
+                                        w, seeds, disk_source);
+  EXPECT_GT(m.total_blocks_purged(), 0u);
+  const auto serial = trace_all(*w.dataset, seeds, iparams(), limits());
+  ASSERT_EQ(m.particles.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(m.particles[i].id, serial[i].id) << i;
+    EXPECT_EQ(m.particles[i].status, serial[i].status) << i;
+    EXPECT_EQ(m.particles[i].steps, serial[i].steps) << i;
+    EXPECT_EQ(m.particles[i].pos.x, serial[i].pos.x) << i;
+    EXPECT_EQ(m.particles[i].pos.y, serial[i].pos.y) << i;
+    EXPECT_EQ(m.particles[i].pos.z, serial[i].pos.z) << i;
+    EXPECT_EQ(m.particles[i].time, serial[i].time) << i;
   }
   fs::remove_all(dir);
 }
