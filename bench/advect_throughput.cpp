@@ -1,10 +1,14 @@
 // Advection-core throughput bench (the regression gate for the fast
 // path, see DESIGN.md §9).
 //
-// Measures particle-steps per second of the three advancement kernels
-//   reference : Tracer::advance_reference — virtual VectorField::sample
-//               per stage, BlockAccessFn lookup per accepted step
-//   cursor    : Tracer::advance — block cursor + GridSampler cell cursor
+// Measures particle-steps per second of the advancement kernels
+//   reference : advance_reference, the frozen oracle in
+//               tests/support/reference_advance.hpp — virtual
+//               VectorField::sample per stage, BlockAccessFn lookup per
+//               accepted step
+//   cursor    : Tracer::advance_batch on one-particle spans, one
+//               particle after another — block cursor + GridSampler cell
+//               cursor, no cohort to share a block load with
 //   batched   : Tracer::advance_batch — per-block rounds over the whole
 //               cohort, sharing one cursor per round (scalar kernel
 //               forced, so it stays the like-for-like baseline)
@@ -62,6 +66,7 @@
 #include "core/seeds.hpp"
 #include "core/tracer.hpp"
 #include "runtime/block_cache.hpp"
+#include "support/reference_advance.hpp"
 
 namespace {
 
@@ -292,11 +297,15 @@ int main(int argc, char** argv) {
         c.run = std::move(run);
         cells.push_back(std::move(c));
       };
-      add("reference", [&tracer, &access](std::vector<sf::Particle>& ps) {
-        for (sf::Particle& p : ps) tracer.advance_reference(p, access);
-      });
+      add("reference",
+          [&decomp, &tracer, &access](std::vector<sf::Particle>& ps) {
+            for (sf::Particle& p : ps) {
+              sf::advance_reference(&decomp, tracer.integrator_params(),
+                                    tracer.limits(), p, access);
+            }
+          });
       add("cursor", [&tracer, &access](std::vector<sf::Particle>& ps) {
-        for (sf::Particle& p : ps) tracer.advance(p, access);
+        for (sf::Particle& p : ps) tracer.advance_batch({&p, 1}, access);
       });
       add("batched", [&tracer, &access](std::vector<sf::Particle>& ps) {
         tracer.advance_batch(ps, access);

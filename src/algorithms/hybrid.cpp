@@ -1755,11 +1755,6 @@ class HybridSlave final : public RankProgram {
 // Factory
 // ---------------------------------------------------------------------------
 
-std::vector<std::vector<Particle>> partition_for_masters(
-    int num_masters, std::vector<Particle> particles) {
-  return split_evenly(num_masters, std::move(particles));
-}
-
 ProgramFactory make_hybrid(const BlockDecomposition* decomp,
                            std::vector<std::vector<Particle>> seeds_per_master,
                            std::uint32_t total_active, HybridParams params) {

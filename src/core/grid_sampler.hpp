@@ -87,7 +87,7 @@ class GridSampler {
   double cx_[8] = {}, cy_[8] = {}, cz_[8] = {};
 };
 
-// Cursor overloads of the steppers, defined inline here (not in
+// Cursor overloads of the stepper, defined inline here (not in
 // integrator.cpp) so the whole step — stage arithmetic and cursor
 // sampling — inlines into the tracer's advance loop.  The declarations
 // live in integrator.hpp; callers need this header for the definitions.
@@ -110,15 +110,6 @@ inline StepResult dopri5_step(GridSampler& sampler, const Vec3& k0,
         return sampler.sample(ps, out);
       },
       p, t, h, params, &k0);
-}
-
-inline StepResult rk4_step(GridSampler& sampler, const Vec3& p, double t,
-                           double h) {
-  return integrator_detail::rk4_step_impl(
-      [&sampler](const Vec3& ps, double, Vec3& out) {
-        return sampler.sample(ps, out);
-      },
-      p, t, h);
 }
 
 }  // namespace sf

@@ -4,14 +4,13 @@
 //
 // The production scheme is the Dormand–Prince embedded Runge–Kutta 5(4)
 // pair with adaptive step-size control (the scheme the paper uses, citing
-// Prince & Dormand 1981).  A fixed-step classic RK4 is provided as a
-// baseline and for convergence tests.
+// Prince & Dormand 1981).
 //
-// The step bodies are templates over a sampler callable (see
+// The step body is a template over a sampler callable (see
 // integrator_detail below) so the advection fast path can instantiate
-// them against a non-virtual GridSampler cursor; the VectorField
-// overloads wrap the same bodies around a virtual sample() call and are
-// bit-identical in arithmetic.
+// it against a non-virtual GridSampler cursor; the VectorField and
+// UnsteadySampleFn overloads wrap the same body and are bit-identical
+// in arithmetic.
 
 #include <algorithm>
 #include <cmath>
@@ -86,81 +85,10 @@ inline constexpr double kSafety = 0.9;
 inline constexpr double kMinScale = 0.2;
 inline constexpr double kMaxScale = 5.0;
 
-// Historical adaptive-step body; Sampler is bool(const Vec3&, double,
-// Vec3&).  The triangular stage loop below is the kernel as it shipped
-// before the fast advection core: kept verbatim as the oracle for the
-// golden bit-identity test and as the performance baseline behind
-// dopri5_step_reference / Tracer::advance_reference.  Production
-// overloads use dopri5_step_impl_fast instead.
-template <typename Sampler>
-StepResult dopri5_step_impl(Sampler&& sample, const Vec3& p, double t,
-                            double h, const IntegratorParams& params) {
-  StepResult r;
-  h = std::clamp(h, params.h_min, params.h_max);
-
-  for (;;) {
-    Vec3 k[7];
-    bool sample_ok = true;
-    for (int s = 0; s < 7 && sample_ok; ++s) {
-      Vec3 ps = p;
-      for (int j = 0; j < s; ++j) ps += k[j] * (h * kA[s][j]);
-      ++r.n_evals;
-      sample_ok = sample(ps, t + kC[s] * h, k[s]);
-    }
-
-    if (!sample_ok) {
-      // A stage left the data; shrink and retry, fail below h_min.
-      if (h <= params.h_min * (1.0 + 1e-12)) {
-        r.status = StepStatus::kSampleFailed;
-        r.h_next = h;
-        return r;
-      }
-      h = std::max(h * kShrink, params.h_min);
-      continue;
-    }
-
-    Vec3 p_new = p;
-    Vec3 err{};
-    for (int s = 0; s < 7; ++s) {
-      p_new += k[s] * (h * kB5[s]);
-      err += k[s] * (h * kE[s]);
-    }
-
-    // Scaled RMS error against tol * (1 + |p|) per component.
-    double sum = 0.0;
-    for (int c = 0; c < 3; ++c) {
-      const double scale =
-          params.tol * (1.0 + std::max(std::abs(p[c]), std::abs(p_new[c])));
-      const double q = err[c] / scale;
-      sum += q * q;
-    }
-    const double enorm = std::sqrt(sum / 3.0);
-
-    if (enorm <= 1.0 || h <= params.h_min * (1.0 + 1e-12)) {
-      // Accept (steps at h_min are always accepted to guarantee progress).
-      r.status = StepStatus::kOk;
-      r.p = p_new;
-      r.t = t + h;
-      r.h_used = h;
-      const double scale =
-          enorm > 0.0
-              ? std::clamp(kSafety * std::pow(enorm, -0.2), kMinScale,
-                           kMaxScale)
-              : kMaxScale;
-      r.h_next = std::clamp(h * scale, params.h_min, params.h_max);
-      return r;
-    }
-
-    // Reject: shrink per the controller and retry.
-    const double scale =
-        std::clamp(kSafety * std::pow(enorm, -0.2), kMinScale, 1.0);
-    h = std::max(h * scale, params.h_min);
-  }
-}
-
-// The same step with the stage positions hand-unrolled.  Arithmetic is
-// IDENTICAL to dopri5_step_impl — each stage position is the same
-// left-associated sum p + k[0]*(h*a0) + k[1]*(h*a1) + ... that the
+// Adaptive DOPRI5 step with the stage positions hand-unrolled.
+// Arithmetic is IDENTICAL to the looped oracle in
+// tests/support/reference_advance.hpp — each stage position is the same
+// left-associated sum p + k[0]*(h*a0) + k[1]*(h*a1) + ... that its
 // triangular `ps += ...` loop produces, in the same term order — so the
 // results are bit-identical (the golden test enforces it).  What changes
 // is codegen: with the loop structure gone the optimizer keeps the k[]
@@ -277,29 +205,6 @@ StepResult dopri5_step_impl_fast(Sampler&& sample, const Vec3& p, double t,
   }
 }
 
-// Shared classic RK4 body (no error control; h_next == h).  The stage
-// arithmetic matches the historical VectorField overload exactly.
-template <typename Sampler>
-StepResult rk4_step_impl(Sampler&& sample, const Vec3& p, double t,
-                         double h) {
-  StepResult r;
-  Vec3 k1, k2, k3, k4;
-  r.n_evals = 4;
-  if (!sample(p, t, k1) || !sample(p + k1 * (h / 2), t + h / 2, k2) ||
-      !sample(p + k2 * (h / 2), t + h / 2, k3) ||
-      !sample(p + k3 * h, t + h, k4)) {
-    r.status = StepStatus::kSampleFailed;
-    r.h_next = h;
-    return r;
-  }
-  r.status = StepStatus::kOk;
-  r.p = p + (k1 + 2.0 * k2 + 2.0 * k3 + k4) * (h / 6.0);
-  r.t = t + h;
-  r.h_used = h;
-  r.h_next = h;
-  return r;
-}
-
 }  // namespace integrator_detail
 
 // Take one *accepted* adaptive DoPri5(4) step from (p, t) with trial step
@@ -308,14 +213,6 @@ StepResult rk4_step_impl(Sampler&& sample, const Vec3& p, double t,
 // fails once h would drop below h_min.
 StepResult dopri5_step(const VectorField& field, const Vec3& p, double t,
                        double h, const IntegratorParams& params);
-
-// The historical kernel (triangular stage loop, virtual dispatch per
-// stage), bit-identical in results to dopri5_step but without its
-// codegen improvements.  Baseline for bench/advect_throughput and the
-// step behind Tracer::advance_reference.
-StepResult dopri5_step_reference(const VectorField& field, const Vec3& p,
-                                 double t, double h,
-                                 const IntegratorParams& params);
 
 // Time-varying right-hand side: v = f(p, t), false outside the domain.
 using UnsteadySampleFn =
@@ -333,13 +230,5 @@ StepResult dopri5_step(const UnsteadySampleFn& f, const Vec3& p, double t,
 // grid_sampler.hpp so it folds into the tracer's advance loop.
 StepResult dopri5_step(GridSampler& sampler, const Vec3& p, double t,
                        double h, const IntegratorParams& params);
-
-// One classic fixed-step RK4 step (no error control; h_next == h).
-StepResult rk4_step(const VectorField& field, const Vec3& p, double t,
-                    double h);
-
-// RK4 against the non-virtual cursor; bit-identical to the VectorField
-// overload on the cursor's grid.  Defined inline in grid_sampler.hpp.
-StepResult rk4_step(GridSampler& sampler, const Vec3& p, double t, double h);
 
 }  // namespace sf

@@ -11,8 +11,8 @@
 // checks, block ownership, termination classification, recording and
 // lane refill — stays scalar per lane.
 //
-// The contract is *bit-identity per particle* with the scalar fast path
-// (Tracer::advance under the same focus-only access): every lane
+// The contract is *bit-identity per particle* with the scalar round of
+// Tracer::advance_batch under the same focus-only access: every lane
 // executes the exact scalar operation sequence — same left-associated
 // sums, same zero-weight terms, same clamp/truncate kernels — and the
 // TU is compiled with FMA off and FP contraction pinned off, so IEEE

@@ -169,12 +169,6 @@ AdvanceOutcome Tracer::advance_with_cursor(Particle& particle,
   return out;
 }
 
-AdvanceOutcome Tracer::advance(Particle& particle, const BlockAccessFn& blocks,
-                               TraceRecorder* recorder) const {
-  Cursor cur;
-  return advance_with_cursor(particle, blocks, recorder, cur);
-}
-
 std::vector<AdvanceOutcome> Tracer::advance_batch(
     std::span<Particle> batch, const BlockAccessFn& blocks,
     TraceRecorder* recorder, const BlockPinHooks* pins) const {
@@ -238,8 +232,8 @@ std::vector<AdvanceOutcome> Tracer::advance_batch(
 
     if (focus == kInvalidBlock) {
       // No pending particle's block is available.  Run each through the
-      // unrestricted advance so domain exits terminate and the rest
-      // report their blocking block, exactly as advance() would.
+      // unrestricted kernel so domain exits terminate and the rest
+      // report their blocking block.
       for (const std::size_t i : pending) {
         const AdvanceOutcome o =
             advance_with_cursor(batch[i], blocks, recorder, cur);
@@ -322,100 +316,6 @@ std::vector<AdvanceOutcome> Tracer::advance_batch(
   if (pins != nullptr && pinned_focus != kInvalidBlock && pins->unpin) {
     pins->unpin(pinned_focus);
   }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Reference path (historical implementation, see header).
-// ---------------------------------------------------------------------------
-
-AdvanceOutcome Tracer::advance_reference(Particle& particle,
-                                         const BlockAccessFn& blocks,
-                                         TraceRecorder* recorder) const {
-  AdvanceOutcome out;
-  if (is_terminal(particle.status)) {
-    out.status = particle.status;
-    return out;
-  }
-
-  if (particle.steps == 0 && recorder != nullptr) {
-    recorder->reserve_hint(static_cast<std::size_t>(limits_.max_steps) + 1);
-    recorder->record(particle, particle.pos);  // seed vertex
-  }
-  if (particle.h <= 0.0) particle.h = iparams_.h_init;
-
-  for (;;) {
-    // Budget checks first so hand-offs can't dodge them.
-    if (particle.time >= limits_.max_time) {
-      particle.status = ParticleStatus::kMaxTime;
-      break;
-    }
-    if (particle.steps >= limits_.max_steps) {
-      particle.status = ParticleStatus::kMaxSteps;
-      break;
-    }
-
-    const BlockId owner = decomp_->block_of(particle.pos);
-    if (owner == kInvalidBlock) {
-      particle.status = ParticleStatus::kExitedDomain;
-      break;
-    }
-
-    const StructuredGrid* grid = blocks(owner);
-    if (grid == nullptr) {
-      // Edge of the available data: the caller must fetch `owner` (or
-      // hand the particle to whoever has it).
-      out.blocking_block = owner;
-      out.status = ParticleStatus::kActive;
-      return out;
-    }
-
-    // Stagnation check at the current position.
-    Vec3 v{};
-    ++out.evals;
-    if (!grid->sample(particle.pos, v)) {
-      // The owner grid must cover its own core extent; failure here is a
-      // dataset construction bug, not a flow condition.
-      particle.status = ParticleStatus::kError;
-      break;
-    }
-    if (norm(v) < limits_.min_speed) {
-      particle.status = ParticleStatus::kStagnant;
-      break;
-    }
-
-    // Cap the trial step so the remaining time budget is never overshot
-    // by more than one step.
-    double h = particle.h;
-    const double remaining = limits_.max_time - particle.time;
-    if (h > remaining) h = std::max(remaining, iparams_.h_min);
-
-    const StepResult step = dopri5_step_reference(*grid, particle.pos,
-                                                  particle.time, h, iparams_);
-    out.evals += static_cast<std::uint64_t>(step.n_evals);
-
-    if (step.status == StepStatus::kSampleFailed) {
-      // Even the smallest step sampled outside the block's ghost region.
-      // Boundary-block grids extend (clamped) beyond the global domain,
-      // so this only happens at the very rim of the data; classify by
-      // whether a nudge along the flow leaves the domain.
-      const Vec3 probe = particle.pos + normalized(v) * (iparams_.h_min * 10);
-      particle.status = decomp_->block_of(probe) == kInvalidBlock
-                            ? ParticleStatus::kExitedDomain
-                            : ParticleStatus::kError;
-      break;
-    }
-
-    particle.pos = step.p;
-    particle.time = step.t;
-    particle.h = step.h_next;
-    particle.steps += 1;
-    particle.geometry_points += 1;
-    out.steps += 1;
-    if (recorder != nullptr) recorder->record(particle, particle.pos);
-  }
-
-  out.status = particle.status;
   return out;
 }
 

@@ -12,13 +12,11 @@
 // to be loaded, or how particles are grouped into batches — see
 // DESIGN.md §5.1 and §9.
 //
-// Two implementations exist on purpose:
-//  - the fast path (advance / advance_batch) keeps a block cursor and a
-//    GridSampler cell cursor, skipping the BlockAccessFn lookup while
-//    the owning block is unchanged and virtual dispatch always;
-//  - advance_reference is the historical per-step virtual-dispatch loop,
-//    kept verbatim as the oracle for the bit-identity golden test
-//    (tests/test_fast_path.cpp) and as the bench baseline.
+// It keeps a block cursor and a GridSampler cell cursor, skipping the
+// BlockAccessFn lookup while the owning block is unchanged and virtual
+// dispatch always.  The golden tests (tests/test_fast_path.cpp) hold it
+// bit-identical to the frozen per-step virtual-dispatch oracle in
+// tests/support/reference_advance.hpp.
 
 #include <algorithm>
 #include <atomic>
@@ -88,7 +86,7 @@ class PolylineRecorder final : public TraceRecorder {
 
 // Returns the grid for a block if the caller currently has it, nullptr
 // otherwise.  The returned pointer must stay valid for the duration of
-// the advance() / advance_batch() call.
+// the advance_batch() call.
 using BlockAccessFn = std::function<const StructuredGrid*(BlockId)>;
 
 // Optional eviction guards for advance_batch.  When the BlockAccessFn
@@ -187,9 +185,7 @@ class Tracer {
   const TraceLimits& limits() const { return limits_; }
 
   // Install (or remove, with nullptr) the cancelled-query set consulted
-  // by the fast path.  Not owned; must outlive the advance calls.  The
-  // reference loop deliberately ignores it — cancellation is a service
-  // feature, the oracle stays frozen.
+  // by advance_batch.  Not owned; must outlive the advance calls.
   void set_cancel_set(const QueryCancelSet* cancels) { cancels_ = cancels; }
 
   // advance_batch kernel choice (see AdvectionKernel).  Safe to flip at
@@ -197,33 +193,22 @@ class Tracer {
   void set_kernel(AdvectionKernel kernel) { kernel_ = kernel; }
   AdvectionKernel kernel() const { return kernel_; }
 
-  // Advance `particle` while its owning block is available via `blocks`.
-  // Updates the particle in place; returns what happened.  Fast path.
-  AdvanceOutcome advance(Particle& particle, const BlockAccessFn& blocks,
-                         TraceRecorder* recorder = nullptr) const;
-
-  // Advance every particle in `batch` (all resident in one block, per
-  // the rank programs' per-block pools) sharing one block/cell cursor,
+  // Advance every particle in `batch` while its owning block is
+  // available via `blocks`, updating each in place; outcome[i] says what
+  // happened to batch[i].  The particles share one block/cell cursor,
   // so the common case — the whole batch circulating inside the same
-  // block — touches the cache lookup once.  outcome[i] corresponds to
-  // batch[i].
+  // block — touches the cache lookup once.  A one-particle span is the
+  // way to advance a particle alone: per-particle results do not depend
+  // on the rest of the batch.
   std::vector<AdvanceOutcome> advance_batch(
       std::span<Particle> batch, const BlockAccessFn& blocks,
       TraceRecorder* recorder = nullptr,
       const BlockPinHooks* pins = nullptr) const;
 
-  // The historical implementation: virtual VectorField::sample per
-  // stage, BlockAccessFn lookup per step.  Oracle for the golden
-  // bit-identity test and baseline for bench/advect_throughput.  Do not
-  // "optimize" this — its value is being the unchanged reference.
-  AdvanceOutcome advance_reference(Particle& particle,
-                                   const BlockAccessFn& blocks,
-                                   TraceRecorder* recorder = nullptr) const;
-
  private:
   // Block cursor: the block the previous step's position resided in,
   // with its grid and warm cell cursor.  Valid only within one
-  // advance/advance_batch call (block pointers may dangle afterwards).
+  // advance_batch call (block pointers may dangle afterwards).
   struct Cursor {
     BlockId id = kInvalidBlock;
     const StructuredGrid* grid = nullptr;

@@ -509,7 +509,7 @@ std::vector<Particle> run_threads_async(Algorithm algo, int ranks,
       const HybridLayout layout = HybridLayout::make(ranks, 4);
       factory = make_hybrid(
           &w.decomp(),
-          partition_for_masters(layout.num_masters, std::move(particles)),
+          split_evenly(layout.num_masters, std::move(particles)),
           total, hp);
       break;
     }

@@ -3,15 +3,17 @@
 // The fast path (GridSampler cell cursor, hand-unrolled DOPRI5 body,
 // stage-one reuse, FSAL carry, per-block batching) is a pure codegen /
 // scheduling change: every floating-point operation runs in the same
-// order as the historical kernel.  These tests hold it to that claim
-// with EXPECT_EQ on doubles — zero tolerance — across every analytic
-// field, both integrators, and all three tracer entry points.
+// order as the historical kernel, the frozen oracle in
+// tests/support/reference_advance.hpp.  These tests hold it to that
+// claim with EXPECT_EQ on doubles — zero tolerance — across every
+// analytic field, for single steps and whole trajectories.
 //
-// Evaluation counts are deliberately NOT compared: the fast path
-// legitimately performs fewer field evaluations (it reuses the
-// stagnation-check sample as stage one and carries the FSAL stage
-// across steps), which changes n_evals without changing any sampled
-// value.
+// Against the oracle, evaluation counts are deliberately NOT compared:
+// the fast path legitimately performs fewer field evaluations (it
+// reuses the stagnation-check sample as stage one and carries the FSAL
+// stage across steps), which changes n_evals without changing any
+// sampled value.  Between fast-path schedules (one particle alone vs
+// inside a cohort, scalar vs SIMD) they must match exactly.
 
 #include <gtest/gtest.h>
 
@@ -23,8 +25,11 @@
 #include "core/dataset.hpp"
 #include "core/grid_sampler.hpp"
 #include "core/integrator.hpp"
+#include "core/rng.hpp"
+#include "core/seeds.hpp"
 #include "core/structured_grid.hpp"
 #include "core/tracer.hpp"
+#include "support/reference_advance.hpp"
 
 namespace sf {
 namespace {
@@ -103,23 +108,6 @@ TEST(FastPath, Dopri5StepBitIdenticalOnAllFields) {
   }
 }
 
-// Single RK4 steps: cursor overload vs the virtual-dispatch overload.
-TEST(FastPath, Rk4StepBitIdenticalOnAllFields) {
-  for (const NamedField& nf : all_fields()) {
-    SCOPED_TRACE(nf.name);
-    StructuredGrid grid(nf.field->bounds(), 25, 25, 25);
-    grid.sample_from(*nf.field);
-    GridSampler sampler(grid);
-    for (const Vec3& seed : spread_seeds(grid.bounds())) {
-      for (const double h : {1e-3, 1e-2, 0.1}) {
-        const StepResult ref = rk4_step(grid, seed, 0.0, h);
-        const StepResult fast = rk4_step(sampler, seed, 0.0, h);
-        EXPECT_SAME_STEP(fast, ref);
-      }
-    }
-  }
-}
-
 void expect_same_particle(const Particle& fast, const Particle& ref) {
   EXPECT_EQ(fast.status, ref.status);
   EXPECT_EQ(fast.steps, ref.steps);
@@ -130,10 +118,20 @@ void expect_same_particle(const Particle& fast, const Particle& ref) {
   EXPECT_EQ(fast.h, ref.h);
 }
 
-// Whole trajectories: Tracer::advance (block cursor + cell cursor +
-// FSAL carry) and Tracer::advance_batch (per-block rounds) against
-// Tracer::advance_reference, on a multi-block dataset so trajectories
-// cross block boundaries and invalidate the cursor along the way.
+// Recorded geometry per particle id, for polyline comparison.
+std::vector<std::vector<Vec3>> traced_lines(
+    const Tracer& tracer, std::span<Particle> particles,
+    const BlockAccessFn& access, std::vector<AdvanceOutcome>& outcomes) {
+  PolylineRecorder rec(particles.size());
+  outcomes = tracer.advance_batch(particles, access, &rec);
+  return rec.lines();
+}
+
+// Whole trajectories: Tracer::advance_batch (block cursor + cell cursor
+// + FSAL carry + per-block rounds), one particle alone and the whole
+// cohort, against advance_reference, on a multi-block dataset so
+// trajectories cross block boundaries and invalidate the cursor along
+// the way.
 TEST(FastPath, TracerAdvanceBitIdenticalOnAllFields) {
   TraceLimits limits;
   limits.max_steps = 400;
@@ -162,8 +160,8 @@ TEST(FastPath, TracerAdvanceBitIdenticalOnAllFields) {
     }
 
     for (std::size_t i = 0; i < seeds.size(); ++i) {
-      tracer.advance_reference(ref[i], access);
-      tracer.advance(fast[i], access);
+      advance_reference(&decomp, iparams, limits, ref[i], access);
+      tracer.advance_batch({&fast[i], 1}, access);
       SCOPED_TRACE(i);
       expect_same_particle(fast[i], ref[i]);
     }
@@ -210,6 +208,74 @@ TEST(FastPath, BatchScheduleIndependentOfOrder) {
   }
 }
 
+// A particle advanced alone (a one-particle span) gets exactly what it
+// gets inside the whole cohort: status, step and evaluation counts,
+// blocking block, final state and recorded polyline.  The clustered
+// cohort is wide enough for kAuto to pick the SIMD kernel on AVX2 hosts,
+// while a lone particle always runs the scalar round.  The second access
+// function hides the high-x slab of blocks, so particles also stop at the
+// edge of the available data and report the block they need.
+TEST(FastPath, OneParticleBatchMatchesCohortOnAllFields) {
+  TraceLimits limits;
+  limits.max_steps = 400;
+  const IntegratorParams iparams;
+  for (const NamedField& nf : all_fields()) {
+    SCOPED_TRACE(nf.name);
+    const BlockDecomposition decomp(nf.field->bounds(), 3, 3, 3);
+    auto dataset = std::make_shared<BlockedDataset>(nf.field, decomp, 13, 2);
+    std::vector<GridPtr> slots(
+        static_cast<std::size_t>(dataset->num_blocks()));
+    const BlockAccessFn all = [&](BlockId id) -> const StructuredGrid* {
+      GridPtr& slot = slots[static_cast<std::size_t>(id)];
+      if (!slot) slot = dataset->block(id);
+      return slot.get();
+    };
+    const BlockAccessFn partial = [&](BlockId id) -> const StructuredGrid* {
+      return decomp.coords_of(id).i != 2 ? all(id) : nullptr;
+    };
+    const Tracer tracer(&decomp, iparams, limits);
+
+    const AABB box = nf.field->bounds();
+    const Vec3 e = box.extent();
+    Rng rng(11);
+    const std::vector<Vec3> seeds = cluster_seeds(
+        {box.lo.x + 0.6 * e.x, box.lo.y + 0.55 * e.y, box.lo.z + 0.5 * e.z},
+        0.08 * e.x, 64, rng, box);
+
+    for (const BlockAccessFn* access : {&all, &partial}) {
+      SCOPED_TRACE(access == &all ? "all blocks" : "high-x slab hidden");
+      std::vector<Particle> solo(seeds.size()), cohort(seeds.size());
+      for (std::size_t i = 0; i < seeds.size(); ++i) {
+        solo[i].id = cohort[i].id = static_cast<std::uint32_t>(i);
+        solo[i].pos = cohort[i].pos = seeds[i];
+      }
+      PolylineRecorder solo_rec(seeds.size());
+      std::vector<AdvanceOutcome> so;
+      for (Particle& p : solo) {
+        so.push_back(tracer.advance_batch({&p, 1}, *access, &solo_rec)[0]);
+      }
+      std::vector<AdvanceOutcome> co;
+      const auto cohort_lines = traced_lines(tracer, cohort, *access, co);
+
+      for (std::size_t i = 0; i < seeds.size(); ++i) {
+        SCOPED_TRACE(i);
+        expect_same_particle(solo[i], cohort[i]);
+        EXPECT_EQ(so[i].status, co[i].status);
+        EXPECT_EQ(so[i].blocking_block, co[i].blocking_block);
+        EXPECT_EQ(so[i].steps, co[i].steps);
+        EXPECT_EQ(so[i].evals, co[i].evals);
+        const std::vector<Vec3>& line = solo_rec.lines()[i];
+        ASSERT_EQ(line.size(), cohort_lines[i].size());
+        for (std::size_t v = 0; v < line.size(); ++v) {
+          EXPECT_EQ(line[v].x, cohort_lines[i][v].x);
+          EXPECT_EQ(line[v].y, cohort_lines[i][v].y);
+          EXPECT_EQ(line[v].z, cohort_lines[i][v].z);
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // SIMD kernel (integrator_simd.cpp): forced-kernel golden tests.
 //
@@ -218,15 +284,6 @@ TEST(FastPath, BatchScheduleIndependentOfOrder) {
 // stage-one-reuse/FSAL algorithm, so n_evals must match exactly, and a
 // mismatch would mean a lane attempted a different stage sequence.
 // ---------------------------------------------------------------------------
-
-// Recorded geometry per particle id, for polyline comparison.
-std::vector<std::vector<Vec3>> traced_lines(
-    const Tracer& tracer, std::span<Particle> particles,
-    const BlockAccessFn& access, std::vector<AdvanceOutcome>& outcomes) {
-  PolylineRecorder rec(particles.size());
-  outcomes = tracer.advance_batch(particles, access, &rec);
-  return rec.lines();
-}
 
 TEST(FastPath, SimdBatchBitIdenticalOnAllFields) {
   if (!simd_kernel_available()) {

@@ -11,43 +11,6 @@ namespace {
 
 constexpr double kTwoPi = 6.283185307179586476925286766559;
 
-TEST(Rk4Step, ExactForUniformField) {
-  const UniformField f({1, 2, 0});
-  const StepResult r = rk4_step(f, {0, 0, 0}, 0.0, 0.1);
-  ASSERT_EQ(r.status, StepStatus::kOk);
-  EXPECT_NEAR(r.p.x, 0.1, 1e-15);
-  EXPECT_NEAR(r.p.y, 0.2, 1e-15);
-  EXPECT_DOUBLE_EQ(r.t, 0.1);
-}
-
-TEST(Rk4Step, FailsWhenStageLeavesDomain) {
-  const UniformField f({1, 0, 0}, AABB{{0, -1, -1}, {1, 1, 1}});
-  const StepResult r = rk4_step(f, {0.95, 0, 0}, 0.0, 0.2);
-  EXPECT_EQ(r.status, StepStatus::kSampleFailed);
-}
-
-TEST(Rk4Step, FourthOrderConvergenceOnRotor) {
-  // One full revolution of the circular field; halving h should shrink
-  // the endpoint error ~16x.
-  const RotorField f;
-  auto endpoint_error = [&](int steps) {
-    Vec3 p{1, 0, 0};
-    double t = 0.0;
-    const double h = kTwoPi / steps;
-    for (int i = 0; i < steps; ++i) {
-      const StepResult r = rk4_step(f, p, t, h);
-      EXPECT_EQ(r.status, StepStatus::kOk);
-      p = r.p;
-      t = r.t;
-    }
-    return distance(p, {1, 0, 0});
-  };
-  const double e1 = endpoint_error(64);
-  const double e2 = endpoint_error(128);
-  EXPECT_GT(e1 / e2, 12.0);
-  EXPECT_LT(e1 / e2, 20.0);
-}
-
 TEST(Dopri5Step, AcceptsAndSuggestsNextStep) {
   const RotorField f;
   IntegratorParams prm;

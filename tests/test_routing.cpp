@@ -120,6 +120,17 @@ TEST(MakeParticles, SplitsValidAndRejected) {
   }
 }
 
+TEST(SplitEvenly, DealsEqualContiguousChunks) {
+  std::vector<Particle> ps(10);
+  for (int i = 0; i < 10; ++i) ps[static_cast<std::size_t>(i)].id = i;
+  const auto parts = split_evenly(3, std::move(ps));
+  ASSERT_EQ(parts.size(), 3u);
+  // Balanced contiguous split of 10 over 3: 3 + 3 + 4.
+  EXPECT_EQ(parts[0].size(), 3u);
+  EXPECT_EQ(parts[1].size(), 3u);
+  EXPECT_EQ(parts[2].size(), 4u);
+}
+
 TEST(TerminationBoard, MergeReportsOnlyARise) {
   TerminationBoard board;
   EXPECT_TRUE(board.merge(2, 5));

@@ -55,7 +55,7 @@ RunMetrics run_threads_with(Algorithm algo, const ThreadRuntimeConfig& cfg,
       const HybridLayout layout = HybridLayout::make(ranks, 4);
       factory = make_hybrid(
           &w.decomp(),
-          partition_for_masters(layout.num_masters, std::move(particles)),
+          split_evenly(layout.num_masters, std::move(particles)),
           total, hp);
       break;
     }

@@ -109,7 +109,7 @@ TEST(Tracer, AdvanceStopsAtUnavailableBlockAndResumes) {
     return it == loaded.end() ? nullptr : it->second.get();
   };
 
-  AdvanceOutcome out = tracer.advance(p, access);
+  AdvanceOutcome out = tracer.advance_batch({&p, 1}, access)[0];
   EXPECT_EQ(out.status, ParticleStatus::kActive);
   ASSERT_NE(out.blocking_block, kInvalidBlock);
   EXPECT_NE(out.blocking_block, home);
@@ -119,7 +119,7 @@ TEST(Tracer, AdvanceStopsAtUnavailableBlockAndResumes) {
   int handoffs = 0;
   while (out.status == ParticleStatus::kActive && handoffs < 64) {
     loaded[out.blocking_block] = ds->block(out.blocking_block);
-    out = tracer.advance(p, access);
+    out = tracer.advance_batch({&p, 1}, access)[0];
     ++handoffs;
   }
   EXPECT_EQ(out.status, ParticleStatus::kMaxTime);
@@ -143,7 +143,7 @@ TEST(Tracer, TrajectoryIndependentOfBlockAvailability) {
   for (BlockId b = 0; b < decomp.num_blocks(); ++b) {
     all.push_back(ds->block(b));
   }
-  tracer.advance(a, [&](BlockId id) { return all[id].get(); });
+  tracer.advance_batch({&a, 1}, [&](BlockId id) { return all[id].get(); });
 
   // Run B: blocks trickle in one hand-off at a time.
   Particle b;
@@ -153,12 +153,12 @@ TEST(Tracer, TrajectoryIndependentOfBlockAvailability) {
     auto it = have.find(id);
     return it == have.end() ? nullptr : it->second.get();
   };
-  AdvanceOutcome out = tracer.advance(b, access);
+  AdvanceOutcome out = tracer.advance_batch({&b, 1}, access)[0];
   while (out.status == ParticleStatus::kActive) {
     // Adversarial cache: drop everything except the needed block.
     have.clear();
     have[out.blocking_block] = ds->block(out.blocking_block);
-    out = tracer.advance(b, access);
+    out = tracer.advance_batch({&b, 1}, access)[0];
   }
 
   EXPECT_EQ(a.status, b.status);
@@ -175,10 +175,11 @@ TEST(Tracer, TerminalParticleIsNotReAdvanced) {
   Particle p;
   p.pos = {1, 0, 0};
   p.status = ParticleStatus::kMaxSteps;
-  const auto out = tracer.advance(p, [](BlockId) -> const StructuredGrid* {
-    ADD_FAILURE() << "must not sample blocks for a terminal particle";
-    return nullptr;
-  });
+  const auto out =
+      tracer.advance_batch({&p, 1}, [](BlockId) -> const StructuredGrid* {
+        ADD_FAILURE() << "must not sample blocks for a terminal particle";
+        return nullptr;
+      })[0];
   EXPECT_EQ(out.status, ParticleStatus::kMaxSteps);
   EXPECT_EQ(out.steps, 0u);
 }

@@ -9,12 +9,16 @@
 //
 // Run `streamflow <subcommand> --help` for the flags of each.
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "algorithms/driver.hpp"
@@ -57,18 +61,49 @@ class Flags {
     auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
+  // Numeric getters accept only text that is wholly a number; anything
+  // else throws std::invalid_argument naming the flag.
   double get_double(const std::string& key, double fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    if (it == values_.end()) return fallback;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE) bad_value(key);
+    return v;
   }
   long get_long(const std::string& key, long fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atol(it->second.c_str());
+    if (it == values_.end()) return fallback;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE) bad_value(key);
+    return v;
+  }
+  // A count or size: get_long limited to [0, INT_MAX], which every
+  // count's type holds.
+  int get_count(const std::string& key, int fallback) const {
+    constexpr long kMax = std::numeric_limits<int>::max();
+    const long v = get_long(key, fallback);
+    if (v < 0 || v > kMax) {
+      throw std::invalid_argument("--" + key + " must be in [0, " +
+                                  std::to_string(kMax) + "], got " +
+                                  std::to_string(v));
+    }
+    return static_cast<int>(v);
   }
   bool has(const std::string& key) const { return values_.count(key) != 0; }
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:
+  [[noreturn]] void bad_value(const std::string& key) const {
+    throw std::invalid_argument("--" + key + " expects a number, got '" +
+                                values_.at(key) + "'");
+  }
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
@@ -88,7 +123,7 @@ sf::FieldPtr make_field(const std::string& name) {
 
 std::vector<Vec3> make_seeds(const Flags& flags, const sf::AABB& bounds) {
   const std::string kind = flags.get("seeds", "random");
-  const auto count = static_cast<std::size_t>(flags.get_long("count", 100));
+  const auto count = static_cast<std::size_t>(flags.get_count("count", 100));
   sf::Rng rng(static_cast<std::uint64_t>(flags.get_long("seed", 7)));
   if (kind == "random") return sf::random_seeds(bounds, count, rng);
   if (kind == "grid") {
@@ -122,9 +157,9 @@ int cmd_make_dataset(const Flags& flags) {
     return 2;
   }
   const auto field = make_field(flags.get("field", "supernova"));
-  const int blocks = static_cast<int>(flags.get_long("blocks", 4));
-  const int nodes = static_cast<int>(flags.get_long("nodes", 9));
-  const int ghost = static_cast<int>(flags.get_long("ghost", 2));
+  const int blocks = flags.get_count("blocks", 4);
+  const int nodes = flags.get_count("nodes", 9);
+  const int ghost = flags.get_count("ghost", 2);
 
   const sf::BlockDecomposition decomp(field->bounds(), blocks, blocks,
                                       blocks);
@@ -177,21 +212,26 @@ int cmd_trace(const Flags& flags) {
     sf::TraceLimits limits;
     limits.max_time = flags.get_double("max-time", 10.0);
     limits.max_steps =
-        static_cast<std::uint32_t>(flags.get_long("max-steps", 5000));
+        static_cast<std::uint32_t>(flags.get_count("max-steps", 5000));
     sf::Tracer t(&d, iparams, limits);
 
+    // One cohort of the in-domain seeds, as trace_all does; ids stay the
+    // seed indices, so out-of-domain seeds keep empty lines.
     const auto seeds = make_seeds(flags, d.domain());
-    sf::PolylineRecorder recorder(seeds.size());
-    std::size_t terminated = 0;
+    std::vector<sf::Particle> particles;
     for (std::size_t i = 0; i < seeds.size(); ++i) {
-      sf::Particle p;
+      if (d.block_of(seeds[i]) == sf::kInvalidBlock) continue;
+      sf::Particle& p = particles.emplace_back();
       p.id = static_cast<std::uint32_t>(i);
       p.pos = seeds[i];
-      if (d.block_of(p.pos) == sf::kInvalidBlock) continue;
-      const auto out = t.advance(
-          p, [&grids](sf::BlockId b) { return grids[b].get(); }, &recorder);
-      if (is_terminal(out.status)) ++terminated;
     }
+    sf::PolylineRecorder recorder(seeds.size());
+    t.advance_batch(
+        particles, [&grids](sf::BlockId b) { return grids[b].get(); },
+        &recorder);
+    const auto terminated = std::count_if(
+        particles.begin(), particles.end(),
+        [](const sf::Particle& p) { return is_terminal(p.status); });
     const std::string out = flags.get("out", "lines.vtk");
     sf::write_vtk_polylines(out, recorder.lines());
     std::cout << "traced " << terminated << "/" << seeds.size()
@@ -200,18 +240,17 @@ int cmd_trace(const Flags& flags) {
   }
 
   const auto field = make_field(flags.get("field", "supernova"));
-  const int blocks = static_cast<int>(flags.get_long("blocks", 4));
+  const int blocks = flags.get_count("blocks", 4);
   const auto dataset2 = std::make_shared<sf::BlockedDataset>(
       field, sf::BlockDecomposition(field->bounds(), blocks, blocks, blocks),
-      static_cast<int>(flags.get_long("nodes", 9)),
-      static_cast<int>(flags.get_long("ghost", 2)));
+      flags.get_count("nodes", 9), flags.get_count("ghost", 2));
 
   sf::IntegratorParams iparams;
   iparams.tol = flags.get_double("tol", 1e-6);
   sf::TraceLimits limits;
   limits.max_time = flags.get_double("max-time", 10.0);
   limits.max_steps =
-      static_cast<std::uint32_t>(flags.get_long("max-steps", 5000));
+      static_cast<std::uint32_t>(flags.get_count("max-steps", 5000));
 
   const auto seeds = make_seeds(flags, field->bounds());
   sf::PolylineRecorder recorder(seeds.size());
@@ -267,15 +306,14 @@ int cmd_experiment(const Flags& flags) {
     return 0;
   }
   const auto field = make_field(flags.get("field", "supernova"));
-  const int blocks = static_cast<int>(flags.get_long("blocks", 8));
+  const int blocks = flags.get_count("blocks", 8);
   const sf::BlockDecomposition decomp(field->bounds(), blocks, blocks,
                                       blocks);
   const auto dataset = std::make_shared<sf::BlockedDataset>(
-      field, decomp, static_cast<int>(flags.get_long("nodes", 9)),
-      static_cast<int>(flags.get_long("ghost", 2)));
+      field, decomp, flags.get_count("nodes", 9), flags.get_count("ghost", 2));
   const sf::DatasetBlockSource source(
       dataset,
-      static_cast<std::size_t>(flags.get_long("block-mb", 12)) << 20);
+      static_cast<std::size_t>(flags.get_count("block-mb", 12)) << 20);
 
   sf::ExperimentConfig cfg;
   const std::string algo = flags.get("algorithm", "hybrid");
@@ -289,25 +327,23 @@ int cmd_experiment(const Flags& flags) {
     std::cerr << "unknown algorithm '" << algo << "'\n";
     return 2;
   }
-  cfg.runtime.num_ranks = static_cast<int>(flags.get_long("procs", 64));
+  cfg.runtime.num_ranks = flags.get_count("procs", 64);
   cfg.runtime.model = sf::MachineModel::jaguar_like();
   cfg.runtime.cache_blocks =
-      static_cast<std::size_t>(flags.get_long("cache", 48));
+      static_cast<std::size_t>(flags.get_count("cache", 48));
   cfg.runtime.carry_geometry = !flags.has("no-geometry");
   cfg.runtime.async_io.enabled = flags.has("async-io");
-  cfg.runtime.async_io.workers =
-      static_cast<int>(flags.get_long("io-workers", 2));
-  cfg.runtime.async_io.prefetch_depth =
-      static_cast<int>(flags.get_long("prefetch-depth", 2));
+  cfg.runtime.async_io.workers = flags.get_count("io-workers", 2);
+  cfg.runtime.async_io.prefetch_depth = flags.get_count("prefetch-depth", 2);
   cfg.runtime.async_io.staging_blocks =
-      static_cast<std::size_t>(flags.get_long("staging", 4));
+      static_cast<std::size_t>(flags.get_count("staging", 4));
   cfg.limits.max_time = flags.get_double("max-time", 15.0);
   cfg.limits.max_steps =
-      static_cast<std::uint32_t>(flags.get_long("max-steps", 1500));
+      static_cast<std::uint32_t>(flags.get_count("max-steps", 1500));
 
   sf::FaultConfig& fc = cfg.runtime.fault;
   fc.mtbf = flags.get_double("mtbf", 0.0);
-  fc.max_crashes = static_cast<int>(flags.get_long("max-crashes", 1));
+  fc.max_crashes = flags.get_count("max-crashes", 1);
   fc.disk_fault_rate = flags.get_double("disk-fault-rate", 0.0);
   fc.message_drop_rate = flags.get_double("drop-rate", 0.0);
   fc.checkpoint_interval = flags.get_double("checkpoint-interval", 0.0);
@@ -496,10 +532,16 @@ int main(int argc, char** argv) {
   }
   const std::string cmd = argv[1];
   const Flags flags(argc, argv, 2);
-  if (cmd == "make-dataset") return cmd_make_dataset(flags);
-  if (cmd == "info") return cmd_info(flags);
-  if (cmd == "trace") return cmd_trace(flags);
-  if (cmd == "experiment") return cmd_experiment(flags);
+  // Bad flag values, unreadable stores and the like end in a message.
+  try {
+    if (cmd == "make-dataset") return cmd_make_dataset(flags);
+    if (cmd == "info") return cmd_info(flags);
+    if (cmd == "trace") return cmd_trace(flags);
+    if (cmd == "experiment") return cmd_experiment(flags);
+  } catch (const std::exception& e) {
+    std::cerr << "streamflow: " << e.what() << '\n';
+    return 2;
+  }
   std::cerr << "unknown subcommand '" << cmd << "'\n";
   return 2;
 }
