@@ -560,6 +560,45 @@ TEST(ControlPlane, SlaveDeathUnderDropsKeepsParticlesIdentical) {
                         "slave-death-under-drops-vs-clean");
 }
 
+TEST(ControlPlane, FailoverAndStragglerModelledOutputIsPinned) {
+  // Golden for the fault plane: a flat run with two masters loses master
+  // 1 (its peer adopts the group) and a slave, drops 5% of all messages
+  // and runs one slave 10x slow from early on.  Failover, the sixth rule,
+  // retransmits and straggler speculation all act, and the modelled
+  // output is pinned to the exact values.
+  auto w = sf::testing::rotor_world(4);
+  Rng rng(79);
+  const auto seeds = random_seeds(w.dataset->bounds(), 400, rng);
+  auto base = test_config(Algorithm::kHybridMasterSlave, 18);
+  base.runtime.cache_blocks = 8;
+  base.limits.max_steps = 1500;
+  ASSERT_EQ(HybridLayout::make(18, 8).num_masters, 2);
+  const RunMetrics clean = run_experiment(base, w.decomp(), *w.source, seeds);
+  ASSERT_FALSE(clean.failed_oom);
+
+  auto cfg = base;
+  cfg.runtime.fault.crashes = {{0.3 * clean.wall_clock, 1},
+                               {0.5 * clean.wall_clock, 12}};
+  cfg.runtime.fault.message_drop_rate = 0.05;
+  cfg.runtime.fault.slowdowns = {{0.1 * clean.wall_clock, 5, 10.0}};
+  cfg.runtime.fault.heartbeat_period = 0.02 * clean.wall_clock;
+  const RunMetrics m = run_experiment(cfg, w.decomp(), *w.source, seeds);
+  ASSERT_FALSE(m.failed_oom);
+  ASSERT_FALSE(m.failed_fault);
+  expect_same_particles(clean.particles, m.particles, "golden-vs-clean");
+
+  EXPECT_EQ(m.wall_clock, 0.031349641119999924);
+  EXPECT_EQ(m.total_messages(), 15287u);
+  EXPECT_EQ(m.total_control_messages(), 13827u);
+  EXPECT_EQ(m.total_bytes_sent(), 18370424u);
+  EXPECT_EQ(m.ranks[0].bytes_received, 312784u);
+  EXPECT_EQ(m.total_steps(), 39631u);
+  EXPECT_EQ(m.fault.crashes_survived, 2u);
+  EXPECT_EQ(m.fault.control_retransmits, 44u);
+  EXPECT_EQ(m.fault.stragglers_flagged, 1u);
+  EXPECT_EQ(m.fault.particles_speculated, 64u);
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint / restart
 

@@ -303,6 +303,36 @@ TEST(Hybrid, TreeLayoutModelledOutputIsPinned) {
   EXPECT_EQ(m.total_steps(), 92566u);
 }
 
+TEST(Hybrid, FlatLayoutModelledOutputIsPinned) {
+  // Golden for the paper's flat layout: 72 ranks at W=8 give 8 masters and
+  // 64 slaves.  A dense cluster plus a random spread over a 4-block cache,
+  // with NL lowered, makes rules 1-7 of §4.3 all fire, so a change to how
+  // the rules book their orders cannot move a single message.
+  auto w = sf::testing::rotor_world(4);
+  Rng rng(78);
+  auto seeds = random_seeds(w.dataset->bounds(), 500, rng);
+  const auto cluster =
+      cluster_seeds({1.0, 1.0, 1.0}, 0.1, 400, rng, w.dataset->bounds());
+  seeds.insert(seeds.end(), cluster.begin(), cluster.end());
+
+  auto cfg = test_config(Algorithm::kHybridMasterSlave, 72);
+  cfg.runtime.cache_blocks = 4;
+  cfg.hybrid.slaves_per_master = 8;
+  cfg.hybrid.root_fanout = 0;
+  cfg.hybrid.load_threshold = 8;
+  ASSERT_EQ(HybridLayout::make(72, 8, 0).num_masters, 8);
+  const RunMetrics m = run_experiment(cfg, w.decomp(), *w.source, seeds);
+  ASSERT_FALSE(m.failed_oom);
+  ASSERT_EQ(m.particles.size(), seeds.size());
+
+  EXPECT_EQ(m.wall_clock, 0.10323549200000011);
+  EXPECT_EQ(m.total_messages(), 16158u);
+  EXPECT_EQ(m.total_control_messages(), 13367u);
+  EXPECT_EQ(m.total_bytes_sent(), 35491744u);
+  EXPECT_EQ(m.ranks[0].bytes_received, 137688u);
+  EXPECT_EQ(m.total_steps(), 85082u);
+}
+
 TEST(Hybrid, TwoRanksMinimumWorks) {
   auto w = sf::testing::rotor_world(2);
   Rng rng(41);
