@@ -139,11 +139,15 @@ PreparedRun prepare_run(const ExperimentConfig& config,
         // successor when their master goes silent (§11 failover).  No
         // rank is immune — a dead master's scheduling state is
         // reconstructed from re-reports and the particle ledger.
-        cfg.runtime.fault.detector = FaultConfig::Detector::kProgram;
-        cfg.hybrid.failover = true;
-        if (cfg.hybrid.heartbeat_period <= 0.0) {
-          cfg.hybrid.heartbeat_period = cfg.runtime.fault.heartbeat_period;
+        // With no heartbeat neither the sixth rule nor failover could
+        // ever detect a crash, so the run would stall.
+        if (!(cfg.runtime.fault.heartbeat_period > 0.0)) {
+          throw std::invalid_argument(
+              "hybrid fault runs need fault.heartbeat_period > 0, got " +
+              std::to_string(cfg.runtime.fault.heartbeat_period));
         }
+        cfg.runtime.fault.detector = FaultConfig::Detector::kProgram;
+        cfg.hybrid.heartbeat_period = cfg.runtime.fault.heartbeat_period;
         cfg.hybrid.heartbeat_miss_limit =
             cfg.runtime.fault.heartbeat_miss_limit;
       }

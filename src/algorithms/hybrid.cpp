@@ -1,10 +1,8 @@
 #include "algorithms/hybrid.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstddef>
 #include <deque>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -13,7 +11,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/rng.hpp"
+#include "algorithms/hybrid_rules.hpp"
 
 namespace sf {
 
@@ -94,6 +92,13 @@ constexpr double kStragglerSlowness = 0.25;
 // Seeds the Send_hint rule's pick among equally busy slaves.
 constexpr std::uint64_t kHintRngSeed = 0x1dd51c3ULL;
 
+// Failover (DESIGN.md §11) is on exactly when the heartbeat is: the driver
+// wires both on fault runs, and fault-free runs keep the five-rule message
+// sequence.
+bool failover(const HybridParams& params) {
+  return params.heartbeat_period > 0.0;
+}
+
 // How long a peer may stay silent before it is presumed dead: the
 // master's sixth rule for slaves, a slave's failover for its master.
 double heartbeat_deadline(const HybridParams& params) {
@@ -133,107 +138,59 @@ int adopter_of(const RankContext& ctx, const HybridLayout& layout,
   return successor_rank(ctx, layout);
 }
 
-// A status's queued list as a SlaveRecord keeps it: sorted by block, each
-// block once, zero counts dropped.
-void normalize_queued(std::vector<std::pair<BlockId, std::uint32_t>>& list) {
-  std::erase_if(list, [](const auto& e) { return e.second == 0; });
-  std::sort(list.begin(), list.end());
-  list.erase(std::unique(list.begin(), list.end(),
-                         [](const auto& a, const auto& b) {
-                           return a.first == b.first;
-                         }),
-             list.end());
-}
-
-// In a list of (key, value) pairs sorted by key: the entry for `key`, or
-// where it would go.
-template <typename K, typename V>
-auto key_slot(std::vector<std::pair<K, V>>& list, K key) {
-  return std::lower_bound(
-      list.begin(), list.end(), key,
-      [](const std::pair<K, V>& e, K k) { return e.first < k; });
-}
-
-// Insert `v` into a sorted list unless it is there already.
-template <typename T>
-void insert_sorted(std::vector<T>& list, T v) {
-  const auto it = std::lower_bound(list.begin(), list.end(), v);
-  if (it == list.end() || *it != v) list.insert(it, v);
-}
-
-void sort_unique(std::vector<BlockId>& list) {
-  std::sort(list.begin(), list.end());
-  list.erase(std::unique(list.begin(), list.end()), list.end());
-}
-
-// The union of two sorted lists, into `out`.
-void sorted_union(const std::vector<BlockId>& a, const std::vector<BlockId>& b,
-                  std::vector<BlockId>& out) {
-  out.clear();
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-}
-
-// Walk two lists sorted by key(element) in step: gone(e) for a key only
-// in `before`, kept(was, now) for a key in both, added(e) for a key only
-// in `after`.
-template <typename T, typename Key, typename Gone, typename Kept,
-          typename Added>
-void diff_sorted(const std::vector<T>& before, const std::vector<T>& after,
-                 Key key, Gone gone, Kept kept, Added added) {
-  auto b = before.begin();
-  auto a = after.begin();
-  while (b != before.end() || a != after.end()) {
-    if (a == after.end() || (b != before.end() && key(*b) < key(*a))) {
-      gone(*b++);
-    } else if (b == before.end() || key(*a) < key(*b)) {
-      added(*a++);
-    } else {
-      kept(*b++, *a++);
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Master scheduling core
+// Coordinator core
 // ---------------------------------------------------------------------------
 
-// The whole master-side state machine — the five balancing rules, the
-// sixth (declare-dead) rule, master-to-master seed balancing, and the
-// survivable termination board.  It is the program of every coordinator
-// rank, and a slave promoted by failover hosts one from the moment it
-// promotes itself, so both run the identical logic (DESIGN.md §11).
-class MasterCore final : public RankProgram {
+// The coordinator side of a hybrid rank: dispatch of coordinator traffic,
+// the sixth (declare-dead) rule, straggler windows, failover, seed
+// brokering between masters and the survivable termination board.  The
+// §4.3 rules live in the GroupScheduler; the core sends its orders in
+// emission order and charges the seeds that enter and leave the pool.
+// Every coordinator hosts one inside the HybridSlave host: a master from
+// t=0, a slave promoted by failover from the moment it promotes
+// (DESIGN.md §11).
+class MasterCore {
  public:
   MasterCore(const BlockDecomposition* decomp, int self, HybridLayout layout,
              HybridParams params, std::uint32_t total_active,
              std::vector<Particle> seeds = {})
-      : decomp_(decomp),
-        self_(self),
+      : self_(self),
         layout_(layout),
         params_(params),
         total_active_(total_active),
         initial_seeds_(std::move(seeds)),
-        rng_(kHintRngSeed + static_cast<std::uint64_t>(self)) {}
+        sched_(decomp, params.assign_batch, params.overload_factor,
+               params.load_threshold,
+               kHintRngSeed + static_cast<std::uint64_t>(self)) {}
 
-  void start(RankContext& ctx) override {
-    start_as_master(ctx);
-    if (params_.heartbeat_period > 0.0 && !finished_) {
-      ctx.set_timer(params_.heartbeat_period);
+  // A master from t=0: register its slave group, pool its seed share and
+  // hand out the initial allocation, N seeds per slave (Assign_unloaded).
+  void start(RankContext& ctx) {
+    const auto [first, last] = layout_.slaves_of(self_);
+    for (int s = first; s < last; ++s) sched_.add_slave(s);
+
+    pool_seeds(ctx, std::move(initial_seeds_));
+    initial_seeds_.clear();
+
+    if (total_active_ == 0 && successor_rank(ctx, layout_) == self_) {
+      finish_everyone(ctx);
+      return;
     }
-  }
-
-  void on_timer(RankContext& ctx) override {
-    if (finished_) return;
-    tick(ctx);
-    if (!finished_) ctx.set_timer(params_.heartbeat_period);
+    sched_.initial_allocation(orders_);
+    send_orders(ctx);
+    if (failover(params_) && !finished_) {
+      for (const auto& [slave, record] : sched_.records()) {
+        last_heard_[slave] = ctx.now();
+      }
+    }
   }
 
   // The coordinator dispatch, for a master rank and a promoted slave
   // alike.  Particle batches, commands and beacons are worker traffic
-  // (a promoted slave handles them before forwarding the rest here), and
+  // (the host handles them before forwarding the rest here), and
   // ControlAck is consumed by the runtime's transport layer.
-  void on_message(RankContext& ctx, Message msg) override {
+  void on_message(RankContext& ctx, Message msg) {
     // protocol-lint: ignores ParticleBatch, Command, MasterBeacon
     // protocol-lint: ignores ControlAck
     if (auto* undeliv = std::get_if<Undeliverable>(&msg.payload)) {
@@ -253,21 +210,23 @@ class MasterCore final : public RankProgram {
     }
   }
 
-  void on_block_loaded(RankContext&, BlockId) override {}
-  void on_compute_done(RankContext&) override {}
+  bool finished() const { return finished_; }
 
-  bool finished() const override { return finished_; }
-
-  void collect_particles(std::vector<Particle>&) const override {}
-
-  void snapshot_particles(std::vector<Particle>& out) const override {
+  void snapshot_particles(std::vector<Particle>& out) const {
     out.insert(out.end(), initial_seeds_.begin(), initial_seeds_.end());
-    seeds_.append_all(out);
+    sched_.seeds().append_all(out);
   }
 
-  // No live slave registered: a promoted host must integrate the seed
-  // pool itself or the run would stall.
-  bool solo() const { return records_.empty(); }
+  // A coordinator integrates its own pool only when no slave can: it has
+  // no registered slave and no other slave rank is alive.  The scan
+  // stops at the first live slave, so it is O(1) while any survives.
+  bool solo(const RankContext& ctx) const {
+    if (!sched_.records().empty()) return false;
+    for (int s = layout_.num_masters; s < layout_.num_ranks; ++s) {
+      if (s != self_ && ctx.is_alive(s)) return false;
+    }
+    return true;
+  }
 
   // Promotion entry point: adopt every dead coordinator's group — ledger
   // recovery of the dead ranks plus registration of the survivors, whose
@@ -294,8 +253,6 @@ class MasterCore final : public RankProgram {
       declare_dead(ctx, slave);
       if (finished_) return;  // reclaimed credits may have ended the run
     }
-
-    if (!params_.failover) return;
 
     // Parent duty (tree layouts): each live root absorbs its own dead
     // leaf children, keeping recovery local to the subtree instead of
@@ -335,7 +292,7 @@ class MasterCore final : public RankProgram {
     }
     // Liveness beacons: slaves track the last time they heard us; silence
     // past their miss limit is what triggers their re-homing.
-    for (const auto& [slave, rec] : records_) {
+    for (const auto& [slave, rec] : sched_.records()) {
       if (!ctx.is_alive(slave)) continue;
       Message m;
       m.payload = MasterBeacon{};
@@ -344,36 +301,6 @@ class MasterCore final : public RankProgram {
     publish_totals(ctx);  // re-report the board if the counter moved
     if (finished_) return;
     assignment_pass(ctx);  // adopted seeds may be waiting for takers
-  }
-
-  void on_status(RankContext& ctx, int from, StatusUpdate status) {
-    if (finished_) {
-      if (params_.failover) {
-        // A re-home that arrived after the run ended: answer with the
-        // terminate the orphan missed so it can quiesce.
-        send_terminate(ctx, from);
-      }
-      return;
-    }
-    if (params_.failover && records_.count(from) == 0) {
-      // A re-homing orphan: adopt its dead coordinator's group first,
-      // then the orphan itself.
-      if (status.orphaned_from >= 0) {
-        adopt_coordinator(ctx, status.orphaned_from);
-      }
-      register_slave(ctx, from);
-      if (finished_) return;  // adoption credits may have ended the run
-    }
-    auto it = records_.find(from);
-    if (it == records_.end()) return;
-    last_heard_[from] = ctx.now();
-    apply_status(from, it->second, status);
-    update_progress(ctx, from, status.steps_total, status.busy_seconds,
-                    status.computing);
-    merge_total(from, status.terminated_total);
-    publish_totals(ctx);
-    if (finished_) return;  // terminations may have ended the run
-    assignment_pass(ctx);
   }
 
   // A peer's board, or — from a promoted host — its own advection
@@ -385,6 +312,50 @@ class MasterCore final : public RankProgram {
     if (finished_) return;
     if (board_.merge(totals)) totals_dirty_ = true;
     publish_totals(ctx);
+  }
+
+  // Hand the whole seed pool to a solo host for direct integration.
+  std::vector<Particle> drain_seeds(RankContext& ctx) {
+    std::vector<Particle> out;
+    while (!sched_.seeds().empty()) {
+      const BlockId b = sched_.seeds().densest_block();
+      if (b == kInvalidBlock) break;
+      sched_.take_seeds(b, sched_.seeds().count_in(b), out);
+    }
+    release(ctx, out);
+    return out;
+  }
+
+ private:
+  void on_status(RankContext& ctx, int from, StatusUpdate status) {
+    if (finished_) {
+      // A re-home that arrived after the run ended: a master answers with
+      // the terminate the orphan missed so it can quiesce.  A promoted
+      // slave is always the counter, whose finish already terminated
+      // every live slave directly, so it stays silent.
+      if (failover(params_) && layout_.is_master(self_)) {
+        send_terminate(ctx, from);
+      }
+      return;
+    }
+    if (failover(params_) && sched_.records().count(from) == 0) {
+      // A re-homing orphan: adopt its dead coordinator's group first,
+      // then the orphan itself.
+      if (status.orphaned_from >= 0) {
+        adopt_coordinator(ctx, status.orphaned_from);
+      }
+      register_slave(ctx, from);
+      if (finished_) return;  // adoption credits may have ended the run
+    }
+    if (sched_.records().count(from) == 0) return;
+    last_heard_[from] = ctx.now();
+    sched_.apply_status(from, status);
+    update_progress(ctx, from, status.steps_total, status.busy_seconds,
+                    status.computing);
+    merge_total(from, status.terminated_total);
+    publish_totals(ctx);
+    if (finished_) return;  // terminations may have ended the run
+    assignment_pass(ctx);
   }
 
   // A starving master's SeedRequest, or a broker root's SeedRelay: donate
@@ -442,101 +413,37 @@ class MasterCore final : public RankProgram {
       ctx.send(u.target, std::move(m));
       return;
     }
-
     // A seed assignment to a slave failed: un-book the optimistic queue
     // accounting so the rules do not chase phantom particles.
-    auto it = records_.find(u.target);
-    if (it != records_.end() && u.block != kInvalidBlock) {
-      const auto n = static_cast<std::uint32_t>(u.particles.size());
-      const std::uint32_t count = take_queued(u.target, it->second, u.block);
-      if (count > n) add_queued(u.target, it->second, u.block, count - n);
-      it->second.outstanding = false;
-      audit_indexes();
-    }
+    sched_.bounced(u.target, u.block, u.particles.size());
     pool_seeds(ctx, std::move(u.particles));
     assignment_pass(ctx);
-  }
-
-  // Hand the whole seed pool to a solo host for direct integration.
-  std::vector<Particle> drain_seeds(RankContext& ctx) {
-    std::vector<Particle> out;
-    while (!seeds_.empty()) {
-      const BlockId b = seeds_.densest_block();
-      if (b == kInvalidBlock) break;
-      take_seeds(ctx, b, seeds_.count_in(b), out);
-    }
-    return out;
-  }
-
- private:
-  // What the master believes about one slave.  The block lists are
-  // sorted by id, so a status applies as a diff against them.
-  struct SlaveRecord {
-    // Waiting particles by current block; every count is nonzero.
-    std::vector<std::pair<BlockId, std::uint32_t>> queued;
-    std::vector<BlockId> loaded;
-    std::vector<BlockId> loading;
-    std::uint32_t workable = 0;
-    std::uint32_t workload = 0;  // workable plus every queued count
-    bool outstanding = false;  // assigned work since its last status
-    bool needs_work = false;
-    bool hint_requested = false;  // a Send_hint on its behalf is pending
-
-    bool has_loaded(BlockId b) const {
-      return std::binary_search(loaded.begin(), loaded.end(), b);
-    }
-    bool has_block(BlockId b) const {
-      return has_loaded(b) ||
-             std::binary_search(loading.begin(), loading.end(), b);
-    }
-  };
-
-  void start_as_master(RankContext& ctx) {
-    const auto [first, last] = layout_.slaves_of(self_);
-    for (int s = first; s < last; ++s) records_[s] = SlaveRecord{};
-
-    pool_seeds(ctx, std::move(initial_seeds_));
-    initial_seeds_.clear();
-
-    if (total_active_ == 0 && successor_rank(ctx, layout_) == self_) {
-      finish_everyone(ctx);
-      return;
-    }
-
-    // Initial allocation: N seeds per slave through Assign_unloaded.
-    for (auto& [slave, record] : records_) {
-      if (seeds_.empty()) break;
-      assign_seeds(ctx, slave, record);
-    }
-
-    if (params_.heartbeat_period > 0.0 && !finished_) {
-      for (const auto& [slave, record] : records_) {
-        last_heard_[slave] = ctx.now();
-      }
-    }
   }
 
   // The seed pool holds bare seed points, not active streamline objects,
   // so a seed is charged at solver-state size on the way in and out.
   void pool_seeds(RankContext& ctx, std::vector<Particle> seeds) {
-    for (Particle& p : seeds) {
+    for (const Particle& p : seeds) {
       ctx.charge_particle_memory(
           static_cast<std::int64_t>(particle_message_bytes(p, false)));
-      seeds_.add(decomp_->block_of(p.pos), std::move(p));
     }
+    sched_.add_seeds(std::move(seeds));
   }
 
-  // Move up to `max` seeds out of block `from` of the pool onto `out`.
-  void take_seeds(RankContext& ctx, BlockId from, std::size_t max,
-                  std::vector<Particle>& out) {
+  static void release(RankContext& ctx, const std::vector<Particle>& seeds) {
     std::size_t bytes = 0;
-    for (std::size_t i = 0; i < max; ++i) {
-      auto p = seeds_.take_from(from);
-      if (!p) break;
-      bytes += particle_message_bytes(*p, false);
-      out.push_back(std::move(*p));
-    }
+    for (const Particle& p : seeds) bytes += particle_message_bytes(p, false);
     ctx.charge_particle_memory(-static_cast<std::int64_t>(bytes));
+  }
+
+  // The scheduler's orders go out in emission order; an Assign's seeds
+  // leave the pool's charge as they go.
+  void send_orders(RankContext& ctx) {
+    for (auto& [slave, cmd] : orders_) {
+      if (cmd.type == Command::Type::kAssign) release(ctx, cmd.particles);
+      send_command(ctx, slave, std::move(cmd));
+    }
+    orders_.clear();
   }
 
   // --- straggler detection (gray failures, DESIGN.md §16) ------------------
@@ -553,11 +460,6 @@ class MasterCore final : public RankProgram {
     bool flagged = false;
   };
 
-  bool straggler_flagged(int slave) const {
-    const auto it = progress_.find(slave);
-    return it != progress_.end() && it->second.flagged;
-  }
-
   // Width of one progress-measurement window.  Several heartbeat periods
   // wide, so a window spans multiple bursts: per-status rate samples are
   // all-or-nothing noise (a burst credits its steps at acceptance), while
@@ -565,7 +467,6 @@ class MasterCore final : public RankProgram {
   double progress_window() const {
     return static_cast<double>(kStragglerMinBeats) * params_.heartbeat_period;
   }
-
   // Straggler detection (gray failures): every status carries the
   // slave's cumulative accepted-step watermark and its cumulative busy
   // clock.  The master differentiates watermark against busy clock over
@@ -620,8 +521,8 @@ class MasterCore final : public RankProgram {
   // poison the median.
   bool detection_candidate(int slave, const ProgressTrack& t) const {
     if (t.computing) return true;
-    const auto it = records_.find(slave);
-    return it != records_.end() && it->second.workable > 0;
+    const auto it = sched_.records().find(slave);
+    return it != sched_.records().end() && it->second.workable > 0;
   }
 
   // Flag every candidate slave whose last-window effective speed sits
@@ -658,6 +559,7 @@ class MasterCore final : public RankProgram {
       if (!detection_candidate(slave, t)) continue;
       if (t.rate >= kStragglerSlowness * median) continue;
       t.flagged = true;
+      sched_.flag_straggler(slave);
       speculate_straggler(ctx, slave);
     }
   }
@@ -669,205 +571,6 @@ class MasterCore final : public RankProgram {
   // whichever copy loses the race).
   void speculate_straggler(RankContext& ctx, int straggler) {
     pool_seeds(ctx, ctx.speculate_rank(straggler));
-  }
-
-  // --- index maintenance ---------------------------------------------------
-  // Two inverted indexes keep the rule passes O(own state) instead of
-  // O(slaves x blocks): which slaves hold a block (loaded or loading),
-  // and which slaves have particles queued in it.  Each block's list is
-  // sorted by slave.
-
-  void index_hold(int slave, BlockId b) { insert_sorted(holders_[b], slave); }
-
-  void index_unhold(int slave, BlockId b) {
-    const auto it = holders_.find(b);
-    if (it == holders_.end()) return;
-    std::erase(it->second, slave);
-    if (it->second.empty()) holders_.erase(it);
-  }
-
-  void index_queue(int slave, BlockId b, std::uint32_t count) {
-    auto& waiters = queued_idx_[b];
-    const auto it = key_slot(waiters, slave);
-    if (it != waiters.end() && it->first == slave) {
-      it->second = count;
-    } else {
-      waiters.insert(it, {slave, count});
-    }
-  }
-
-  void index_unqueue(int slave, BlockId b) {
-    const auto it = queued_idx_.find(b);
-    if (it == queued_idx_.end()) return;
-    std::erase_if(it->second,
-                  [slave](const auto& e) { return e.first == slave; });
-    if (it->second.empty()) queued_idx_.erase(it);
-  }
-
-  // Equivalence audit: the indexes and the cached workloads, kept up to
-  // date edit by edit, must equal a rebuild from the records.  Debug-only
-  // — the rebuild is the O(slaves x blocks) cost the edits avoid.
-  void audit_indexes() const {
-#ifndef NDEBUG
-    // Slaves in ascending order, so every list is built sorted.
-    decltype(holders_) holders;
-    decltype(queued_idx_) queued;
-    for (const auto& [slave, rec] : records_) {
-      std::uint32_t workload = rec.workable;
-      for (const auto& [b, count] : rec.queued) {
-        queued[b].emplace_back(slave, count);
-        workload += count;
-      }
-      for (const auto* held : {&rec.loaded, &rec.loading}) {
-        for (const BlockId b : *held) {
-          std::vector<int>& h = holders[b];
-          if (h.empty() || h.back() != slave) h.push_back(slave);
-        }
-      }
-      assert(rec.workload == workload && "cached workload diverged");
-    }
-    assert(holders == holders_ && "holders index diverged from a rebuild");
-    assert(queued == queued_idx_ && "queued index diverged from a rebuild");
-#endif
-  }
-
-  // Queue `n` more particles in block `b` on a slave's record.
-  void add_queued(int slave, SlaveRecord& rec, BlockId b, std::uint32_t n) {
-    if (n == 0) return;
-    auto it = key_slot(rec.queued, b);
-    if (it != rec.queued.end() && it->first == b) {
-      it->second += n;
-    } else {
-      it = rec.queued.insert(it, {b, n});
-    }
-    rec.workload += n;
-    index_queue(slave, b, it->second);
-  }
-
-  // Drop block `b` from a slave's queue; returns the count it held.
-  std::uint32_t take_queued(int slave, SlaveRecord& rec, BlockId b) {
-    const auto it = key_slot(rec.queued, b);
-    if (it == rec.queued.end() || it->first != b) return 0;
-    const std::uint32_t n = it->second;
-    rec.queued.erase(it);
-    rec.workload -= n;
-    index_unqueue(slave, b);
-    return n;
-  }
-
-  // Replace the record's view with a status, taking over its lists.  The
-  // indexes change only where the slave's queued counts or held blocks
-  // changed, so a status costs a sort and a walk of its lists, plus an
-  // index update per changed block.
-  void apply_status(int slave, SlaveRecord& rec, StatusUpdate& status) {
-    normalize_queued(status.queued_by_block);
-    diff_sorted(
-        rec.queued, status.queued_by_block,
-        [](const auto& e) { return e.first; },
-        [&](const auto& gone) { index_unqueue(slave, gone.first); },
-        [&](const auto& was, const auto& now) {
-          if (was.second != now.second) {
-            index_queue(slave, now.first, now.second);
-          }
-        },
-        [&](const auto& added) {
-          index_queue(slave, added.first, added.second);
-        });
-    rec.queued.swap(status.queued_by_block);
-    rec.workload = status.workable;
-    for (const auto& [b, count] : rec.queued) rec.workload += count;
-
-    sort_unique(status.loaded);
-    sort_unique(status.loading);
-    sorted_union(rec.loaded, rec.loading, held_before_);
-    sorted_union(status.loaded, status.loading, held_after_);
-    diff_sorted(
-        held_before_, held_after_, [](BlockId b) { return b; },
-        [&](BlockId gone) { index_unhold(slave, gone); },
-        [](BlockId, BlockId) {},
-        [&](BlockId added) { index_hold(slave, added); });
-    rec.loaded.swap(status.loaded);
-    rec.loading.swap(status.loading);
-
-    rec.workable = status.workable;
-    rec.outstanding = false;
-    rec.needs_work = (status.workable == 0);
-    rec.hint_requested = false;
-    audit_indexes();
-  }
-
-  // Send_force (rules 1 and 3): `from_slave` must ship its particles in
-  // `b` to `to_slave`.  The queued count moves between the records
-  // optimistically, before either slave reports.
-  void send_force(RankContext& ctx, int from_slave, SlaveRecord& from_rec,
-                  BlockId b, int to_slave) {
-    Command cmd;
-    cmd.type = Command::Type::kSendForce;
-    cmd.block = b;
-    cmd.target = to_slave;
-    send_command(ctx, from_slave, std::move(cmd));
-    const std::uint32_t count = take_queued(from_slave, from_rec, b);
-    add_queued(to_slave, records_[to_slave], b, count);
-    audit_indexes();
-  }
-
-  void note_load_command(int slave, SlaveRecord& rec, BlockId b) {
-    insert_sorted(rec.loading, b);
-    index_hold(slave, b);
-  }
-
-  // Load (rules 2 and 6): the slave must read block `b`.
-  void order_load(RankContext& ctx, int slave, SlaveRecord& rec, BlockId b) {
-    Command cmd;
-    cmd.type = Command::Type::kLoad;
-    cmd.block = b;
-    send_command(ctx, slave, std::move(cmd));
-    note_load_command(slave, rec, b);
-  }
-
-  // The unloaded block holding the most of the slave's queued particles,
-  // if that is more than `floor` (ties -> lowest id); else kInvalidBlock.
-  BlockId most_stuck_block(const SlaveRecord& rec,
-                           std::uint32_t floor) const {
-    BlockId best = kInvalidBlock;
-    for (const auto& [b, count] : rec.queued) {
-      if (!rec.has_block(b) && count > floor) {
-        best = b;
-        floor = count;
-      }
-    }
-    return best;
-  }
-
-  std::uint32_t overload_limit() const {
-    return static_cast<std::uint32_t>(params_.overload_factor *
-                                      params_.assign_batch);
-  }
-
-  void assign_seeds(RankContext& ctx, int slave, SlaveRecord& rec) {
-    // Prefer a block the slave already has loaded (Assign_loaded), else
-    // the densest seed block (Assign_unloaded).
-    BlockId from = seeds_.first_block_where(
-        [&rec](BlockId b) { return rec.has_loaded(b); });
-    if (from == kInvalidBlock) from = seeds_.densest_block();
-    if (from == kInvalidBlock) return;
-
-    std::vector<Particle> batch;
-    take_seeds(ctx, from, static_cast<std::size_t>(params_.assign_batch),
-               batch);
-    add_queued(slave, rec, from, static_cast<std::uint32_t>(batch.size()));
-    // The slave auto-loads the blocks of assigned seeds (Assign_unloaded).
-    if (!rec.has_block(from)) note_load_command(slave, rec, from);
-    rec.outstanding = true;
-    rec.needs_work = false;
-
-    Command cmd;
-    cmd.type = Command::Type::kAssign;
-    cmd.block = from;
-    cmd.particles = std::move(batch);
-    Message m;
-    m.payload = std::move(cmd);
-    ctx.send(slave, std::move(m));
   }
 
   void send_command(RankContext& ctx, int to, Command cmd) {
@@ -882,165 +585,14 @@ class MasterCore final : public RankProgram {
     send_command(ctx, to, std::move(cmd));
   }
 
-  // The §4.3 rule sequence for one workless slave.  Returns true when S
-  // was supplied with work.  The last-resort rules (6's global fallback
-  // and 7) are gated by `allow_expensive`: the assignment pass grants
-  // them to one starving slave per pass, because they scan group-wide
-  // state and rarely succeed twice in the same pass ("the next time
-  // another slave posts a status ... there is another opportunity").
-  bool rules_for(RankContext& ctx, int slave, SlaveRecord& rec,
-                 bool allow_expensive) {
-    bool assigned = false;
-
-    // (1) Send_force away: S's particles in unloaded blocks go to group
-    // slaves that have those blocks loaded/loading (if they stay under
-    // NO).  A block still in flight counts: particles queue on the
-    // receiving slave until its read lands.
-    {
-      // Copy: send_force edits the queue.  It only removes the entry it
-      // moves, so every count here stays current.
-      stuck_.clear();
-      for (const auto& [b, count] : rec.queued) {
-        if (!rec.has_block(b)) stuck_.emplace_back(b, count);
-      }
-      for (const auto& [b, count] : stuck_) {
-        const auto hit = holders_.find(b);
-        if (hit == holders_.end()) continue;
-        int target = -1;
-        for (const int cand : hit->second) {
-          if (cand == slave || straggler_flagged(cand)) continue;
-          if (records_[cand].workload + count <= overload_limit()) {
-            target = cand;
-            break;
-          }
-        }
-        if (target >= 0) send_force(ctx, slave, rec, b, target);
-      }
-    }
-
-    // (2) Load: S has more than NL particles stuck in one unloaded block.
-    {
-      const BlockId best = most_stuck_block(
-          rec, static_cast<std::uint32_t>(params_.load_threshold));
-      if (best != kInvalidBlock) {
-        order_load(ctx, slave, rec, best);
-        assigned = true;
-      }
-    }
-
-    // (3) The loads above changed the group's loaded sets: other slaves
-    // may now Send_force their stuck particles to S.
-    {
-      // send_force leaves S's block lists alone, so they need no copy.
-      const auto take_waiters = [&](BlockId b) {
-        const auto qit = queued_idx_.find(b);
-        if (qit == queued_idx_.end()) return;
-        // Copy: send_force mutates the index.
-        waiters_.assign(qit->second.begin(), qit->second.end());
-        for (const auto& [other, count] : waiters_) {
-          if (other == slave) continue;
-          SlaveRecord& orec = records_[other];
-          if (orec.has_block(b)) continue;  // they can run it themselves
-          if (rec.workload + count > overload_limit()) break;
-          send_force(ctx, other, orec, b, slave);
-          assigned = true;
-        }
-      };
-      for (const BlockId b : rec.loaded) take_waiters(b);
-      for (const BlockId b : rec.loading) take_waiters(b);
-    }
-
-    // (4) Assign_loaded / (5) Assign_unloaded from the master seed pool.
-    if (!assigned && !seeds_.empty()) {
-      assign_seeds(ctx, slave, rec);
-      return true;  // assign_seeds maintains the record flags itself
-    }
-
-    // (6) Still nothing: make S load the block holding its most
-    // streamlines (or, failing that, the group's hottest block).
-    if (!assigned) {
-      BlockId best = most_stuck_block(rec, 0);
-      if (best == kInvalidBlock && allow_expensive) {
-        // Fall back to the group's hottest block — but only one held by
-        // *no* group slave.  If somebody already holds it, migration
-        // (rules 1/3/7) is strictly cheaper than a duplicate 12 MB read,
-        // and without this guard every starved slave in a large group
-        // re-loads the same hot block.
-        std::uint32_t best_count = 0;
-        for (const auto& [b, waiters] : queued_idx_) {
-          if (holders_.count(b) != 0) continue;
-          std::uint32_t total = 0;
-          for (const auto& [other, count] : waiters) total += count;
-          if (total > best_count) {
-            best = b;
-            best_count = total;
-          }
-        }
-      }
-      if (best != kInvalidBlock) {
-        order_load(ctx, slave, rec, best);
-        assigned = true;
-      }
-    }
-
-    // (7) Hint the busiest slave that S can take work off its hands.
-    // At most one outstanding hint per starving slave (re-armed by its
-    // next status) — unthrottled hinting floods the group.
-    if (!assigned && allow_expensive && !rec.hint_requested) {
-      busiest_.clear();
-      std::uint32_t most = 0;
-      for (const auto& [other, orec] : records_) {
-        if (other == slave) continue;
-        const std::uint32_t w = orec.workload;
-        if (w > most) {
-          most = w;
-          busiest_.assign(1, other);
-        } else if (w == most && w > 0) {
-          busiest_.push_back(other);
-        }
-      }
-      if (!busiest_.empty() && most > 0) {
-        const int target = busiest_[static_cast<std::size_t>(
-            rng_.next_below(busiest_.size()))];
-        const SlaveRecord& trec = records_[target];
-        Command cmd;
-        cmd.type = Command::Type::kSendHint;
-        cmd.target = slave;
-        for (const auto& [b, count] : trec.queued) {
-          if (!trec.has_block(b)) cmd.hint_blocks.push_back(b);
-        }
-        if (!cmd.hint_blocks.empty()) {
-          send_command(ctx, target, std::move(cmd));
-          rec.hint_requested = true;
-        }
-      }
-    }
-
-    return assigned;
-  }
-
   void assignment_pass(RankContext& ctx) {
-    bool expensive_available = true;
-    for (auto& [slave, rec] : records_) {
-      if (!rec.needs_work || rec.outstanding) continue;
-      // A flagged straggler gets no new work: its remaining copies race
-      // the speculated ones, and feeding it more only slows the run.
-      if (straggler_flagged(slave)) continue;
-      if (rules_for(ctx, slave, rec, expensive_available)) {
-        rec.needs_work = false;
-        rec.outstanding = true;
-      } else if (expensive_available) {
-        // The group-wide last-resort rules ran and found nothing; do not
-        // re-scan for every other starving slave in this pass.
-        expensive_available = false;
-      }
-    }
-
+    sched_.assignment_pass(orders_);
+    send_orders(ctx);
     // Master-to-master balancing: my pool is dry but slaves are starving.
-    if (seeds_.empty() && !seed_request_outstanding_ &&
+    if (sched_.seeds().empty() && !seed_request_outstanding_ &&
         layout_.num_masters > 1) {
       bool starving = false;
-      for (const auto& [slave, rec] : records_) {
+      for (const auto& [slave, rec] : sched_.records()) {
         if (rec.needs_work && !rec.outstanding) starving = true;
       }
       if (starving) {
@@ -1100,15 +652,18 @@ class MasterCore final : public RankProgram {
   SeedTransfer collect_donation(RankContext& ctx) {
     SeedTransfer transfer;
     const std::size_t spare_floor =
-        static_cast<std::size_t>(params_.assign_batch) * records_.size();
+        static_cast<std::size_t>(params_.assign_batch) *
+        sched_.records().size();
     const std::size_t donate_cap =
         static_cast<std::size_t>(4 * params_.assign_batch);
     // One seed at a time: the densest block can change after each take.
-    while (seeds_.size() > spare_floor && transfer.seeds.size() < donate_cap) {
-      const BlockId b = seeds_.densest_block();
+    while (sched_.seeds().size() > spare_floor &&
+           transfer.seeds.size() < donate_cap) {
+      const BlockId b = sched_.seeds().densest_block();
       if (b == kInvalidBlock) break;
-      take_seeds(ctx, b, 1, transfer.seeds);
+      sched_.take_seeds(b, 1, transfer.seeds);
     }
+    release(ctx, transfer.seeds);
     return transfer;
   }
 
@@ -1182,8 +737,7 @@ class MasterCore final : public RankProgram {
   // --- failover ------------------------------------------------------------
 
   void register_slave(RankContext& ctx, int slave) {
-    if (records_.count(slave) != 0) return;
-    records_[slave] = SlaveRecord{};
+    if (!sched_.add_slave(slave)) return;
     // Adopted slaves get one extra detection window before the sixth rule
     // may declare them: their own re-home detection runs on the same
     // silence clock as ours, so a fresh adoptee may legitimately report
@@ -1225,14 +779,7 @@ class MasterCore final : public RankProgram {
   // fold its ledger-logged termination total into the board, and
   // rebalance.
   void declare_dead(RankContext& ctx, int slave) {
-    auto it = records_.find(slave);
-    if (it == records_.end()) return;
-    // Purge the record's index entries by applying an empty status, then
-    // drop the record: dead slaves take no further part in any rule.
-    StatusUpdate none;
-    apply_status(slave, it->second, none);
-    records_.erase(it);
-    audit_indexes();
+    if (!sched_.remove_slave(slave)) return;
     last_heard_.erase(slave);
     progress_.erase(slave);
 
@@ -1301,7 +848,7 @@ class MasterCore final : public RankProgram {
       msg.payload = DoneSignal{};
       ctx.send(m, std::move(msg));
     }
-    if (params_.failover) {
+    if (failover(params_)) {
       // A master can die with its DoneSignal still in flight; its orphans
       // would then re-home to a coordinator that already finished.  The
       // counter closes that window by terminating every live slave
@@ -1318,11 +865,11 @@ class MasterCore final : public RankProgram {
 
   void terminate_group(RankContext& ctx) {
     // Every live slave this coordinator is responsible for: the layout
-    // group (including slaves erased from records_ by a false-positive
+    // group (including slaves the scheduler dropped on a false-positive
     // declare-dead), plus anyone adopted through failover.
     for (int s = layout_.num_masters; s < layout_.num_ranks; ++s) {
       if (s == self_ || !ctx.is_alive(s)) continue;
-      if (records_.count(s) == 0 && !coordinates(ctx, s)) continue;
+      if (sched_.records().count(s) == 0 && !coordinates(ctx, s)) continue;
       send_terminate(ctx, s);
     }
     finished_ = true;
@@ -1334,28 +881,16 @@ class MasterCore final : public RankProgram {
     return adopter_of(ctx, layout_, m) == self_;
   }
 
-  const BlockDecomposition* decomp_;
   int self_;
   HybridLayout layout_;
   HybridParams params_;
   std::uint32_t total_active_;  // global streamline count
   std::vector<Particle> initial_seeds_;  // this master's pool until start
-  Rng rng_;
 
-  ParticlePool seeds_;
-  std::map<int, SlaveRecord> records_;
+  GroupScheduler sched_;
+  GroupScheduler::Orders orders_;  // reused by every pass
   std::map<int, double> last_heard_;  // heartbeat bookkeeping (§7)
   std::map<int, ProgressTrack> progress_;  // straggler detection (§16)
-  // Inverted indexes over the records (see index_* helpers).
-  std::map<BlockId, std::vector<int>> holders_;
-  std::map<BlockId, std::vector<std::pair<int, std::uint32_t>>> queued_idx_;
-  // Buffers reused across calls, so the status diff and the rule pass do
-  // not allocate once warm.
-  std::vector<BlockId> held_before_;
-  std::vector<BlockId> held_after_;
-  std::vector<std::pair<BlockId, std::uint32_t>> stuck_;
-  std::vector<std::pair<int, std::uint32_t>> waiters_;
-  std::vector<int> busiest_;
   std::set<int> dry_masters_;
   bool seed_request_outstanding_ = false;
   int seed_request_target_ = -1;
@@ -1383,26 +918,41 @@ class MasterCore final : public RankProgram {
 };
 
 // ---------------------------------------------------------------------------
-// Slave
+// Rank host
 // ---------------------------------------------------------------------------
 
+// The program of every hybrid rank.  A slave advances streamlines from its
+// block cache and reports status; a coordinator — a master from t=0, or a
+// slave promoted by failover — runs the same host with the MasterCore
+// engaged, and integrates its own seed pool only while MasterCore::solo
+// holds.
 class HybridSlave final : public RankProgram {
  public:
   HybridSlave(const BlockDecomposition* decomp, int rank, HybridLayout layout,
-              HybridParams params, std::uint32_t total_active)
+              HybridParams params, std::uint32_t total_active,
+              std::vector<Particle> seeds)
       : decomp_(decomp),
         rank_(rank),
         layout_(layout),
         params_(params),
         total_active_(total_active),
         coord_(layout.master_of(rank)),
-        worker_(decomp) {}
+        worker_(decomp) {
+    if (layout.is_master(rank)) {
+      core_.emplace(decomp, rank, layout, params, total_active,
+                    std::move(seeds));
+    }
+  }
 
   void start(RankContext& ctx) override {
     // Slaves begin idle; everything arrives from the master.  Do not
     // report yet — the master hands out the initial allocation unasked.
     master_heard_ = ctx.now();
-    if (params_.heartbeat_period > 0.0) {
+    if (core_) {
+      core_->start(ctx);
+      core_post(ctx);
+    }
+    if (params_.heartbeat_period > 0.0 && !finished_) {
       ctx.set_timer(params_.heartbeat_period);
     }
   }
@@ -1444,7 +994,7 @@ class HybridSlave final : public RankProgram {
       // new coordinator's beacons would keep resetting the silence clock
       // while our reports still went to the corpse, and the adopter would
       // eventually declare *us* dead for never reporting.
-      if (params_.failover && msg.from != coord_ && !ctx.is_alive(coord_)) {
+      if (failover(params_) && msg.from != coord_ && !ctx.is_alive(coord_)) {
         coord_ = msg.from;
       }
       return;
@@ -1469,11 +1019,11 @@ class HybridSlave final : public RankProgram {
     // that computed us as successor may deliver before our own silence
     // detection fires — promote on demand; the liveness view makes this
     // safe (successor == self implies every master is already dead).
-    if (!core_ && params_.failover && !finished_ &&
+    if (!core_ && failover(params_) && !finished_ &&
         successor_rank(ctx, layout_) == rank_) {
       promote(ctx);
     }
-    if (!core_ || (finished_ && !bounced)) return;
+    if (!core_) return;
     core_->on_message(ctx, std::move(msg));
     core_post(ctx);
   }
@@ -1564,7 +1114,7 @@ class HybridSlave final : public RankProgram {
   // survives.  The liveness confirmation is what prevents a lossy-link
   // silence from electing two acting masters.
   void maybe_failover(RankContext& ctx) {
-    if (!params_.failover || params_.heartbeat_period <= 0.0) return;
+    if (!failover(params_)) return;
     if (ctx.now() - master_heard_ <= heartbeat_deadline(params_)) {
       return;  // not silent yet
     }
@@ -1598,7 +1148,7 @@ class HybridSlave final : public RankProgram {
       finished_ = true;
       return;
     }
-    if (core_->solo()) {
+    if (core_->solo(ctx)) {
       std::vector<Particle> adopted = core_->drain_seeds(ctx);
       if (!adopted.empty()) accept(ctx, std::move(adopted));
     }
@@ -1745,7 +1295,8 @@ class HybridSlave final : public RankProgram {
   int pending_loads_ = 0;
   bool reported_ = false;
   bool finished_ = false;
-  // Engaged on promotion: this slave is now the acting master.
+  // Engaged on a coordinator rank from the start, on a slave when it
+  // promotes itself: this rank is then an acting master.
   std::optional<MasterCore> core_;
 };
 
@@ -1764,20 +1315,16 @@ ProgramFactory make_hybrid(const BlockDecomposition* decomp,
              int rank, int num_ranks) -> std::unique_ptr<RankProgram> {
     const HybridLayout layout = HybridLayout::make(
         num_ranks, params.slaves_per_master, params.root_fanout);
-    if (layout.is_master(rank)) {
-      // Seeds are partitioned over the leaf masters (the masters that own
-      // slave groups); roots start empty and only hold seeds transiently
-      // while brokering.
-      std::vector<Particle> seeds;
-      if (!layout.is_root(rank)) {
-        seeds = std::move(
-            (*shared)[static_cast<std::size_t>(rank - layout.num_roots)]);
-      }
-      return std::make_unique<MasterCore>(decomp, rank, layout, params,
-                                          total_active, std::move(seeds));
+    // Seeds are partitioned over the leaf masters (the masters that own
+    // slave groups); roots start empty and only hold seeds transiently
+    // while brokering.
+    std::vector<Particle> seeds;
+    if (layout.is_master(rank) && !layout.is_root(rank)) {
+      seeds = std::move(
+          (*shared)[static_cast<std::size_t>(rank - layout.num_roots)]);
     }
     return std::make_unique<HybridSlave>(decomp, rank, layout, params,
-                                         total_active);
+                                         total_active, std::move(seeds));
   };
 }
 

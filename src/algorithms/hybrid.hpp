@@ -21,12 +21,17 @@
 // live master, master 0 in fault-free runs) aggregates the global
 // termination count from per-rank cumulative totals.
 //
-// With `failover` enabled (fault runs, DESIGN.md §11) coordinator death
-// is recoverable: masters beacon their group, slaves that observe a
-// silent dead master re-home to a successor — the lowest live master, or
-// the lowest live slave promoting itself when no master survives — and
-// the successor rebuilds scheduling state from re-reported statuses plus
-// the particle ledger, so no streamline is lost.
+// The rules themselves are a runtime-free GroupScheduler
+// (hybrid_rules.hpp).  Every rank runs one host program; on a coordinator
+// it engages the master core, which sends the scheduler's orders.
+//
+// With a heartbeat (fault runs, DESIGN.md §11) coordinator death is
+// recoverable: masters beacon their group, slaves that observe a silent
+// dead master re-home to a successor — the lowest live master, or the
+// lowest live slave promoting itself when no master survives — and the
+// successor rebuilds scheduling state from re-reported statuses plus the
+// particle ledger, so no streamline is lost.  A coordinator left with no
+// live slave integrates its own seed pool.
 
 #include <cstdint>
 
@@ -40,19 +45,16 @@ struct HybridParams {
   int overload_factor = 20;   // NO = overload_factor * N
   int load_threshold = 40;    // NL: load instead of migrating
   int slaves_per_master = 32; // W
-  // Fault tolerance (DESIGN.md §7): when heartbeat_period > 0 slaves
+  // Fault tolerance (DESIGN.md §7, §11): when heartbeat_period > 0 slaves
   // report status at least every period and the master declares a slave
   // dead after heartbeat_miss_limit silent periods, reclaiming its
-  // streamlines (the sixth rule).  0 disables the protocol, keeping
+  // streamlines (the sixth rule); masters beacon their slaves, orphaned
+  // slaves re-home to a successor (or promote themselves), and the
+  // counter terminates stragglers directly.  The driver copies the fault
+  // config's heartbeat on fault runs; 0 disables the protocol, keeping
   // fault-free runs bit-identical to the five-rule master.
   double heartbeat_period = 0.0;
   int heartbeat_miss_limit = 3;
-  // Coordinator fault tolerance (DESIGN.md §11): masters beacon their
-  // slaves each heartbeat period, orphaned slaves re-home to a successor
-  // (or promote themselves), and the counter terminates stragglers
-  // directly.  Set by the driver on fault runs; off keeps the fault-free
-  // message sequence unchanged.
-  bool failover = false;
   // Gray-failure mitigation (DESIGN.md §16): every status carries a
   // cumulative step watermark and a cumulative busy clock; the master
   // differentiates them over windows of three heartbeat periods into a

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 
 #include "algorithms/driver.hpp"
 #include "algorithms/hybrid.hpp"
@@ -400,6 +403,29 @@ TEST(CoordinatorFailoverHybrid, PeerMasterAdoptsOrphanedSlaves) {
             m.fault.crash_records[0].detect_time);
 }
 
+// Without a heartbeat neither the sixth rule nor failover can see a
+// crash, so a hybrid fault run must name a positive heartbeat period.
+TEST(CoordinatorFailoverHybrid, RejectsAHeartbeatThatCannotDetectACrash) {
+  const FaultWorld fw;
+  for (const double period : {0.0, -1.0, std::nan("")}) {
+    auto cfg = fw.config(Algorithm::kHybridMasterSlave, 16);
+    cfg.runtime.fault.crashes = {{0.05, 3}};
+    cfg.runtime.fault.heartbeat_period = period;
+    try {
+      fw.run(cfg);
+      ADD_FAILURE() << "accepted heartbeat_period " << period;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("heartbeat_period"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // A fault-free run never starts the protocol, so its period is moot.
+  auto clean = fw.config(Algorithm::kHybridMasterSlave, 16);
+  clean.runtime.fault.heartbeat_period = 0.0;
+  EXPECT_FALSE(fw.run(clean).failed_oom);
+}
+
 // ---------------------------------------------------------------------------
 // Master-tree failover (DESIGN.md §15)
 //
@@ -497,6 +523,41 @@ TEST(TreeFailover, SimultaneousLeafAndRootDeathStillConverges) {
                         "leaf-and-root-death-vs-clean");
 }
 
+// Every slave of a 150-rank tree (W=4, fanout 4: 8 roots, 30 leaf
+// masters, 112 slaves) dies at once.  Each leaf master reclaims its
+// group's streamlines and integrates them itself; the roots still carry
+// the termination board to the counter.
+TEST(TreeFailover, LeafMastersFinishWhenEverySlaveDies) {
+  const FaultWorld fw;
+  auto base = fw.config(Algorithm::kHybridMasterSlave, 150);
+  base.hybrid.slaves_per_master = 4;
+  base.hybrid.root_fanout = 4;
+  const HybridLayout layout = HybridLayout::make(150, 4, 4);
+  ASSERT_EQ(layout.num_roots, 8);
+  ASSERT_EQ(layout.num_masters, 38);
+
+  const RunMetrics clean = fw.run(base);
+  ASSERT_FALSE(clean.failed_oom);
+
+  auto cfg = base;
+  for (int s = layout.num_masters; s < layout.num_ranks; ++s) {
+    cfg.runtime.fault.crashes.push_back({0.4 * clean.wall_clock, s});
+  }
+  const RunMetrics m = fw.run(cfg);
+
+  ASSERT_FALSE(m.failed_oom);
+  ASSERT_FALSE(m.failed_fault);
+  EXPECT_EQ(m.fault.crashes_survived,
+            static_cast<std::uint64_t>(layout.num_slaves()));
+  std::uint64_t master_steps = 0;
+  for (int r = layout.num_roots; r < layout.num_masters; ++r) {
+    master_steps += m.ranks[static_cast<std::size_t>(r)].steps;
+  }
+  EXPECT_GT(master_steps, 0u);
+  expect_same_particles(clean.particles, m.particles,
+                        "every-tree-slave-dead-vs-clean");
+}
+
 // ThreadRuntime leg: the tree layout on real threads terminates with the
 // same streamline set as the discrete-event simulator (fault-free — the
 // thread runtime has no fault plane to crash a rank with).
@@ -558,6 +619,28 @@ TEST(ControlPlane, SlaveDeathUnderDropsKeepsParticlesIdentical) {
   EXPECT_GT(m.fault.particles_recovered, 0u);
   expect_same_particles(clean.particles, m.particles,
                         "slave-death-under-drops-vs-clean");
+}
+
+// Liveness: when every slave dies, the surviving master is the only rank
+// left that can integrate, so it must run its reclaimed pool itself
+// rather than hold it and re-arm its heartbeat forever.
+TEST(ControlPlane, SurvivingMasterFinishesWhenEverySlaveDies) {
+  const FaultWorld fw;
+  const RunMetrics clean =
+      fw.run(fw.config(Algorithm::kHybridMasterSlave, 3));
+  ASSERT_FALSE(clean.failed_oom);
+
+  auto cfg = fw.config(Algorithm::kHybridMasterSlave, 3);
+  cfg.runtime.fault.crashes = {{0.4 * clean.wall_clock, 1},
+                               {0.4 * clean.wall_clock, 2}};
+  const RunMetrics m = fw.run(cfg);
+
+  ASSERT_FALSE(m.failed_oom);
+  ASSERT_FALSE(m.failed_fault);
+  EXPECT_EQ(m.fault.crashes_survived, 2u);
+  EXPECT_GT(m.ranks[0].steps, 0u);
+  expect_same_particles(clean.particles, m.particles,
+                        "every-slave-dead-vs-clean");
 }
 
 TEST(ControlPlane, FailoverAndStragglerModelledOutputIsPinned) {
