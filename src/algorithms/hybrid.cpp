@@ -457,7 +457,6 @@ class MasterCore {
     int windows = 0;        // closed windows so far
     bool computing = false;          // latest status: burst in flight
     bool started = false;
-    bool flagged = false;
   };
 
   // Width of one progress-measurement window.  Several heartbeat periods
@@ -540,9 +539,12 @@ class MasterCore {
   // window — so the gate costs no detection coverage where mitigation
   // matters.
   void flag_stragglers(RankContext& ctx) {
+    const auto flagged = [this](int slave) {
+      return sched_.records().at(slave).straggler;
+    };
     std::vector<double> rates;
     for (const auto& [slave, t] : progress_) {
-      if (t.flagged || t.windows < 1 || t.rate <= 0.0) continue;
+      if (flagged(slave) || t.windows < 1 || t.rate <= 0.0) continue;
       rates.push_back(t.rate);
     }
     if (rates.size() < 2) return;
@@ -553,12 +555,11 @@ class MasterCore {
     const double median = rates[mid];
     if (median <= 0.0) return;
     const double busy_floor = 0.5 * progress_window();
-    for (auto& [slave, t] : progress_) {
-      if (t.flagged || t.windows < 1) continue;
+    for (const auto& [slave, t] : progress_) {
+      if (flagged(slave) || t.windows < 1) continue;
       if (t.last_busy < busy_floor) continue;
       if (!detection_candidate(slave, t)) continue;
       if (t.rate >= kStragglerSlowness * median) continue;
-      t.flagged = true;
       sched_.flag_straggler(slave);
       speculate_straggler(ctx, slave);
     }
