@@ -303,30 +303,6 @@ class MasterCore {
     assignment_pass(ctx);  // adopted seeds may be waiting for takers
   }
 
-  // A peer's board, or — from a promoted host — its own advection
-  // credits, which flow straight into the board instead of through a
-  // StatusUpdate to itself.
-  void on_termination_count(
-      RankContext& ctx,
-      const std::vector<std::pair<int, std::uint32_t>>& totals) {
-    if (finished_) return;
-    if (board_.merge(totals)) totals_dirty_ = true;
-    publish_totals(ctx);
-  }
-
-  // Hand the whole seed pool to a solo host for direct integration.
-  std::vector<Particle> drain_seeds(RankContext& ctx) {
-    std::vector<Particle> out;
-    while (!sched_.seeds().empty()) {
-      const BlockId b = sched_.seeds().densest_block();
-      if (b == kInvalidBlock) break;
-      sched_.take_seeds(b, sched_.seeds().count_in(b), out);
-    }
-    release(ctx, out);
-    return out;
-  }
-
- private:
   void on_status(RankContext& ctx, int from, StatusUpdate status) {
     if (finished_) {
       // A re-home that arrived after the run ended: a master answers with
@@ -356,6 +332,17 @@ class MasterCore {
     publish_totals(ctx);
     if (finished_) return;  // terminations may have ended the run
     assignment_pass(ctx);
+  }
+
+  // A peer's board, or — from a promoted host — its own advection
+  // credits, which flow straight into the board instead of through a
+  // StatusUpdate to itself.
+  void on_termination_count(
+      RankContext& ctx,
+      const std::vector<std::pair<int, std::uint32_t>>& totals) {
+    if (finished_) return;
+    if (board_.merge(totals)) totals_dirty_ = true;
+    publish_totals(ctx);
   }
 
   // A starving master's SeedRequest, or a broker root's SeedRelay: donate
@@ -413,6 +400,7 @@ class MasterCore {
       ctx.send(u.target, std::move(m));
       return;
     }
+
     // A seed assignment to a slave failed: un-book the optimistic queue
     // accounting so the rules do not chase phantom particles.
     sched_.bounced(u.target, u.block, u.particles.size());
@@ -420,14 +408,27 @@ class MasterCore {
     assignment_pass(ctx);
   }
 
+  // Hand the whole seed pool to a solo host for direct integration.
+  std::vector<Particle> drain_seeds(RankContext& ctx) {
+    std::vector<Particle> out;
+    while (!sched_.seeds().empty()) {
+      const BlockId b = sched_.seeds().densest_block();
+      if (b == kInvalidBlock) break;
+      sched_.take_seeds(b, sched_.seeds().count_in(b), out);
+    }
+    release(ctx, out);
+    return out;
+  }
+
+ private:
   // The seed pool holds bare seed points, not active streamline objects,
   // so a seed is charged at solver-state size on the way in and out.
   void pool_seeds(RankContext& ctx, std::vector<Particle> seeds) {
-    for (const Particle& p : seeds) {
+    for (Particle& p : seeds) {
       ctx.charge_particle_memory(
           static_cast<std::int64_t>(particle_message_bytes(p, false)));
+      sched_.add_seed(std::move(p));
     }
-    sched_.add_seeds(std::move(seeds));
   }
 
   static void release(RankContext& ctx, const std::vector<Particle>& seeds) {
@@ -466,6 +467,7 @@ class MasterCore {
   double progress_window() const {
     return static_cast<double>(kStragglerMinBeats) * params_.heartbeat_period;
   }
+
   // Straggler detection (gray failures): every status carries the
   // slave's cumulative accepted-step watermark and its cumulative busy
   // clock.  The master differentiates watermark against busy clock over

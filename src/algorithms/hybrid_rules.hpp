@@ -141,10 +141,8 @@ class GroupScheduler {
   const ParticlePool& seeds() const { return seeds_; }
 
   // The seed pool, by the block each seed starts in.
-  void add_seeds(std::vector<Particle> seeds) {
-    for (Particle& p : seeds) {
-      seeds_.add(decomp_->block_of(p.pos), std::move(p));
-    }
+  void add_seed(Particle p) {
+    seeds_.add(decomp_->block_of(p.pos), std::move(p));
   }
 
   // Move up to `max` seeds out of block `from` onto `out`.

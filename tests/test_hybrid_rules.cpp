@@ -27,9 +27,11 @@ struct Group {
       : sched(&decomp, n, overload_factor, nl, /*rng_seed=*/1) {}
 
   void seed(BlockId b, int count) {
-    std::vector<Particle> seeds(static_cast<std::size_t>(count));
-    for (Particle& p : seeds) p.pos = {b + 0.5, 0.5, 0.5};
-    sched.add_seeds(std::move(seeds));
+    for (int i = 0; i < count; ++i) {
+      Particle p;
+      p.pos = {b + 0.5, 0.5, 0.5};
+      sched.add_seed(p);
+    }
   }
 
   void report(int slave, Queue queued, std::vector<BlockId> loaded,
