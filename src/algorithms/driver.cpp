@@ -19,18 +19,22 @@ const char* to_string(Algorithm a) {
   return "unknown";
 }
 
-namespace {
-
-// Any fault feature requested?  If so the whole layer switches on; if not
-// the runtime takes the exact pre-fault code paths (bit-identical runs).
-bool fault_features_requested(const FaultConfig& f,
-                              const std::string& restart_from) {
-  return f.enabled || !restart_from.empty() || f.mtbf > 0.0 ||
-         !f.crashes.empty() || f.disk_fault_rate > 0.0 ||
-         f.disk_stall_rate > 0.0 || f.message_drop_rate > 0.0 ||
-         f.checkpoint_interval > 0.0 || !f.slowdowns.empty() ||
-         f.gray_mtbf > 0.0 || f.disk_slow_rate > 0.0 || f.corrupt_rate > 0.0;
+bool enable_requested_faults(FaultConfig& f, const std::string& restart_from,
+                             std::vector<Particle> settled) {
+  f.enabled = f.enabled || !restart_from.empty() || f.mtbf > 0.0 ||
+              !f.crashes.empty() || f.disk_fault_rate > 0.0 ||
+              f.disk_stall_rate > 0.0 || f.message_drop_rate > 0.0 ||
+              f.checkpoint_interval > 0.0 || !f.slowdowns.empty() ||
+              f.gray_mtbf > 0.0 || f.disk_slow_rate > 0.0 ||
+              f.corrupt_rate > 0.0;
+  if (f.enabled) {
+    f.detector = FaultConfig::Detector::kRuntime;
+    f.presettled = std::move(settled);
+  }
+  return f.enabled;
 }
+
+namespace {
 
 // Everything both runtimes share: seed rejection, checkpoint restart,
 // algorithm factory construction, per-algorithm fault wiring and the
@@ -49,9 +53,6 @@ PreparedRun prepare_run(const ExperimentConfig& config,
   PreparedRun run;
   run.cfg = config;  // we finish the fault wiring locally
   ExperimentConfig& cfg = run.cfg;
-  run.faulty = fault_features_requested(cfg.runtime.fault, cfg.restart_from);
-  const bool faulty = run.faulty;
-  cfg.runtime.fault.enabled = faulty;
 
   std::vector<Particle> particles =
       make_particles(decomp, seeds, run.rejected);
@@ -101,17 +102,19 @@ PreparedRun prepare_run(const ExperimentConfig& config,
     particles = ck.active;
     run.prior_done = ck.done;
   }
+  std::vector<Particle> settled = run.rejected;
+  settled.insert(settled.end(), run.prior_done.begin(), run.prior_done.end());
+  run.faulty = enable_requested_faults(cfg.runtime.fault, cfg.restart_from,
+                                       std::move(settled));
   const auto total_active = static_cast<std::uint32_t>(particles.size());
   const int num_ranks = cfg.runtime.num_ranks;
 
   switch (cfg.algorithm) {
     case Algorithm::kStaticAllocation:
+      // Under faults no rank is immune: the termination counter migrates
+      // to the lowest live rank when rank 0 dies (survivable accounting,
+      // §11).
       cfg.runtime.checked_protocol = CheckedProtocol::kStaticAllocation;
-      if (faulty) {
-        // No immune ranks: the termination counter migrates to the lowest
-        // live rank when rank 0 dies (survivable accounting, §11).
-        cfg.runtime.fault.detector = FaultConfig::Detector::kRuntime;
-      }
       run.factory = make_static_allocation(
           &decomp,
           partition_by_block_owner(decomp, num_ranks, std::move(particles)),
@@ -119,9 +122,6 @@ PreparedRun prepare_run(const ExperimentConfig& config,
       break;
     case Algorithm::kLoadOnDemand:
       cfg.runtime.checked_protocol = CheckedProtocol::kLoadOnDemand;
-      if (faulty) {
-        cfg.runtime.fault.detector = FaultConfig::Detector::kRuntime;
-      }
       run.factory = make_load_on_demand(
           &decomp,
           partition_evenly_by_block(num_ranks, decomp, std::move(particles)));
@@ -132,7 +132,7 @@ PreparedRun prepare_run(const ExperimentConfig& config,
       cfg.runtime.checked_protocol = CheckedProtocol::kHybrid;
       cfg.runtime.checker_num_masters = layout.num_masters;
       cfg.runtime.checker_num_roots = layout.num_roots;
-      if (faulty) {
+      if (run.faulty) {
         // Hybrid detects failures in-protocol, both ways: slaves
         // heartbeat status and the master declares the silent dead (the
         // sixth rule); masters beacon and orphaned slaves re-home to a
@@ -163,15 +163,6 @@ PreparedRun prepare_run(const ExperimentConfig& config,
           total_active, cfg.hybrid);
       break;
     }
-  }
-
-  if (faulty) {
-    // Already-terminal particles live in the ledger from the start, so
-    // checkpoints and final results are complete across restarts.
-    cfg.runtime.fault.presettled = run.rejected;
-    cfg.runtime.fault.presettled.insert(cfg.runtime.fault.presettled.end(),
-                                        run.prior_done.begin(),
-                                        run.prior_done.end());
   }
   return run;
 }

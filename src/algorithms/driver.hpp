@@ -46,6 +46,16 @@ struct ExperimentConfig {
   std::vector<std::uint32_t> seed_queries;
 };
 
+// The fault wiring run_experiment and run_pathline_experiment share:
+// switch the fault layer on when any fault feature is requested
+// (`restart_from` counts), with the runtime failure detector and
+// `settled` (rejected seeds, a restart's done list) in the ledger from
+// the start.  Returns whether it is on; when not, the runtime takes the
+// exact fault-free code paths (bit-identical runs).
+bool enable_requested_faults(FaultConfig& fault,
+                             const std::string& restart_from,
+                             std::vector<Particle> settled);
+
 // Run one experiment.  Seeds outside the domain terminate immediately and
 // are folded back into the result.  Throws std::invalid_argument on
 // nonsensical configurations (e.g. hybrid with one rank).

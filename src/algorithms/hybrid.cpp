@@ -939,8 +939,7 @@ class HybridSlave final : public RankProgram {
         layout_(layout),
         params_(params),
         total_active_(total_active),
-        coord_(layout.master_of(rank)),
-        worker_(decomp) {
+        coord_(layout.master_of(rank)) {
     if (layout.is_master(rank)) {
       core_.emplace(decomp, rank, layout, params, total_active,
                     std::move(seeds));

@@ -12,7 +12,7 @@ class LoadOnDemandProgram final : public RankProgram {
  public:
   LoadOnDemandProgram(const BlockDecomposition* decomp,
                       std::vector<Particle> initial)
-      : decomp_(decomp), initial_(std::move(initial)), worker_(decomp) {}
+      : decomp_(decomp), initial_(std::move(initial)) {}
 
   void start(RankContext& ctx) override {
     worker_.accept(ctx, std::move(initial_));

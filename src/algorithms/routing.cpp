@@ -219,7 +219,7 @@ int live_owner(const RankContext& ctx, int num_blocks, BlockId block) {
 void StreamlineWorker::accept(RankContext& ctx, Particle p) {
   ctx.charge_particle_memory(
       static_cast<std::int64_t>(resident_particle_bytes(p, ctx.model())));
-  pool_.add(decomp_->block_of(p.pos), std::move(p));
+  pool_.add(ctx.tracer().block_of(p), std::move(p));
 }
 
 void StreamlineWorker::accept(RankContext& ctx,

@@ -137,13 +137,11 @@ int live_owner(const RankContext& ctx, int num_blocks, BlockId block);
 // and where a streamline that is still live after its burst goes.
 class StreamlineWorker {
  public:
-  explicit StreamlineWorker(const BlockDecomposition* decomp)
-      : decomp_(decomp) {}
-
   ParticlePool& pool() { return pool_; }
   const ParticlePool& pool() const { return pool_; }
 
-  // Charge each particle's resident bytes and pool it under its block.
+  // Charge each particle's resident bytes and pool it under the block it
+  // waits on (Tracer::block_of).
   void accept(RankContext& ctx, Particle p);
   void accept(RankContext& ctx, std::vector<Particle> particles);
 
@@ -206,7 +204,6 @@ class StreamlineWorker {
   void snapshot(std::vector<Particle>& out) const;
 
  private:
-  const BlockDecomposition* decomp_;
   ParticlePool pool_;
   std::vector<Particle> burst_;
   std::vector<AdvanceOutcome> outcomes_;  // outcome per burst_[i]

@@ -16,8 +16,7 @@ class StaticProgram final : public RankProgram {
         rank_(rank),
         num_ranks_(num_ranks),
         initial_(std::move(initial)),
-        total_active_(total_active),
-        worker_(decomp) {}
+        total_active_(total_active) {}
 
   void start(RankContext& ctx) override {
     worker_.accept(ctx, std::move(initial_));

@@ -10,11 +10,8 @@ UnsteadyTracer::UnsteadyTracer(const BlockDecomposition* decomp,
                                std::vector<double> times,
                                const IntegratorParams& iparams,
                                const TraceLimits& limits)
-    : decomp_(decomp),
-      times_(std::move(times)),
-      iparams_(iparams),
-      limits_(limits) {
-  if (decomp_ == nullptr) {
+    : Tracer(decomp, iparams, limits), times_(std::move(times)) {
+  if (decomp == nullptr) {
     throw std::invalid_argument("UnsteadyTracer: null decomposition");
   }
   if (times_.size() < 2 || !std::is_sorted(times_.begin(), times_.end())) {
@@ -35,36 +32,51 @@ bool UnsteadyTracer::needs(const Particle& particle, BlockId& lo,
   if (particle.time < times_.front() || particle.time >= times_.back()) {
     return false;
   }
-  const BlockId spatial = decomp_->block_of(particle.pos);
-  if (spatial == kInvalidBlock) return false;
-  const int s = bracket_of(particle.time);
-  lo = encode({s, spatial});
-  hi = encode({s + 1, spatial});
+  lo = block_of(particle);
+  if (lo == kInvalidBlock) return false;
+  hi = lo + num_spatial_blocks();
   return true;
 }
 
-AdvanceOutcome UnsteadyTracer::advance(
-    Particle& particle, const SpacetimeAccessFn& blocks) const {
+BlockId UnsteadyTracer::block_of(const Particle& particle) const {
+  const BlockId spatial = decomposition().block_of(particle.pos);
+  if (spatial == kInvalidBlock) return kInvalidBlock;
+  return encode({bracket_of(particle.time), spatial});
+}
+
+std::vector<AdvanceOutcome> UnsteadyTracer::advance_batch(
+    std::span<Particle> batch, const BlockAccessFn& blocks,
+    TraceRecorder* /*recorder*/, const BlockPinHooks* /*pins*/) const {
+  std::vector<AdvanceOutcome> out;
+  out.reserve(batch.size());
+  for (Particle& p : batch) out.push_back(advance(p, blocks));
+  return out;
+}
+
+AdvanceOutcome UnsteadyTracer::advance(Particle& particle,
+                                       const BlockAccessFn& blocks) const {
+  const IntegratorParams& iparams = integrator_params();
+  const TraceLimits& limits = this->limits();
   AdvanceOutcome out;
   if (is_terminal(particle.status)) {
     out.status = particle.status;
     return out;
   }
-  if (particle.h <= 0.0) particle.h = iparams_.h_init;
+  if (particle.h <= 0.0) particle.h = iparams.h_init;
 
-  const double t_end = std::min(limits_.max_time, times_.back());
+  const double t_end = std::min(limits.max_time, times_.back());
 
   for (;;) {
     if (particle.time >= t_end) {
       particle.status = ParticleStatus::kMaxTime;
       break;
     }
-    if (particle.steps >= limits_.max_steps) {
+    if (particle.steps >= limits.max_steps) {
       particle.status = ParticleStatus::kMaxSteps;
       break;
     }
 
-    const BlockId spatial = decomp_->block_of(particle.pos);
+    const BlockId spatial = decomposition().block_of(particle.pos);
     if (spatial == kInvalidBlock) {
       particle.status = ParticleStatus::kExitedDomain;
       break;
@@ -103,10 +115,10 @@ AdvanceOutcome UnsteadyTracer::advance(
     double h = particle.h;
     h = std::min(h, t1 - particle.time);
     h = std::min(h, t_end - particle.time);
-    h = std::max(h, iparams_.h_min);
+    h = std::max(h, iparams.h_min);
 
     const StepResult step =
-        dopri5_step(rhs, particle.pos, particle.time, h, iparams_);
+        dopri5_step(rhs, particle.pos, particle.time, h, iparams);
     if (step.status == StepStatus::kSampleFailed) {
       // At the rim of the data (boundary-block ghost regions clamp, so
       // this is the domain boundary).

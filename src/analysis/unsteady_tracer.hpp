@@ -11,9 +11,13 @@
 // spacetime blocks — (s, b) and (s+1, b), the bracketing slices — which
 // is exactly why pathlines hit the filesystem so much harder than
 // streamlines.
+//
+// UnsteadyTracer is a Tracer whose block ids are spacetime ids, so the
+// Load On Demand program and SimRuntime run pathlines unchanged: a
+// particle waits on the lower block of its bracket pair, and a batch
+// advances one particle at a time.
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/block_decomposition.hpp"
@@ -31,7 +35,7 @@ struct SpacetimeId {
   BlockId spatial = kInvalidBlock;
 };
 
-class UnsteadyTracer {
+class UnsteadyTracer final : public Tracer {
  public:
   // `times` are the slice times (ascending, >= 2 entries).  Particle
   // time starts within [times.front(), times.back()].
@@ -39,7 +43,7 @@ class UnsteadyTracer {
                  const IntegratorParams& iparams, const TraceLimits& limits);
 
   int num_slices() const { return static_cast<int>(times_.size()); }
-  int num_spatial_blocks() const { return decomp_->num_blocks(); }
+  int num_spatial_blocks() const { return decomposition().num_blocks(); }
   int num_spacetime_blocks() const {
     return num_slices() * num_spatial_blocks();
   }
@@ -59,27 +63,32 @@ class UnsteadyTracer {
   // particle is outside the domain or past the last slice.
   bool needs(const Particle& particle, BlockId& lo, BlockId& hi) const;
 
-  // Grid lookup by *encoded spacetime id*; nullptr when not resident.
-  using SpacetimeAccessFn = std::function<const StructuredGrid*(BlockId)>;
+  // The lower spacetime id of the particle's bracket pair (the last
+  // bracket once past the final slice), or kInvalidBlock outside the
+  // domain.
+  BlockId block_of(const Particle& particle) const override;
 
-  // Advance while both bracketing spacetime blocks are available.
-  // Status kMaxTime is reported when the particle reaches the end of
-  // the time range (or limits.max_time, whichever is first).  On
-  // kActive, blocking_block is the encoded spacetime id needed next.
+  // Advance while both bracketing spacetime blocks are available, with
+  // `blocks` looking grids up by encoded spacetime id.  Status kMaxTime
+  // is reported when the particle reaches the end of the time range (or
+  // limits.max_time, whichever is first).  On kActive, blocking_block
+  // is the encoded spacetime id needed next.
   AdvanceOutcome advance(Particle& particle,
-                         const SpacetimeAccessFn& blocks) const;
+                         const BlockAccessFn& blocks) const;
+
+  // advance() on each particle in turn.  The recorder and pin hooks are
+  // not used: nothing can evict a grid during one synchronous call.
+  std::vector<AdvanceOutcome> advance_batch(
+      std::span<Particle> batch, const BlockAccessFn& blocks,
+      TraceRecorder* recorder, const BlockPinHooks* pins) const override;
 
   const std::vector<double>& times() const { return times_; }
-  const BlockDecomposition& decomposition() const { return *decomp_; }
 
  private:
   // Index of the slice bracket [s, s+1] containing time t.
   int bracket_of(double t) const;
 
-  const BlockDecomposition* decomp_;
   std::vector<double> times_;
-  IntegratorParams iparams_;
-  TraceLimits limits_;
 };
 
 // BlockSource over time slices: spacetime id -> the slice's block grid.

@@ -12,11 +12,16 @@
 // to be loaded, or how particles are grouped into batches — see
 // DESIGN.md §5.1 and §9.
 //
-// It keeps a block cursor and a GridSampler cell cursor, skipping the
-// BlockAccessFn lookup while the owning block is unchanged and virtual
-// dispatch always.  The golden tests (tests/test_fast_path.cpp) hold it
-// bit-identical to the frozen per-step virtual-dispatch oracle in
-// tests/support/reference_advance.hpp.
+// One inner loop per tracer: advance_batch and block_of are virtual, and
+// they are the only seam between the workers and what a block id means.
+// analysis/unsteady_tracer.hpp overrides both with its own loop over
+// spacetime blocks, so pathlines run on the same programs.
+//
+// Tracer's own advance_batch keeps a block cursor and a GridSampler cell
+// cursor, skipping the BlockAccessFn lookup while the owning block is
+// unchanged and virtual dispatch always.  The golden tests
+// (tests/test_fast_path.cpp) hold it bit-identical to the frozen per-step
+// virtual-dispatch oracle in tests/support/reference_advance.hpp.
 
 #include <algorithm>
 #include <atomic>
@@ -180,9 +185,22 @@ class Tracer {
   Tracer(const BlockDecomposition* decomp, const IntegratorParams& iparams,
          const TraceLimits& limits)
       : decomp_(decomp), iparams_(iparams), limits_(limits) {}
+  virtual ~Tracer() = default;
+  // Not copyable: a copy through a base reference would slice a derived
+  // tracer into a steady one.  Hold tracers by pointer or reference.
+  Tracer(const Tracer&) = delete;
+  Tracer& operator=(const Tracer&) = delete;
 
+  const BlockDecomposition& decomposition() const { return *decomp_; }
   const IntegratorParams& integrator_params() const { return iparams_; }
   const TraceLimits& limits() const { return limits_; }
+
+  // The block `particle` waits on: the one advance_batch needs first,
+  // which is what the workers pool it under.  For streamlines that is
+  // the block owning its position.
+  virtual BlockId block_of(const Particle& particle) const {
+    return decomp_->block_of(particle.pos);
+  }
 
   // Install (or remove, with nullptr) the cancelled-query set consulted
   // by advance_batch.  Not owned; must outlive the advance calls.
@@ -200,7 +218,7 @@ class Tracer {
   // block — touches the cache lookup once.  A one-particle span is the
   // way to advance a particle alone: per-particle results do not depend
   // on the rest of the batch.
-  std::vector<AdvanceOutcome> advance_batch(
+  virtual std::vector<AdvanceOutcome> advance_batch(
       std::span<Particle> batch, const BlockAccessFn& blocks,
       TraceRecorder* recorder = nullptr,
       const BlockPinHooks* pins = nullptr) const;

@@ -5,12 +5,6 @@
 namespace sf {
 
 namespace {
-// id + pos(3 doubles) + time + h + steps + geometry_points + status,
-// matching the on-disk record of io/checkpoint_io.cpp.
-constexpr std::size_t kParticleRecordBytes = 4 + 24 + 8 + 8 + 4 + 4 + 1;
-// magic+sizes+time, plus the v2 topology stamp (algorithm + dataset hash).
-constexpr std::size_t kHeaderBytes = 8 + 8 + 8 + 8 + 4 + 1 + 8;
-
 void mix(std::uint64_t& h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     h ^= (v >> (i * 8)) & 0xffu;
@@ -39,16 +33,6 @@ std::uint64_t dataset_topology_hash(const BlockDecomposition& decomp) {
   mix(h, bits_of(d.hi.y));
   mix(h, bits_of(d.hi.z));
   return h;
-}
-
-std::size_t checkpoint_bytes(const Checkpoint& ck) {
-  std::size_t n = kHeaderBytes;
-  n += (ck.done.size() + ck.active.size()) * kParticleRecordBytes;
-  n += ck.active_owner.size() * 4;
-  for (const CheckpointRankState& r : ck.ranks) {
-    n += 4 + 1 + 4 + r.resident.size() * 4;
-  }
-  return n;
 }
 
 }  // namespace sf

@@ -42,7 +42,4 @@ struct Checkpoint {
 // compared on restart.
 std::uint64_t dataset_topology_hash(const BlockDecomposition& decomp);
 
-// Serialized size (what the checkpoint-write cost model charges).
-std::size_t checkpoint_bytes(const Checkpoint& ck);
-
 }  // namespace sf

@@ -25,8 +25,11 @@ struct CheckpointHeader {
   std::uint64_t payload_checksum;
 };
 
+// Serializes into a buffer, or with none only counts the bytes.
 class Writer {
  public:
+  explicit Writer(std::vector<char>* buf) : buf_(buf) {}
+
   void u8(std::uint8_t v) { raw(&v, 1); }
   void u32(std::uint32_t v) { raw(&v, 4); }
   void i32(std::int32_t v) { raw(&v, 4); }
@@ -46,16 +49,40 @@ class Writer {
     u8(static_cast<std::uint8_t>(p.status));
   }
 
-  const std::vector<char>& bytes() const { return buf_; }
+  std::size_t size() const { return size_; }
 
  private:
   void raw(const void* p, std::size_t n) {
+    size_ += n;
+    if (buf_ == nullptr) return;
     const char* c = static_cast<const char*>(p);
-    buf_.insert(buf_.end(), c, c + n);
+    buf_->insert(buf_->end(), c, c + n);
   }
 
-  std::vector<char> buf_;
+  std::vector<char>* buf_;
+  std::size_t size_ = 0;
 };
+
+void write_payload(Writer& w, const Checkpoint& ck) {
+  w.f64(ck.sim_time);
+  w.i32(ck.num_ranks);
+  w.u8(ck.algorithm);
+  w.u64(ck.dataset_hash);
+  w.u64(ck.done.size());
+  for (const Particle& p : ck.done) w.particle(p);
+  w.u64(ck.active.size());
+  for (std::size_t i = 0; i < ck.active.size(); ++i) {
+    w.particle(ck.active[i]);
+    w.i32(i < ck.active_owner.size() ? ck.active_owner[i] : -1);
+  }
+  w.u64(ck.ranks.size());
+  for (const CheckpointRankState& r : ck.ranks) {
+    w.i32(r.rank);
+    w.u8(r.alive ? 1 : 0);
+    w.u32(static_cast<std::uint32_t>(r.resident.size()));
+    for (BlockId b : r.resident) w.i32(b);
+  }
+}
 
 class Reader {
  public:
@@ -119,32 +146,22 @@ class Reader {
 
 }  // namespace
 
+std::size_t checkpoint_bytes(const Checkpoint& ck) {
+  Writer w(nullptr);
+  write_payload(w, ck);
+  return sizeof(CheckpointHeader) + w.size();
+}
+
 void write_checkpoint(const std::filesystem::path& path,
                       const Checkpoint& ck) {
-  Writer w;
-  w.f64(ck.sim_time);
-  w.i32(ck.num_ranks);
-  w.u8(ck.algorithm);
-  w.u64(ck.dataset_hash);
-  w.u64(ck.done.size());
-  for (const Particle& p : ck.done) w.particle(p);
-  w.u64(ck.active.size());
-  for (std::size_t i = 0; i < ck.active.size(); ++i) {
-    w.particle(ck.active[i]);
-    w.i32(i < ck.active_owner.size() ? ck.active_owner[i] : -1);
-  }
-  w.u64(ck.ranks.size());
-  for (const CheckpointRankState& r : ck.ranks) {
-    w.i32(r.rank);
-    w.u8(r.alive ? 1 : 0);
-    w.u32(static_cast<std::uint32_t>(r.resident.size()));
-    for (BlockId b : r.resident) w.i32(b);
-  }
+  std::vector<char> payload;
+  Writer w(&payload);
+  write_payload(w, ck);
 
   CheckpointHeader h{};
   std::copy(std::begin(kMagic), std::end(kMagic), h.magic);
-  h.payload_bytes = w.bytes().size();
-  h.payload_checksum = checksum64(w.bytes().data(), w.bytes().size());
+  h.payload_bytes = payload.size();
+  h.payload_checksum = checksum64(payload.data(), payload.size());
 
   if (path.has_parent_path()) {
     std::filesystem::create_directories(path.parent_path());
@@ -156,8 +173,7 @@ void write_checkpoint(const std::filesystem::path& path,
       throw std::runtime_error("checkpoint: cannot write " + tmp.string());
     }
     f.write(reinterpret_cast<const char*>(&h), sizeof(h));
-    f.write(w.bytes().data(),
-            static_cast<std::streamsize>(w.bytes().size()));
+    f.write(payload.data(), static_cast<std::streamsize>(payload.size()));
     if (!f) {
       throw std::runtime_error("checkpoint: short write to " + tmp.string());
     }

@@ -18,6 +18,11 @@ namespace sf {
 
 void write_checkpoint(const std::filesystem::path& path, const Checkpoint& ck);
 
+// Size of the file write_checkpoint writes for `ck`, counted by the same
+// writer without storing a byte (what the checkpoint-write cost model
+// charges).
+std::size_t checkpoint_bytes(const Checkpoint& ck);
+
 // Throws std::runtime_error on missing file, bad magic, truncation or
 // checksum mismatch.
 Checkpoint read_checkpoint(const std::filesystem::path& path);

@@ -292,10 +292,11 @@ SimRuntime::SimRuntime(const SimRuntimeConfig& config,
                        const BlockDecomposition* decomp,
                        const BlockSource* source,
                        const IntegratorParams& iparams,
-                       const TraceLimits& limits)
+                       const TraceLimits& limits, const Tracer* tracer)
     : config_(config),
       tracer_(decomp, iparams, limits),
-      hosts_(&config_, decomp, source, &tracer_, "SimRuntime") {}
+      hosts_(&config_, decomp, source, tracer != nullptr ? tracer : &tracer_,
+             "SimRuntime") {}
 
 bool SimRuntime::rank_alive(int rank) const {
   return !fault_ || fault_->alive[static_cast<std::size_t>(rank)] != 0;

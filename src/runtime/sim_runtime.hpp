@@ -62,9 +62,13 @@ struct SimRuntimeConfig : RuntimeConfig {
 
 class SimRuntime {
  public:
+  // The programs advance particles with a Tracer built from `decomp`,
+  // `iparams` and `limits`, or with `tracer` when one is given (held by
+  // pointer, never copied: a copy of a derived tracer would slice it).
+  // A given tracer gets no cancel set, so config.cancels must be empty.
   SimRuntime(const SimRuntimeConfig& config, const BlockDecomposition* decomp,
              const BlockSource* source, const IntegratorParams& iparams,
-             const TraceLimits& limits);
+             const TraceLimits& limits, const Tracer* tracer = nullptr);
 
   // Instantiate one program per rank and simulate to completion.
   // Terminated particles are gathered from all programs, sorted by id.

@@ -102,6 +102,11 @@ TEST_F(CheckpointCorruptionTest, RoundTripBaseline) {
   EXPECT_EQ(ck.ranks.size(), 3u);
 }
 
+// The checkpoint-write cost model charges exactly the bytes on disk.
+TEST_F(CheckpointCorruptionTest, ModelledSizeIsTheFileSize) {
+  EXPECT_EQ(checkpoint_bytes(sample_checkpoint()), fs::file_size(path_));
+}
+
 TEST_F(CheckpointCorruptionTest, TruncatedPayloadRejected) {
   std::vector<char> bytes = slurp();
   ASSERT_GT(bytes.size(), 64u);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "analysis/pathlines.hpp"
 #include "core/analytic_fields.hpp"
@@ -58,6 +60,77 @@ Slices gyre_slices(int n_slices, double t_end, int blocks) {
     s.times.push_back(t);
   }
   return s;
+}
+
+std::vector<Vec3> gyre_seeds(int n, std::uint64_t rng_seed) {
+  Rng rng(rng_seed);
+  std::vector<Vec3> seeds;
+  for (int i = 0; i < n; ++i) {
+    seeds.push_back({rng.uniform(0.2, 1.8), rng.uniform(0.2, 0.8), 0.0});
+  }
+  return seeds;
+}
+
+PathlineExperimentConfig gyre_config(int ranks, std::size_t cache_blocks) {
+  PathlineExperimentConfig cfg;
+  cfg.runtime.num_ranks = ranks;
+  cfg.runtime.model = sf::testing::test_model();
+  cfg.runtime.cache_blocks = cache_blocks;
+  cfg.limits.max_time = 8.0;
+  cfg.limits.max_steps = 5000;
+  return cfg;
+}
+
+// The serial reference: every pathline advanced alone with every
+// spacetime block available.
+std::vector<Particle> serial_pathlines(const Slices& s,
+                                       const PathlineExperimentConfig& cfg,
+                                       const std::vector<Vec3>& seeds) {
+  const UnsteadyTracer tracer(&s.decomp, s.times, cfg.integrator,
+                              cfg.limits);
+  const TimeSliceBlockSource source(s.slices);
+  std::vector<GridPtr> grids;
+  for (BlockId id = 0; id < source.num_blocks(); ++id) {
+    grids.push_back(source.load(id));
+  }
+  std::vector<Particle> out;
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    Particle p;
+    p.id = static_cast<std::uint32_t>(i);
+    p.pos = seeds[i];
+    p.time = s.times.front();
+    tracer.advance(p, [&grids](BlockId id) { return grids[id].get(); });
+    out.push_back(p);
+  }
+  return out;
+}
+
+// Status, steps, position and time, bit for bit, in id order.
+void expect_same_pathlines(const std::vector<Particle>& got,
+                           const std::vector<Particle>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << i;
+    EXPECT_EQ(got[i].status, want[i].status) << i;
+    EXPECT_EQ(got[i].steps, want[i].steps) << i;
+    EXPECT_EQ(got[i].pos.x, want[i].pos.x) << i;
+    EXPECT_EQ(got[i].pos.y, want[i].pos.y) << i;
+    EXPECT_EQ(got[i].pos.z, want[i].pos.z) << i;
+    EXPECT_EQ(got[i].time, want[i].time) << i;
+  }
+}
+
+// The message of the std::invalid_argument run_pathline_experiment
+// throws for `cfg`, or "" when it does not throw.
+std::string rejection_of(const PathlineExperimentConfig& cfg) {
+  auto s = gyre_slices(3, 8.0, 2);
+  const std::vector<Vec3> seeds{{0.7, 0.4, 0.0}};
+  try {
+    (void)run_pathline_experiment(cfg, s.decomp, s.slices, s.times, seeds);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(UnsteadyTracer, EncodingRoundTrips) {
@@ -238,6 +311,67 @@ TEST(PathlineLod, SliceChurnCostsMoreIoThanSteadyTracing) {
   EXPECT_GT(unsteady.total_blocks_loaded(),
             2 * steadyish.total_blocks_loaded());
   EXPECT_GT(unsteady.total_io_time(), steadyish.total_io_time());
+}
+
+TEST(PathlineLod, RankCrashLosesNoPathline) {
+  auto s = gyre_slices(9, 8.0, 4);
+  const std::vector<Vec3> seeds = gyre_seeds(20, 3);
+  PathlineExperimentConfig cfg = gyre_config(4, 8);
+  const RunMetrics clean =
+      run_pathline_experiment(cfg, s.decomp, s.slices, s.times, seeds);
+  ASSERT_FALSE(clean.failed_oom);
+
+  cfg.runtime.fault.crashes = {{0.4 * clean.wall_clock, 1}};
+  const RunMetrics crashed =
+      run_pathline_experiment(cfg, s.decomp, s.slices, s.times, seeds);
+  ASSERT_FALSE(crashed.failed_oom);
+  ASSERT_FALSE(crashed.failed_fault) << crashed.abort_reason;
+  EXPECT_EQ(crashed.fault.crashes_injected, 1u);
+  EXPECT_EQ(crashed.fault.crashes_survived, 1u);
+  expect_same_pathlines(crashed.particles, clean.particles);
+}
+
+TEST(PathlineLod, EveryPathlineCompletionIsLogged) {
+  auto s = gyre_slices(9, 8.0, 4);
+  const std::vector<Vec3> seeds = gyre_seeds(20, 3);
+  const RunMetrics m = run_pathline_experiment(gyre_config(4, 8), s.decomp,
+                                               s.slices, s.times, seeds);
+  ASSERT_EQ(m.query_completions.size(), 1u);
+  EXPECT_EQ(m.query_completions[0].query, 0u);
+  EXPECT_EQ(m.query_completions[0].particles, 20u);
+}
+
+TEST(PathlineLod, RejectsAsyncIo) {
+  PathlineExperimentConfig cfg = gyre_config(2, 8);
+  cfg.runtime.async_io.enabled = true;
+  EXPECT_NE(rejection_of(cfg).find("runtime.async_io.enabled"),
+            std::string::npos);
+}
+
+TEST(PathlineLod, RejectsQueryCancels) {
+  PathlineExperimentConfig cfg = gyre_config(2, 8);
+  cfg.runtime.cancels = {{0, 0.1}};
+  EXPECT_NE(rejection_of(cfg).find("runtime.cancels"), std::string::npos);
+}
+
+// Caches that hold only a bracket pair, or one block more: Load On
+// Demand's rule (run the first resident pooled block, else load the
+// densest) must still finish every pathline, exactly as the oracle does.
+TEST(PathlineLod, TinyCacheCompletesBitForBit) {
+  auto s = gyre_slices(33, 8.0, 4);
+  const std::vector<Vec3> seeds = gyre_seeds(60, 11);
+  const std::vector<Particle> want =
+      serial_pathlines(s, gyre_config(1, 2), seeds);
+  for (const std::size_t cache : {2u, 3u}) {
+    for (const int ranks : {1, 2, 4}) {
+      SCOPED_TRACE("cache " + std::to_string(cache) + ", ranks " +
+                   std::to_string(ranks));
+      const RunMetrics m = run_pathline_experiment(
+          gyre_config(ranks, cache), s.decomp, s.slices, s.times, seeds);
+      ASSERT_FALSE(m.failed_oom);
+      expect_same_pathlines(m.particles, want);
+    }
+  }
 }
 
 }  // namespace
