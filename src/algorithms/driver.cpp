@@ -42,20 +42,25 @@ namespace {
 struct PreparedRun {
   ExperimentConfig cfg;
   ProgramFactory factory;
-  std::vector<Particle> rejected;
-  std::vector<Particle> prior_done;
+  // Rejected seeds, then a restart's done list.
+  std::vector<Particle> settled;
   bool faulty = false;
 };
 
 PreparedRun prepare_run(const ExperimentConfig& config,
                         const BlockDecomposition& decomp,
                         std::span<const Vec3> seeds) {
+  // Every partition below indexes per-rank vectors.
+  if (config.runtime.num_ranks < 1) {
+    throw std::invalid_argument("num_ranks must be >= 1, got " +
+                                std::to_string(config.runtime.num_ranks));
+  }
   PreparedRun run;
   run.cfg = config;  // we finish the fault wiring locally
   ExperimentConfig& cfg = run.cfg;
 
   std::vector<Particle> particles =
-      make_particles(decomp, seeds, run.rejected);
+      make_particles(decomp, seeds, run.settled);
 
   // Multi-query runs (src/service) tag each particle with its owning
   // query.  Rejected seeds are tagged too, so per-query accounting stays
@@ -69,7 +74,7 @@ PreparedRun prepare_run(const ExperimentConfig& config,
           std::to_string(seeds.size()) + " seeds)");
     }
     for (Particle& p : particles) p.query = cfg.seed_queries[p.id];
-    for (Particle& p : run.rejected) p.query = cfg.seed_queries[p.id];
+    for (Particle& p : run.settled) p.query = cfg.seed_queries[p.id];
   }
 
   // Topology stamp: written into every checkpoint, validated on restart.
@@ -100,12 +105,10 @@ PreparedRun prepare_run(const ExperimentConfig& config,
           "dataset decomposition (topology hash mismatch)");
     }
     particles = ck.active;
-    run.prior_done = ck.done;
+    run.settled.insert(run.settled.end(), ck.done.begin(), ck.done.end());
   }
-  std::vector<Particle> settled = run.rejected;
-  settled.insert(settled.end(), run.prior_done.begin(), run.prior_done.end());
-  run.faulty = enable_requested_faults(cfg.runtime.fault, cfg.restart_from,
-                                       std::move(settled));
+  run.faulty =
+      enable_requested_faults(cfg.runtime.fault, cfg.restart_from, run.settled);
   const auto total_active = static_cast<std::uint32_t>(particles.size());
   const int num_ranks = cfg.runtime.num_ranks;
 
@@ -148,8 +151,6 @@ PreparedRun prepare_run(const ExperimentConfig& config,
         }
         cfg.runtime.fault.detector = FaultConfig::Detector::kProgram;
         cfg.hybrid.heartbeat_period = cfg.runtime.fault.heartbeat_period;
-        cfg.hybrid.heartbeat_miss_limit =
-            cfg.runtime.fault.heartbeat_miss_limit;
       }
       // Leaf masters get equal seed shares *grouped by block* (same
       // locality trick as §4.2's seed split): each master group then only
@@ -167,21 +168,17 @@ PreparedRun prepare_run(const ExperimentConfig& config,
   return run;
 }
 
-// Fold the presettled particles into a non-fault result set (fault mode
-// lets the ledger do it).  Failed runs keep their partial results too —
-// diagnosable is better than empty.
-void merge_presettled(RunMetrics& metrics, const PreparedRun& run) {
-  if (run.faulty) return;
-  metrics.particles.insert(metrics.particles.end(), run.rejected.begin(),
-                           run.rejected.end());
-  metrics.particles.insert(metrics.particles.end(), run.prior_done.begin(),
-                           run.prior_done.end());
+}  // namespace
+
+void merge_presettled(RunMetrics& metrics, bool faulty,
+                      std::span<const Particle> settled) {
+  if (faulty) return;
+  metrics.particles.insert(metrics.particles.end(), settled.begin(),
+                           settled.end());
   std::sort(
       metrics.particles.begin(), metrics.particles.end(),
       [](const Particle& a, const Particle& b) { return a.id < b.id; });
 }
-
-}  // namespace
 
 RunMetrics run_experiment(const ExperimentConfig& config,
                           const BlockDecomposition& decomp,
@@ -191,7 +188,7 @@ RunMetrics run_experiment(const ExperimentConfig& config,
   SimRuntime runtime(run.cfg.runtime, &decomp, &source, run.cfg.integrator,
                      run.cfg.limits);
   RunMetrics metrics = runtime.run(run.factory);
-  merge_presettled(metrics, run);
+  merge_presettled(metrics, run.faulty, run.settled);
   return metrics;
 }
 
@@ -205,24 +202,10 @@ RunMetrics run_experiment_threads(const ExperimentConfig& config,
         "run_experiment_threads: the thread runtime has no fault plane; "
         "drop the fault/restart flags or use the simulated runtime");
   }
-  ThreadRuntimeConfig tcfg;
-  static_cast<RuntimeConfig&>(tcfg) = run.cfg.runtime;
-  tcfg.schedule_fuzz_seed = run.cfg.schedule_fuzz_seed;
-  // The thread runtime has no deterministic mid-run instant, so it only
-  // honors cancellations that take effect at the epoch boundary; a timed
-  // cancel is a configuration error here, not a silent approximation.
-  for (const QueryCancelAt& c : run.cfg.runtime.cancels) {
-    if (c.at > 0.0) {
-      throw std::invalid_argument(
-          "run_experiment_threads: timed query cancels are a SimRuntime "
-          "feature; the thread runtime applies cancels at epoch start");
-    }
-    tcfg.cancelled_queries.push_back(c.query);
-  }
-  ThreadRuntime runtime(tcfg, &decomp, &source, run.cfg.integrator,
+  ThreadRuntime runtime(run.cfg.runtime, &decomp, &source, run.cfg.integrator,
                         run.cfg.limits);
   RunMetrics metrics = runtime.run(run.factory);
-  merge_presettled(metrics, run);
+  merge_presettled(metrics, run.faulty, run.settled);
   return metrics;
 }
 

@@ -37,9 +37,6 @@ struct ExperimentConfig {
   // results and only its active particles are re-advected, reproducing
   // the uninterrupted run's final particles exactly.
   std::string restart_from;
-  // Schedule-perturbation fuzz seed for run_experiment_threads
-  // (--schedule-fuzz); 0 disables.  Ignored by the simulated runtime.
-  std::uint64_t schedule_fuzz_seed = 0;
   // Owning query per seed (src/service): seed_queries[i] tags the particle
   // made from seeds[i].  Empty for standalone runs (every particle keeps
   // query 0).  When non-empty the size must match the seed count.
@@ -55,6 +52,12 @@ struct ExperimentConfig {
 bool enable_requested_faults(FaultConfig& fault,
                              const std::string& restart_from,
                              std::vector<Particle> settled);
+
+// Fold `settled` into a fault-free run's particles, sorted by id; with
+// `faulty` the ledger already did.  Failed runs keep their partial
+// results too — diagnosable is better than empty.
+void merge_presettled(RunMetrics& metrics, bool faulty,
+                      std::span<const Particle> settled);
 
 // Run one experiment.  Seeds outside the domain terminate immediately and
 // are folded back into the result.  Throws std::invalid_argument on
@@ -74,8 +77,9 @@ RunMetrics run_experiment(const ExperimentConfig& config,
 
 // Same experiment on the real-thread runtime (one OS thread per rank),
 // with optional schedule-perturbation fuzzing via
-// config.schedule_fuzz_seed.  The thread runtime has no fault plane:
-// any fault/restart request throws std::invalid_argument.
+// config.runtime.schedule_fuzz_seed.  The thread runtime has no fault
+// plane: any fault/restart request throws std::invalid_argument, as does
+// a timed cancel (ThreadRuntime's constructor).
 RunMetrics run_experiment_threads(const ExperimentConfig& config,
                                   const BlockDecomposition& decomp,
                                   const BlockSource& source,

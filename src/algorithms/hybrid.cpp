@@ -91,6 +91,8 @@ constexpr int kStragglerMinBeats = 3;
 constexpr double kStragglerSlowness = 0.25;
 // Seeds the Send_hint rule's pick among equally busy slaves.
 constexpr std::uint64_t kHintRngSeed = 0x1dd51c3ULL;
+// Heartbeat periods a peer may stay silent before it is presumed dead.
+constexpr int kHeartbeatMissLimit = 3;
 
 // Failover (DESIGN.md §11) is on exactly when the heartbeat is: the driver
 // wires both on fault runs, and fault-free runs keep the five-rule message
@@ -102,8 +104,7 @@ bool failover(const HybridParams& params) {
 // How long a peer may stay silent before it is presumed dead: the
 // master's sixth rule for slaves, a slave's failover for its master.
 double heartbeat_deadline(const HybridParams& params) {
-  return static_cast<double>(params.heartbeat_miss_limit) *
-         params.heartbeat_period;
+  return kHeartbeatMissLimit * params.heartbeat_period;
 }
 
 // The failover successor: the lowest live original master, or — when every
@@ -241,7 +242,7 @@ class MasterCore {
 
   void tick(RankContext& ctx) {
     if (finished_) return;
-    // The sixth rule: a slave silent for heartbeat_miss_limit periods is
+    // The sixth rule: a slave silent for kHeartbeatMissLimit periods is
     // declared dead and its streamlines are reclaimed and reassigned.
     // Detection is purely silence-based — no liveness oracle.
     const double deadline = heartbeat_deadline(params_);

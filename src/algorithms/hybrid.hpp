@@ -47,14 +47,13 @@ struct HybridParams {
   int slaves_per_master = 32; // W
   // Fault tolerance (DESIGN.md §7, §11): when heartbeat_period > 0 slaves
   // report status at least every period and the master declares a slave
-  // dead after heartbeat_miss_limit silent periods, reclaiming its
+  // dead after kHeartbeatMissLimit silent periods, reclaiming its
   // streamlines (the sixth rule); masters beacon their slaves, orphaned
   // slaves re-home to a successor (or promote themselves), and the
   // counter terminates stragglers directly.  The driver copies the fault
   // config's heartbeat on fault runs; 0 disables the protocol, keeping
   // fault-free runs bit-identical to the five-rule master.
   double heartbeat_period = 0.0;
-  int heartbeat_miss_limit = 3;
   // Gray-failure mitigation (DESIGN.md §16): every status carries a
   // cumulative step watermark and a cumulative busy clock; the master
   // differentiates them over windows of three heartbeat periods into a

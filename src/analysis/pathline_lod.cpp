@@ -1,6 +1,5 @@
 #include "analysis/pathline_lod.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "algorithms/driver.hpp"
@@ -50,14 +49,7 @@ RunMetrics run_pathline_experiment(const PathlineExperimentConfig& config,
       &decomp, partition_evenly_by_block(runtime_config.num_ranks, decomp,
                                          std::move(particles))));
 
-  // Fault mode lets the ledger fold the rejected seeds in.
-  if (!faulty && !metrics.failed_oom && !rejected.empty()) {
-    metrics.particles.insert(metrics.particles.end(), rejected.begin(),
-                             rejected.end());
-    std::sort(
-        metrics.particles.begin(), metrics.particles.end(),
-        [](const Particle& a, const Particle& b) { return a.id < b.id; });
-  }
+  merge_presettled(metrics, faulty, rejected);
   return metrics;
 }
 

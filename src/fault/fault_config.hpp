@@ -61,12 +61,8 @@ struct FaultConfig {
   // disk_stall_seconds before completing.
   double disk_stall_rate = 0.0;
   double disk_stall_seconds = 0.05;
-  // Capped exponential backoff between retries; after disk_max_retries
-  // failed attempts the reading rank is declared crashed and its
-  // streamlines are re-run elsewhere.
-  double disk_retry_backoff = 0.01;
-  double disk_backoff_cap = 0.5;
-  int disk_max_retries = 8;
+  // Failed reads retry on the capped backoff of sim_runtime.cpp's kDisk*
+  // constants; exhausted retries crash the rank (its work re-runs).
 
   // --- Gray failures (slow-but-alive) --------------------------------------
   // Explicit per-rank compute slowdowns, plus optional MTBF-drawn ones:
@@ -78,13 +74,12 @@ struct FaultConfig {
   int max_slowdowns = 1;
   double gray_slow_factor = 10.0;
   // Per-read probability that a block read's latency is inflated by
-  // disk_slow_factor — slowness, not failure: no retry is consumed.
+  // kDiskSlowFactor — slowness, not failure: no retry is consumed.
   double disk_slow_rate = 0.0;
-  double disk_slow_factor = 4.0;
   // Per-read probability that the returned payload is silently
   // bit-flipped.  The checksum catches it, the read behaves like a
   // failed attempt and retries on the capped-backoff ladder; only
-  // disk_max_retries consecutive corruptions escalate to a rank crash.
+  // kDiskMaxRetries consecutive corruptions escalate to a rank crash.
   double corrupt_rate = 0.0;
 
   // --- Message drops -------------------------------------------------------
@@ -99,15 +94,6 @@ struct FaultConfig {
   double message_drop_rate = 0.0;
   std::uint64_t max_drops = 1000;  // backstop against drop-rate ~ 1 loops
 
-  // --- Control-transport retransmission ------------------------------------
-  // Initial retransmit timeout for an unacked sequenced control message,
-  // doubling per attempt up to control_rto_cap.  After control_max_retries
-  // unacked attempts the peer is presumed dead and the message abandoned
-  // (its content is recovered through the failover path instead).
-  double control_rto = 0.02;
-  double control_rto_cap = 0.32;
-  int control_max_retries = 10;
-
   // --- Failure detection ---------------------------------------------------
   enum class Detector : std::uint8_t {
     kRuntime,  // process-manager style: recovery fires a fixed delay
@@ -116,9 +102,7 @@ struct FaultConfig {
                // runs recovery itself (the sixth rule)
   };
   Detector detector = Detector::kRuntime;
-  double failure_detect_seconds = 0.1;  // kRuntime detection latency
-  double heartbeat_period = 0.05;       // kProgram slave status period
-  int heartbeat_miss_limit = 3;         // silent periods before declared dead
+  double heartbeat_period = 0.05;  // kProgram slave status period
 
   // --- Run topology stamp --------------------------------------------------
   // Stamped into every checkpoint (format v2) and validated on

@@ -8,8 +8,9 @@
 // structural ones (a block file that simply is not there).  The async
 // loader and the simulated disk route recoverable kinds through the
 // capped-backoff retry ladder and escalate to the rank-crash recovery
-// path only after disk_max_retries; raw std::runtime_error from the I/O
-// layer is reserved for genuinely unrecoverable states.
+// path only after their retry limit (kDiskMaxRetries on the simulated
+// disk); raw std::runtime_error from the I/O layer is reserved for
+// genuinely unrecoverable states.
 
 #include <stdexcept>
 #include <string>

@@ -108,7 +108,7 @@ struct DoneSignal {};
 
 // Periodic master -> slave liveness beacon.  Slaves track the last time
 // they heard their master (any Command or beacon); silence longer than
-// heartbeat_miss_limit periods triggers failover to a successor.
+// kHeartbeatMissLimit periods triggers failover to a successor.
 struct MasterBeacon {};
 
 // Transport-level acknowledgement of a sequenced control message.  Emitted

@@ -39,8 +39,14 @@
 
 namespace sf {
 
-// The configuration both runtimes share; SimRuntimeConfig and
-// ThreadRuntimeConfig extend it.
+// A query cancellation (service control plane): at time `at`, every
+// active particle of `query` terminates as kCancelled at its next advance.
+struct QueryCancelAt {
+  std::uint32_t query = 0;
+  double at = 0.0;
+};
+
+// The configuration both runtimes take; SimRuntimeConfig extends it.
 struct RuntimeConfig {
   int num_ranks = 4;
   // Memory budgets and per-particle overheads (and, on SimRuntime, the
@@ -73,6 +79,12 @@ struct RuntimeConfig {
   // blocks into its fresh LRU (counted as adoptions, not loads); at run
   // end the surviving ranks' residency is captured back.
   SharedBlockPool* shared_blocks = nullptr;
+  // Query cancellations; ThreadRuntime takes only those at 0.
+  std::vector<QueryCancelAt> cancels;
+  // ThreadRuntime's seeded yields and sleeps at mailbox and cache
+  // boundaries, so sanitizer runs explore interleavings (DESIGN.md §8);
+  // 0 disables.  Results are unaffected either way.
+  std::uint64_t schedule_fuzz_seed = 0;
 };
 
 // Prefetched grids that arrived before a demand claimed them, oldest

@@ -14,6 +14,18 @@ namespace sf {
 
 namespace {
 
+// Fault-plane timing (DESIGN.md §7, §11, §16), in simulated seconds.
+// A failed read and an unacked control message are retried after a
+// timeout that doubles from its first value up to its cap.
+constexpr double kDiskRetryBackoff = 0.01;
+constexpr double kDiskBackoffCap = 0.5;
+constexpr int kDiskMaxRetries = 8;  // then the reading rank crashes
+constexpr double kDiskSlowFactor = 4.0;  // a slow read's latency multiple
+constexpr double kControlRto = 0.02;
+constexpr double kControlRtoCap = 0.32;
+constexpr int kControlMaxRetries = 10;  // then the message is abandoned
+constexpr double kFailureDetectSeconds = 0.1;  // runtime detector latency
+
 // The particles a message carries and the block they target; null
 // particles for particle-free payloads.
 struct Carried {
@@ -185,7 +197,6 @@ class SimRuntime::Context final : public RankHost {
     ReadAttempt a{disk_->submit_read(start, count_read(id)), false};
     FaultState* fs = runtime_->fault_.get();
     if (fs == nullptr) return a;
-    const FaultConfig& fc = runtime_->config_.fault;
     if (fs->injector.draw_disk_fault()) {
       a.faulted = true;
       disk_->note_faulted_read();
@@ -199,13 +210,13 @@ class SimRuntime::Context final : public RankHost {
       ++fs->stats.corruptions_injected;
       ++fs->stats.corruptions_detected;
     } else if (fs->injector.draw_disk_stall()) {
-      a.done += fc.disk_stall_seconds;
+      a.done += runtime_->config_.fault.disk_stall_seconds;
       ++fs->stats.disk_stalls;
       ++metrics.disk_stall_events;
     } else if (fs->injector.draw_disk_slow()) {
       // Gray disk: the read completes intact but takes longer (latency
       // inflation without failure).
-      a.done = start + (a.done - start) * fc.disk_slow_factor;
+      a.done = start + (a.done - start) * kDiskSlowFactor;
       ++fs->stats.disk_slow_events;
       ++metrics.disk_stall_events;
     }
@@ -257,12 +268,11 @@ class SimRuntime::Context final : public RankHost {
   }
 
   // A faulted attempt: back off (capped exponential) and retry.  After
-  // disk_max_retries a demand read — or a prefetch a demand already
+  // kDiskMaxRetries a demand read — or a prefetch a demand already
   // piggybacked on — crashes the rank; a pure prefetch is abandoned (a
   // later demand re-reads cold).
   void retry(BlockId id, int attempt, bool prefetch) {
-    const FaultConfig& fc = runtime_->config_.fault;
-    if (attempt + 1 > fc.disk_max_retries) {
+    if (attempt + 1 > kDiskMaxRetries) {
       if (!prefetch || pending_.count(id) != 0) {
         runtime_->crash_rank(rank(), /*from_oom=*/false);
         return;
@@ -272,7 +282,7 @@ class SimRuntime::Context final : public RankHost {
       return;
     }
     const double backoff = std::min(
-        fc.disk_retry_backoff * std::ldexp(1.0, attempt), fc.disk_backoff_cap);
+        kDiskRetryBackoff * std::ldexp(1.0, attempt), kDiskBackoffCap);
     engine_->schedule_after(backoff, [this, id, attempt, prefetch] {
       if (dead()) return;
       ++metrics.disk_retries;
@@ -367,7 +377,7 @@ void SimRuntime::crash_rank(int rank, bool from_oom) {
     ++fault_->stats.crashes_injected;
   }
   if (config_.fault.detector == FaultConfig::Detector::kRuntime) {
-    engine_->schedule_after(config_.fault.failure_detect_seconds,
+    engine_->schedule_after(kFailureDetectSeconds,
                             [this, rank] { runtime_recover(rank); });
   }
   // kProgram: the hybrid master notices the missed heartbeats itself.
@@ -524,7 +534,7 @@ void SimRuntime::control_send(int from, int to, SimTime arrive,
   PendingControl& pc = fs.ctrl_pending[link][seq];
   pc.bytes = bytes;
   pc.msg = std::move(msg);
-  pc.rto = config_.fault.control_rto;
+  pc.rto = kControlRto;
   transmit_control(from, to, seq, arrive);
 }
 
@@ -563,13 +573,13 @@ void SimRuntime::transmit_control(int from, int to, std::uint32_t seq,
     // sender itself died, or the run is over — this is what lets a lossy
     // run quiesce instead of retransmitting forever.
     if (!rank_alive(to) || !rank_alive(from) || all_live_finished() ||
-        pit2->second.attempts >= config_.fault.control_max_retries) {
+        pit2->second.attempts >= kControlMaxRetries) {
       lit2->second.erase(pit2);
       return;
     }
     PendingControl& p = pit2->second;
     ++p.attempts;
-    p.rto = std::min(p.rto * 2.0, config_.fault.control_rto_cap);
+    p.rto = std::min(p.rto * 2.0, kControlRtoCap);
     ++fault_->stats.control_retransmits;
     charge_send(hosts_[from], p.bytes, /*control=*/true);
     transmit_control(from, to, seq,

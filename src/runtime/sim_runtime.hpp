@@ -41,14 +41,6 @@
 
 namespace sf {
 
-// A timed query cancellation (service control plane): at simulated time
-// `at`, every still-active particle of `query` terminates as kCancelled
-// at its next advance.
-struct QueryCancelAt {
-  std::uint32_t query = 0;
-  double at = 0.0;
-};
-
 struct SimRuntimeConfig : RuntimeConfig {
   // Record per-rank compute/I/O spans into RunMetrics::timeline for
   // utilization and starvation analysis (§8).  Off by default: large
@@ -56,8 +48,6 @@ struct SimRuntimeConfig : RuntimeConfig {
   bool record_timeline = false;
   // Fault injection, checkpointing and recovery (DESIGN.md §7).
   FaultConfig fault{};
-  // Timed query cancellations, applied through the tracer's cancel set.
-  std::vector<QueryCancelAt> cancels;
 };
 
 class SimRuntime {
@@ -83,7 +73,7 @@ class SimRuntime {
     std::size_t bytes = 0;
     Message msg;
     int attempts = 0;  // retransmissions so far (first send not counted)
-    double rto = 0.0;  // current backoff, doubling up to control_rto_cap
+    double rto = 0.0;  // current backoff, doubling up to kControlRtoCap
   };
 
   // Receiver-side dedup window for one directed link.  `low_water` is the

@@ -5,6 +5,7 @@
 #include <deque>
 #include <exception>
 #include <future>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -285,14 +286,22 @@ class ThreadRuntime::Context final : public RankHost {
   std::deque<Message> inbox_ SF_GUARDED_BY(inbox_mutex_);
 };
 
-ThreadRuntime::ThreadRuntime(const ThreadRuntimeConfig& config,
+ThreadRuntime::ThreadRuntime(const RuntimeConfig& config,
                              const BlockDecomposition* decomp,
                              const BlockSource* source,
                              const IntegratorParams& iparams,
                              const TraceLimits& limits)
     : config_(config),
       tracer_(decomp, iparams, limits),
-      hosts_(&config_, decomp, source, &tracer_, "ThreadRuntime") {}
+      hosts_(&config_, decomp, source, &tracer_, "ThreadRuntime") {
+  for (const QueryCancelAt& c : config_.cancels) {
+    if (c.at > 0.0) {
+      throw std::invalid_argument(
+          "ThreadRuntime: timed query cancels are a SimRuntime feature; "
+          "the thread runtime applies cancels at run start");
+    }
+  }
+}
 
 ThreadRuntime::Context& ThreadRuntime::context(int rank) {
   return static_cast<Context&>(hosts_[rank]);
@@ -328,7 +337,7 @@ RunMetrics ThreadRuntime::run(const ProgramFactory& factory) {
   hosts_.begin(std::move(hosts), /*fault_mode=*/false, /*presettled=*/{},
                /*seed_hook=*/nullptr);
   cancel_set_.clear();
-  for (std::uint32_t q : config_.cancelled_queries) cancel_set_.cancel(q);
+  for (const QueryCancelAt& c : config_.cancels) cancel_set_.cancel(c.query);
   tracer_.set_cancel_set(&cancel_set_);
 
   std::vector<std::thread> threads;

@@ -2,7 +2,8 @@
 
 // Real-thread runtime: runs the same RankPrograms as SimRuntime, but with
 // one OS thread per rank, real mailboxes and real block I/O.  The
-// per-rank state is RankHost's (runtime/rank_host.hpp), as on SimRuntime.
+// per-rank state is RankHost's and the config RuntimeConfig
+// (runtime/rank_host.hpp), as on SimRuntime.
 //
 // This demonstrates that the algorithms are not simulator-bound — the
 // identical state machines execute end to end on actual threads and
@@ -16,10 +17,8 @@
 // stays on the owning thread.
 
 #include <atomic>
-#include <cstdint>
 #include <exception>
 #include <memory>
-#include <vector>
 
 #include "core/dataset.hpp"
 #include "core/thread_annotations.hpp"
@@ -30,24 +29,13 @@
 
 namespace sf {
 
-struct ThreadRuntimeConfig : RuntimeConfig {
-  // Schedule-perturbation fuzzing (DESIGN.md §8): when non-zero, every
-  // rank thread injects seeded random yields/short sleeps at mailbox and
-  // cache boundaries so sanitizer runs explore diverse interleavings.
-  // 0 disables (the default); results are unaffected either way.
-  std::uint64_t schedule_fuzz_seed = 0;
-  // Queries cancelled before the run starts: their particles terminate
-  // as kCancelled at first advance.  Real threads have no deterministic
-  // mid-run instant, so the thread runtime applies cancellations only at
-  // epoch boundaries (timed mid-flight cancels are a SimRuntime feature).
-  std::vector<std::uint32_t> cancelled_queries;
-};
-
 class ThreadRuntime {
  public:
-  ThreadRuntime(const ThreadRuntimeConfig& config,
-                const BlockDecomposition* decomp, const BlockSource* source,
-                const IntegratorParams& iparams, const TraceLimits& limits);
+  // Real threads have no deterministic mid-run instant: cancels apply at
+  // run start, and one whose `at` is above 0 throws std::invalid_argument.
+  ThreadRuntime(const RuntimeConfig& config, const BlockDecomposition* decomp,
+                const BlockSource* source, const IntegratorParams& iparams,
+                const TraceLimits& limits);
 
   RunMetrics run(const ProgramFactory& factory);
 
@@ -58,7 +46,7 @@ class ThreadRuntime {
   // First exception a rank thread died on; rethrown from run().
   void note_failure(std::exception_ptr error) SF_EXCLUDES(failure_mutex_);
 
-  ThreadRuntimeConfig config_;
+  RuntimeConfig config_;
   // Shared read-only by every rank thread during run(); the embedded
   // QueryCancelSet is the only mutable member and locks internally.
   Tracer tracer_;

@@ -515,7 +515,7 @@ std::vector<Particle> run_threads_async(Algorithm algo, int ranks,
     }
   }
 
-  ThreadRuntimeConfig cfg;
+  RuntimeConfig cfg;
   cfg.num_ranks = ranks;
   cfg.model = sf::testing::test_model();
   cfg.cache_blocks = 6;  // constrained: prefetches matter

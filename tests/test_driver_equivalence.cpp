@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "algorithms/driver.hpp"
 #include "test_support.hpp"
 
@@ -114,6 +117,34 @@ TEST(DriverEquivalence, RunsAreDeterministic) {
   EXPECT_EQ(a.total_messages(), b.total_messages());
   EXPECT_EQ(a.total_blocks_loaded(), b.total_blocks_loaded());
   expect_same_particles(a.particles, b.particles, "repeat");
+}
+
+TEST(DriverEquivalence, RejectsZeroRanks) {
+  // A rank count below 1 is a typed error naming num_ranks on every
+  // algorithm and both runtimes, before any seed is partitioned.
+  auto w = sf::testing::rotor_world(2);
+  Rng rng(5);
+  const auto seeds = random_seeds(w.dataset->bounds(), 10, rng);
+  for (const Algorithm algo :
+       {Algorithm::kStaticAllocation, Algorithm::kLoadOnDemand,
+        Algorithm::kHybridMasterSlave}) {
+    for (const bool threads : {false, true}) {
+      const auto cfg = test_config(algo, 0);
+      std::string message;
+      try {
+        if (threads) {
+          run_experiment_threads(cfg, w.decomp(), *w.source, seeds);
+        } else {
+          run_experiment(cfg, w.decomp(), *w.source, seeds);
+        }
+      } catch (const std::invalid_argument& e) {
+        message = e.what();
+      }
+      EXPECT_NE(message.find("num_ranks"), std::string::npos)
+          << to_string(algo) << (threads ? " threads" : " sim") << ": '"
+          << message << "'";
+    }
+  }
 }
 
 TEST(DriverEquivalence, AlgorithmNames) {

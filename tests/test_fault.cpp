@@ -324,6 +324,73 @@ TEST(FaultRecovery, DroppedMessagesBounceAndNoStreamlineIsLost) {
   expect_same_particles(clean.particles, m.particles, "drops-vs-clean");
 }
 
+TEST(FaultRecovery, RuntimeDetectorAndDiskLaddersArePinned) {
+  // Golden for the runtime detector and the disk ladders: Static and
+  // Load On Demand each lose rank 3 to a scheduled crash while block
+  // reads fail, stall, run slow and come back corrupt.  One read per run
+  // exhausts its retries and crashes its rank as well, so both the
+  // backoff ladder and its cap, the slow factor and the detection
+  // latency act, and the modelled output is pinned to the exact values.
+  auto w = sf::testing::rotor_world(4);
+  Rng rng(83);
+  const auto seeds = random_seeds(w.dataset->bounds(), 300, rng);
+  struct Golden {
+    Algorithm algo;
+    double wall_clock;
+    double io_time;
+    std::uint64_t disk_retries;
+    std::uint64_t disk_faults;
+    std::uint64_t disk_stalls;
+    std::uint64_t disk_slow_events;
+    std::uint64_t corruptions;
+    std::uint64_t particles_recovered;
+    std::uint64_t steps_redone;
+  };
+  for (const Golden& g :
+       {Golden{Algorithm::kStaticAllocation, 3.2204343039999968,
+               4.8184521439999548, 591, 453, 58, 36, 139, 29, 68},
+        Golden{Algorithm::kLoadOnDemand, 14.465487175999884,
+               7.8333670319999253, 1041, 795, 111, 60, 248, 66, 357}}) {
+    auto base = test_config(g.algo, 8);
+    base.runtime.cache_blocks = 4;
+    base.limits.max_steps = 1500;
+    const RunMetrics clean =
+        run_experiment(base, w.decomp(), *w.source, seeds);
+    ASSERT_FALSE(clean.failed_oom);
+
+    auto cfg = base;
+    cfg.runtime.fault.rng_seed = 5;
+    cfg.runtime.fault.crashes = {{0.4 * clean.wall_clock, 3}};
+    cfg.runtime.fault.disk_fault_rate = 0.4;
+    cfg.runtime.fault.disk_stall_rate = 0.1;
+    cfg.runtime.fault.disk_slow_rate = 0.1;
+    cfg.runtime.fault.corrupt_rate = 0.2;
+    const RunMetrics m = run_experiment(cfg, w.decomp(), *w.source, seeds);
+    const char* label = to_string(g.algo);
+    ASSERT_FALSE(m.failed_oom) << label;
+    ASSERT_FALSE(m.failed_fault) << label;
+    expect_same_particles(clean.particles, m.particles, label);
+
+    std::uint64_t retries = 0;
+    for (const RankMetrics& r : m.ranks) retries += r.disk_retries;
+    EXPECT_EQ(m.wall_clock, g.wall_clock) << label;
+    EXPECT_EQ(m.total_io_time(), g.io_time) << label;
+    EXPECT_EQ(retries, g.disk_retries) << label;
+    // The scheduled crash and the exhausted read's, each recovered
+    // kFailureDetectSeconds (0.1 s) later.
+    EXPECT_EQ(m.fault.time_to_recovery, 0.20000000000000009) << label;
+    EXPECT_EQ(m.fault.crashes_injected, 2u) << label;
+    EXPECT_EQ(m.fault.crashes_survived, 2u) << label;
+    EXPECT_EQ(m.fault.disk_faults, g.disk_faults) << label;
+    EXPECT_EQ(m.fault.disk_stalls, g.disk_stalls) << label;
+    EXPECT_EQ(m.fault.disk_slow_events, g.disk_slow_events) << label;
+    EXPECT_EQ(m.fault.corruptions_injected, g.corruptions) << label;
+    EXPECT_EQ(m.fault.corruptions_detected, g.corruptions) << label;
+    EXPECT_EQ(m.fault.particles_recovered, g.particles_recovered) << label;
+    EXPECT_EQ(m.fault.steps_redone, g.steps_redone) << label;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Coordinator failover (DESIGN.md §11)
 

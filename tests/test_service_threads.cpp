@@ -82,7 +82,7 @@ TEST(ThreadService, MultiQueryUnderScheduleFuzz) {
       seeds_for(w, 10, 91), seeds_for(w, 8, 92), seeds_for(w, 12, 93)};
 
   ServiceConfig sc = thread_service_config(Algorithm::kLoadOnDemand, 4);
-  sc.base.schedule_fuzz_seed = 0xf22;
+  sc.base.runtime.schedule_fuzz_seed = 0xf22;
   sc.max_queries_per_epoch = 3;
   StreamlineService svc(sc, &w.decomp(), w.source.get());
   std::vector<QueryId> ids;

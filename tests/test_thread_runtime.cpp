@@ -13,8 +13,8 @@
 namespace sf {
 namespace {
 
-ThreadRuntimeConfig thread_config(int ranks) {
-  ThreadRuntimeConfig cfg;
+RuntimeConfig thread_config(int ranks) {
+  RuntimeConfig cfg;
   cfg.num_ranks = ranks;
   cfg.model = sf::testing::test_model();
   cfg.cache_blocks = 16;
@@ -26,7 +26,7 @@ TraceLimits limits() {
   return {.max_time = 15.0, .max_steps = 1500, .min_speed = 1e-8};
 }
 
-RunMetrics run_threads_with(Algorithm algo, const ThreadRuntimeConfig& cfg,
+RunMetrics run_threads_with(Algorithm algo, const RuntimeConfig& cfg,
                             const sf::testing::TestWorld& w,
                             const std::vector<Vec3>& seeds,
                             const BlockSource& source) {
@@ -75,7 +75,7 @@ RunMetrics run_threads_metrics(Algorithm algo, int ranks,
                                const std::vector<Vec3>& seeds,
                                const BlockSource& source,
                                std::uint64_t fuzz_seed = 0) {
-  ThreadRuntimeConfig cfg = thread_config(ranks);
+  RuntimeConfig cfg = thread_config(ranks);
   cfg.schedule_fuzz_seed = fuzz_seed;
   return run_threads_with(algo, cfg, w, seeds, source);
 }
@@ -172,7 +172,7 @@ TEST(ThreadRuntime, HybridAsyncDiskIoMatchesSerialBitForBit) {
   BlockStore::write(dir, *w.dataset);
   const DiskBlockSource disk_source(std::make_shared<BlockStore>(dir));
 
-  ThreadRuntimeConfig cfg = thread_config(5);
+  RuntimeConfig cfg = thread_config(5);
   cfg.cache_blocks = 4;
   cfg.async_io.enabled = true;
   cfg.async_io.workers = 1;
@@ -294,7 +294,7 @@ class NumberedSender final : public RankProgram {
 
 TEST(ThreadRuntime, InboxDeliversEachSendersMessagesOnceInOrder) {
   auto w = sf::testing::rotor_world(2);
-  ThreadRuntimeConfig cfg = thread_config(4);
+  RuntimeConfig cfg = thread_config(4);
   cfg.schedule_fuzz_seed = 29;
   cfg.checked_protocol = CheckedProtocol::kNone;
   ThreadRuntime rt(cfg, &w.decomp(), w.source.get(), iparams(), limits());
@@ -350,7 +350,7 @@ class TerminateThenMaybeOom final : public RankProgram {
 
 TEST(ThreadRuntime, OomKeepsPartialResults) {
   auto w = sf::testing::rotor_world(2);
-  ThreadRuntimeConfig cfg = thread_config(2);
+  RuntimeConfig cfg = thread_config(2);
   cfg.model.particle_memory_bytes = 1000;
   ThreadRuntime rt(cfg, &w.decomp(), w.source.get(), iparams(), limits());
   const RunMetrics m = rt.run([](int rank, int) {
@@ -365,9 +365,30 @@ TEST(ThreadRuntime, OomKeepsPartialResults) {
   EXPECT_EQ(m.particles[1].id, 1u);
 }
 
+TEST(ThreadRuntime, RejectsATimedCancel) {
+  // Real threads have no deterministic mid-run instant: a cancel at 0
+  // applies at run start, one later is rejected up front, both by the
+  // runtime itself and through the driver.
+  auto w = sf::testing::rotor_world(2);
+  RuntimeConfig cfg = thread_config(2);
+  cfg.cancels = {{3, 0.0}, {4, 0.25}};
+  EXPECT_THROW(ThreadRuntime(cfg, &w.decomp(), w.source.get(), iparams(),
+                             limits()),
+               std::invalid_argument);
+  cfg.cancels = {{3, 0.0}};
+  EXPECT_NO_THROW(ThreadRuntime(cfg, &w.decomp(), w.source.get(), iparams(),
+                                limits()));
+
+  auto ecfg = sf::testing::test_config(Algorithm::kLoadOnDemand, 2);
+  ecfg.runtime.cancels = {{0, 0.25}};
+  const std::vector<Vec3> seeds{w.dataset->bounds().center()};
+  EXPECT_THROW(run_experiment_threads(ecfg, w.decomp(), *w.source, seeds),
+               std::invalid_argument);
+}
+
 TEST(ThreadRuntime, Validation) {
   auto w = sf::testing::rotor_world(2);
-  ThreadRuntimeConfig bad = thread_config(0);
+  RuntimeConfig bad = thread_config(0);
   EXPECT_THROW(ThreadRuntime(bad, &w.decomp(), w.source.get(), iparams(),
                              limits()),
                std::invalid_argument);

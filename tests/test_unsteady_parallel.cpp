@@ -354,6 +354,24 @@ TEST(PathlineLod, RejectsQueryCancels) {
   EXPECT_NE(rejection_of(cfg).find("runtime.cancels"), std::string::npos);
 }
 
+TEST(PathlineLod, FailedRunKeepsRejectedSeeds) {
+  // A run that overruns its particle-memory budget keeps its partial
+  // results, the rejected out-of-domain seed included, as a failed
+  // streamline run does.
+  auto s = gyre_slices(9, 8.0, 4);
+  std::vector<Vec3> seeds = gyre_seeds(20, 3);
+  seeds.push_back({-5.0, 0.5, 0.0});  // outside the gyre: rejected
+  PathlineExperimentConfig cfg = gyre_config(2, 8);
+  cfg.runtime.model.particle_memory_bytes = 1;
+  const RunMetrics m =
+      run_pathline_experiment(cfg, s.decomp, s.slices, s.times, seeds);
+  ASSERT_TRUE(m.failed_oom);
+  EXPECT_FALSE(m.failed_fault);
+  ASSERT_FALSE(m.particles.empty());
+  EXPECT_EQ(m.particles.back().id, 20u);
+  EXPECT_EQ(m.particles.back().status, ParticleStatus::kExitedDomain);
+}
+
 // Caches that hold only a bracket pair, or one block more: Load On
 // Demand's rule (run the first resident pooled block, else load the
 // densest) must still finish every pathline, exactly as the oracle does.

@@ -398,7 +398,7 @@ int cmd_experiment(const Flags& flags) {
     at = comma + 1;
   }
 
-  cfg.schedule_fuzz_seed =
+  cfg.runtime.schedule_fuzz_seed =
       static_cast<std::uint64_t>(flags.get_long("schedule-fuzz", 0));
   const std::string runtime_kind = flags.get("runtime", "sim");
   if (runtime_kind != "sim" && runtime_kind != "threads") {
