@@ -21,7 +21,7 @@ struct AblationRow {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   auto opt = sf::bench::parse_options(argc, argv);
   if (opt.procs.size() > 1) opt.procs = {opt.procs.front()};
   const int procs = opt.procs.empty() ? 128 : opt.procs.front();
@@ -127,4 +127,8 @@ int main(int argc, char** argv) {
     table.write_csv(*opt.csv_dir + "/ablation_hybrid.csv");
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sf::bench::bench_main(argc, argv, run_bench);
 }

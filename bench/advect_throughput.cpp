@@ -50,16 +50,17 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench_flags.hpp"
 #include "core/analytic_fields.hpp"
 #include "core/dataset.hpp"
 #include "core/rng.hpp"
@@ -84,27 +85,25 @@ Options parse_options(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--min-time=", 0) == 0) {
-      opt.min_time = std::atof(arg.substr(11).c_str());
+      opt.min_time =
+          sf::bench::flag_double("min-time", arg.substr(11), /*zero_ok=*/true);
     } else if (arg.rfind("--out=", 0) == 0) {
       opt.out = arg.substr(6);
     } else if (arg.rfind("--kernel=", 0) == 0) {
       opt.kernel = arg.substr(9);
       if (opt.kernel != "auto" && opt.kernel != "scalar" &&
           opt.kernel != "simd") {
-        std::cerr << "bad --kernel (want auto|scalar|simd): " << opt.kernel
-                  << '\n';
-        std::exit(2);
+        sf::bench::bad_flag("kernel", opt.kernel, "auto|scalar|simd");
       }
     } else if (arg.rfind("--tol=", 0) == 0) {
-      opt.tol = std::atof(arg.substr(6).c_str());
+      opt.tol = sf::bench::flag_double("tol", arg.substr(6));
     } else if (arg.rfind("--nodes=", 0) == 0) {
-      opt.nodes = std::atoi(arg.substr(8).c_str());
+      opt.nodes = sf::bench::flag_int("nodes", arg.substr(8), 2);
     } else if (arg == "--quick") {
       opt.min_time = 0.1;
       opt.min_reps = 2;
     } else {
-      std::cerr << "unknown flag: " << arg << '\n';
-      std::exit(2);
+      throw std::invalid_argument("unknown flag: " + arg);
     }
   }
   return opt;
@@ -182,7 +181,7 @@ struct Cell {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   const Options opt = parse_options(argc, argv);
 
   // The tokamak field: trajectories orbit the torus indefinitely, so
@@ -384,4 +383,8 @@ int main(int argc, char** argv) {
   out << "  ]\n}\n";
   std::cout << "wrote " << opt.out << '\n';
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sf::bench::bench_main(argc, argv, run_bench);
 }

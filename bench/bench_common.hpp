@@ -15,14 +15,15 @@
 //   --quick                  tiny preset for smoke runs
 //   --csv=DIR                also write a CSV per figure set into DIR
 
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "algorithms/driver.hpp"
+#include "bench_flags.hpp"
 #include "core/analytic_fields.hpp"
 #include "core/seeds.hpp"
 #include "io/csv.hpp"
@@ -43,16 +44,9 @@ inline Options parse_options(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--procs=", 0) == 0) {
-      opt.procs.clear();
-      std::string list = arg.substr(8);
-      for (std::size_t pos = 0; pos < list.size();) {
-        const std::size_t comma = list.find(',', pos);
-        opt.procs.push_back(std::atoi(list.substr(pos, comma - pos).c_str()));
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
+      opt.procs = flag_int_list("procs", arg.substr(8), 1);
     } else if (arg.rfind("--seeds-scale=", 0) == 0) {
-      opt.seeds_scale = std::atof(arg.substr(14).c_str());
+      opt.seeds_scale = flag_double("seeds-scale", arg.substr(14));
     } else if (arg.rfind("--csv=", 0) == 0) {
       opt.csv_dir = arg.substr(6);
     } else if (arg == "--quick") {
@@ -60,8 +54,7 @@ inline Options parse_options(int argc, char** argv) {
       opt.procs = {16, 64};
       opt.seeds_scale = 0.02;
     } else {
-      std::cerr << "unknown flag: " << arg << '\n';
-      std::exit(2);
+      throw std::invalid_argument("unknown flag: " + arg);
     }
   }
   return opt;

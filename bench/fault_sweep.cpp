@@ -43,7 +43,7 @@ bool particles_identical(const std::vector<Particle>& a,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   Options opt = parse_options(argc, argv);
   if (!opt.quick && opt.procs == std::vector<int>{64, 128, 256, 512}) {
     opt.procs = {64};  // the sweep varies faults, not scale
@@ -362,4 +362,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sf::bench::bench_main(argc, argv, run_bench);
 }

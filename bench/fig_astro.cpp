@@ -15,7 +15,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   const auto opt = sf::bench::parse_options(argc, argv);
 
   auto field = std::make_shared<sf::SupernovaField>();
@@ -43,4 +43,8 @@ int main(int argc, char** argv) {
       "== Figures 5-8: astrophysics dataset (wall clock / I/O time / "
       "block efficiency / communication time) ==");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sf::bench::bench_main(argc, argv, run_bench);
 }

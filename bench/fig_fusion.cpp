@@ -14,7 +14,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   const auto opt = sf::bench::parse_options(argc, argv);
 
   auto field = std::make_shared<sf::TokamakField>();
@@ -59,4 +59,8 @@ int main(int argc, char** argv) {
       "== Figures 9-12: fusion dataset (wall clock / I/O time / "
       "communication time / block efficiency) ==");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sf::bench::bench_main(argc, argv, run_bench);
 }

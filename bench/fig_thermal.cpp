@@ -15,7 +15,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   const auto opt = sf::bench::parse_options(argc, argv);
 
   auto field = std::make_shared<sf::ThermalHydraulicsField>();
@@ -49,4 +49,8 @@ int main(int argc, char** argv) {
       "time / communication time / block efficiency; dense Static "
       "Allocation is expected to fail with OOM) ==");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sf::bench::bench_main(argc, argv, run_bench);
 }

@@ -28,13 +28,14 @@
 //   --quick             smoke preset: 8 ranks, 600 seeds
 
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "algorithms/driver.hpp"
+#include "bench_flags.hpp"
 #include "core/analytic_fields.hpp"
 #include "core/seeds.hpp"
 #include "io/csv.hpp"
@@ -53,9 +54,10 @@ Options parse_options(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--procs=", 0) == 0) {
-      opt.procs = std::atoi(arg.substr(8).c_str());
+      opt.procs = sf::bench::flag_int("procs", arg.substr(8), 1);
     } else if (arg.rfind("--seeds=", 0) == 0) {
-      opt.seeds = static_cast<std::size_t>(std::atoll(arg.substr(8).c_str()));
+      opt.seeds = static_cast<std::size_t>(
+          sf::bench::flag_int("seeds", arg.substr(8), 1));
     } else if (arg.rfind("--out=", 0) == 0) {
       opt.out = arg.substr(6);
     } else if (arg == "--quick") {
@@ -63,8 +65,7 @@ Options parse_options(int argc, char** argv) {
       opt.procs = 8;
       opt.seeds = 600;
     } else {
-      std::cerr << "unknown flag: " << arg << '\n';
-      std::exit(2);
+      throw std::invalid_argument("unknown flag: " + arg);
     }
   }
   return opt;
@@ -96,7 +97,7 @@ struct Row {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   const Options opt = parse_options(argc, argv);
 
   auto field = std::make_shared<sf::SupernovaField>();
@@ -220,4 +221,8 @@ int main(int argc, char** argv) {
   out << " ]\n}\n";
   std::cout << "json written to " << opt.out << '\n';
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sf::bench::bench_main(argc, argv, run_bench);
 }

@@ -14,6 +14,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -38,16 +39,10 @@ ScaleOptions parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--procs=", 0) == 0) {
-      opt.procs.clear();
-      std::string list = arg.substr(8);
-      for (std::size_t pos = 0; pos < list.size();) {
-        const std::size_t comma = list.find(',', pos);
-        opt.procs.push_back(std::atoi(list.substr(pos, comma - pos).c_str()));
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
+      opt.procs = sf::bench::flag_int_list("procs", arg.substr(8), 1);
     } else if (arg.rfind("--seeds-per-rank=", 0) == 0) {
-      opt.seeds_per_rank = std::atoi(arg.substr(17).c_str());
+      opt.seeds_per_rank =
+          sf::bench::flag_int("seeds-per-rank", arg.substr(17), 1);
     } else if (arg.rfind("--out=", 0) == 0) {
       opt.out = arg.substr(6);
     } else if (arg == "--quick") {
@@ -55,8 +50,7 @@ ScaleOptions parse(int argc, char** argv) {
       opt.procs = {64, 1024, 4096};
       opt.seeds_per_rank = 2;
     } else {
-      std::cerr << "unknown flag: " << arg << '\n';
-      std::exit(2);
+      throw std::invalid_argument("unknown flag: " + arg);
     }
   }
   return opt;
@@ -72,7 +66,7 @@ struct Row {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   const ScaleOptions opt = parse(argc, argv);
 
   sf::bench::BenchDataset data = sf::bench::make_bench_dataset(
@@ -170,4 +164,8 @@ int main(int argc, char** argv) {
   out << " ]\n}\n";
   std::cout << "json written to " << opt.out << '\n';
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sf::bench::bench_main(argc, argv, run_bench);
 }

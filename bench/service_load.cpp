@@ -43,12 +43,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "bench_flags.hpp"
 #include "core/analytic_fields.hpp"
 #include "core/seeds.hpp"
 #include "io/csv.hpp"
@@ -70,24 +71,25 @@ Options parse_options(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--procs=", 0) == 0) {
-      opt.procs = std::atoi(arg.substr(8).c_str());
+      opt.procs = sf::bench::flag_int("procs", arg.substr(8), 1);
     } else if (arg.rfind("--seeds=", 0) == 0) {
-      opt.seeds = static_cast<std::size_t>(std::atoll(arg.substr(8).c_str()));
+      opt.seeds = static_cast<std::size_t>(
+          sf::bench::flag_int("seeds", arg.substr(8), 1));
     } else if (arg.rfind("--queries=", 0) == 0) {
-      opt.queries =
-          static_cast<std::size_t>(std::atoll(arg.substr(10).c_str()));
+      opt.queries = static_cast<std::size_t>(
+          sf::bench::flag_int("queries", arg.substr(10), 1));
     } else if (arg.rfind("--out=", 0) == 0) {
       opt.out = arg.substr(6);
     } else if (arg.rfind("--query-deadline=", 0) == 0) {
-      opt.query_deadline = std::atof(arg.substr(17).c_str());
+      opt.query_deadline = sf::bench::flag_double(
+          "query-deadline", arg.substr(17), /*zero_ok=*/true);
     } else if (arg == "--quick") {
       opt.quick = true;
       opt.procs = 8;
       opt.seeds = 150;
       opt.queries = 6;
     } else {
-      std::cerr << "unknown flag: " << arg << '\n';
-      std::exit(2);
+      throw std::invalid_argument("unknown flag: " + arg);
     }
   }
   return opt;
@@ -112,7 +114,7 @@ struct Row {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   const Options opt = parse_options(argc, argv);
 
   auto field = std::make_shared<sf::SupernovaField>();
@@ -362,4 +364,8 @@ int main(int argc, char** argv) {
   out << " ]\n}\n";
   std::cout << "json written to " << opt.out << '\n';
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sf::bench::bench_main(argc, argv, run_bench);
 }

@@ -13,7 +13,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   auto opt = sf::bench::parse_options(argc, argv);
   if (opt.procs.size() > 1) opt.procs = {64};
   const int procs = opt.procs.front();
@@ -73,4 +73,8 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   if (opt.csv_dir) table.write_csv(*opt.csv_dir + "/utilization.csv");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sf::bench::bench_main(argc, argv, run_bench);
 }

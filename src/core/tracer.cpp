@@ -1,7 +1,9 @@
 #include "core/tracer.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "core/integrator_simd.hpp"
@@ -169,6 +171,132 @@ AdvanceOutcome Tracer::advance_with_cursor(Particle& particle,
   return out;
 }
 
+namespace {
+
+constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+// The pending particles of one advance_batch call, filed by owning block
+// and kept up to date as they move.  Each occupied block keeps its
+// members (linked through next_), their count and the smallest member
+// index; the occupied blocks are kept in ascending order of that
+// smallest member, the order the rounds probe them in.  Only a round's
+// survivors are re-filed, so a round costs O(cohort + occupied blocks),
+// not O(pending).
+class PendingIndex {
+ public:
+  PendingIndex(std::size_t num_blocks, std::size_t num_particles)
+      : slot_of_(num_blocks, kNoSlot), next_(num_particles) {
+    blocks_.reserve(std::min(num_blocks, num_particles));
+  }
+
+  bool empty() const { return order_.empty() && outside_.empty(); }
+
+  // Occupied blocks (as slots) in ascending order of smallest member.
+  const std::vector<std::uint32_t>& order() const { return order_; }
+  BlockId block(std::uint32_t slot) const { return blocks_[slot].block; }
+  std::uint32_t population(std::uint32_t slot) const {
+    return blocks_[slot].count;
+  }
+
+  // Files pending particle `i` under block `b` (kInvalidBlock: outside
+  // the domain).  Call settle() once a round's filing is done.
+  void file(std::size_t i, BlockId b) {
+    if (b == kInvalidBlock) {
+      outside_.push_back(i);
+      return;
+    }
+    std::uint32_t& slot = slot_of_[static_cast<std::size_t>(b)];
+    if (slot == kNoSlot) {
+      slot = static_cast<std::uint32_t>(blocks_.size());
+      blocks_.push_back(Occupant{b});
+    }
+    Occupant& o = blocks_[slot];
+    if (o.count == 0) {
+      o.head = o.first = i;
+      o.ascending = true;
+      mark_moved(slot);
+    } else {
+      next_[o.tail] = i;
+      o.ascending = o.ascending && i > o.tail;
+      if (i < o.first) {
+        o.first = i;
+        mark_moved(slot);
+      }
+    }
+    o.tail = i;
+    ++o.count;
+  }
+
+  // Restores the order of occupied blocks: drops emptied blocks and
+  // merges back those whose smallest member changed.
+  void settle() {
+    std::erase_if(order_, [this](std::uint32_t slot) {
+      return blocks_[slot].count == 0 || blocks_[slot].moved;
+    });
+    const auto by_first = [this](std::uint32_t a, std::uint32_t b) {
+      return blocks_[a].first < blocks_[b].first;
+    };
+    std::sort(moved_.begin(), moved_.end(), by_first);
+    spare_.clear();
+    std::merge(order_.cbegin(), order_.cend(), moved_.cbegin(), moved_.cend(),
+               std::back_inserter(spare_), by_first);
+    order_.swap(spare_);
+    for (const std::uint32_t slot : moved_) blocks_[slot].moved = false;
+    moved_.clear();
+  }
+
+  // Moves every member of `slot`, ascending, into `cohort`.
+  void take(std::uint32_t slot, std::vector<std::size_t>& cohort) {
+    Occupant& o = blocks_[slot];
+    cohort.clear();
+    append_members(o, cohort);
+    if (!o.ascending) std::sort(cohort.begin(), cohort.end());
+    o.count = 0;
+  }
+
+  // Every pending particle, ascending, into `members`.
+  void all(std::vector<std::size_t>& members) const {
+    members.assign(outside_.cbegin(), outside_.cend());
+    for (const std::uint32_t slot : order_) {
+      append_members(blocks_[slot], members);
+    }
+    std::sort(members.begin(), members.end());
+  }
+
+ private:
+  struct Occupant {
+    BlockId block = kInvalidBlock;
+    std::uint32_t count = 0;
+    std::size_t first = 0;  // smallest member
+    std::size_t head = 0;   // members in filing order, linked via next_
+    std::size_t tail = 0;
+    bool ascending = true;  // filed in ascending order
+    bool moved = false;     // `first` changed since the last settle()
+  };
+
+  void append_members(const Occupant& o,
+                      std::vector<std::size_t>& out) const {
+    for (std::size_t i = o.head, k = 0; k < o.count; ++k, i = next_[i]) {
+      out.push_back(i);
+    }
+  }
+
+  void mark_moved(std::uint32_t slot) {
+    if (!blocks_[slot].moved) {
+      blocks_[slot].moved = true;
+      moved_.push_back(slot);
+    }
+  }
+
+  std::vector<std::uint32_t> slot_of_;  // block id -> slot in blocks_
+  std::vector<Occupant> blocks_;
+  std::vector<std::size_t> next_;       // particle -> next member
+  std::vector<std::size_t> outside_;    // pending outside the domain
+  std::vector<std::uint32_t> order_, spare_, moved_;
+};
+
+}  // namespace
+
 std::vector<AdvanceOutcome> Tracer::advance_batch(
     std::span<Particle> batch, const BlockAccessFn& blocks,
     TraceRecorder* recorder, const BlockPinHooks* pins) const {
@@ -182,21 +310,19 @@ std::vector<AdvanceOutcome> Tracer::advance_batch(
   // §5.1).  What changes is data traffic: one-particle-at-a-time
   // advancement streams every block it crosses through the cache once
   // per crossing; the cohort pays each block load once per round.
-  std::vector<std::size_t> pending;
-  pending.reserve(batch.size());
+  PendingIndex pending(static_cast<std::size_t>(decomp_->num_blocks()),
+                       batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (is_terminal(batch[i].status)) {
       out[i].status = batch[i].status;
     } else {
-      pending.push_back(i);
+      pending.file(i, decomp_->block_of(batch[i].pos));
     }
   }
+  pending.settle();
 
-  // Flat per-block census, reused across rounds (block ids are dense).
-  std::vector<std::uint32_t> population(
-      static_cast<std::size_t>(decomp_->num_blocks()), 0);
-  std::vector<BlockId> owner_of(batch.size(), kInvalidBlock);
-
+  std::vector<std::size_t> cohort;
+  cohort.reserve(batch.size());
   Cursor cur;
   // The pinned focus.  The pin is taken when a block becomes the round
   // focus and moves only when the focus changes, so the grid the shared
@@ -205,36 +331,28 @@ std::vector<AdvanceOutcome> Tracer::advance_batch(
   // below, nor by async completions inserting blocks between rounds.
   BlockId pinned_focus = kInvalidBlock;
   while (!pending.empty()) {
-    // Census of pending particles per owner block.
-    std::vector<BlockId> touched;
-    touched.reserve(pending.size());
-    for (const std::size_t i : pending) {
-      const BlockId b = decomp_->block_of(batch[i].pos);
-      owner_of[i] = b;
-      if (b != kInvalidBlock) {
-        if (population[static_cast<std::size_t>(b)]++ == 0) {
-          touched.push_back(b);
-        }
-      }
-    }
-
-    // Focus on the most populated accessible block.
+    // Focus on the most populated accessible block.  Blocks are probed
+    // in ascending order of their smallest pending member, and only
+    // where the population beats the best so far: each probe is an
+    // access the runtimes count, so this order is part of the result.
+    std::uint32_t focus_slot = kNoSlot;
     BlockId focus = kInvalidBlock;
     std::uint32_t best = 0;
-    for (const BlockId b : touched) {
-      const std::uint32_t n = population[static_cast<std::size_t>(b)];
-      if (n > best && blocks(b) != nullptr) {
-        focus = b;
+    for (const std::uint32_t slot : pending.order()) {
+      const std::uint32_t n = pending.population(slot);
+      if (n > best && blocks(pending.block(slot)) != nullptr) {
+        focus_slot = slot;
+        focus = pending.block(slot);
         best = n;
       }
     }
-    for (const BlockId b : touched) population[static_cast<std::size_t>(b)] = 0;
 
     if (focus == kInvalidBlock) {
       // No pending particle's block is available.  Run each through the
       // unrestricted kernel so domain exits terminate and the rest
       // report their blocking block.
-      for (const std::size_t i : pending) {
+      pending.all(cohort);
+      for (const std::size_t i : cohort) {
         const AdvanceOutcome o =
             advance_with_cursor(batch[i], blocks, recorder, cur);
         out[i].steps += o.steps;
@@ -255,6 +373,7 @@ std::vector<AdvanceOutcome> Tracer::advance_batch(
       if (cur.id != focus) cur = Cursor{};
     }
 
+    pending.take(focus_slot, cohort);
     // SIMD dispatch (DESIGN.md §14): run the focus cohort through the
     // AVX2 4-lane kernel when forced, or automatically when the cohort
     // is wide enough to fill lanes.  The kernel is bit-identical per
@@ -264,54 +383,38 @@ std::vector<AdvanceOutcome> Tracer::advance_batch(
         (kernel_ == AdvectionKernel::kSimd ||
          (kernel_ == AdvectionKernel::kAuto && best >= simd::kMinAutoCohort)) &&
         simd_kernel_available();
-    if (use_simd) {
-      // blocks(focus) was non-null during the probe above and the pin
-      // (when present) keeps it alive; re-fetch defensively anyway.
-      if (const StructuredGrid* fgrid = blocks(focus)) {
-        std::vector<std::size_t> cohort;
-        cohort.reserve(best);
-        for (const std::size_t i : pending) {
-          if (owner_of[i] == focus) cohort.push_back(i);
-        }
-        const simd::FocusCohortArgs fargs{decomp_,  focus,    fgrid,   &iparams_,
-                                          &limits_, cancels_, recorder};
-        simd::advance_focus_cohort_avx2(batch, cohort, out, fargs);
-        // Rebuild pending in the same order the scalar round would:
-        // non-focus particles and still-active focus particles keep
-        // their relative positions.
-        std::vector<std::size_t> keep;
-        keep.reserve(pending.size());
-        for (const std::size_t i : pending) {
-          if (owner_of[i] != focus || !is_terminal(batch[i].status)) {
-            keep.push_back(i);
-          }
-        }
-        pending = std::move(keep);
-        continue;
+    // blocks(focus) was non-null during the probe above and the pin
+    // (when present) keeps it alive; re-fetch defensively anyway.
+    const StructuredGrid* fgrid = use_simd ? blocks(focus) : nullptr;
+    if (fgrid != nullptr) {
+      const simd::FocusCohortArgs fargs{decomp_,  focus,    fgrid,   &iparams_,
+                                        &limits_, cancels_, recorder};
+      simd::advance_focus_cohort_avx2(batch, cohort, out, fargs);
+    } else {
+      // This round only the focus block is on the table: its residents
+      // advance until they leave it (or finish); everyone else waits.
+      const BlockAccessFn focus_only = [&blocks, focus](BlockId id) {
+        return id == focus ? blocks(id) : nullptr;
+      };
+      for (const std::size_t i : cohort) {
+        const AdvanceOutcome o =
+            advance_with_cursor(batch[i], focus_only, recorder, cur);
+        out[i].steps += o.steps;
+        out[i].evals += o.evals;
+        out[i].status = o.status;
+        out[i].blocking_block = o.blocking_block;
       }
     }
 
-    // This round only the focus block is on the table: its residents
-    // advance until they leave it (or finish); everyone else waits.
-    const BlockAccessFn focus_only = [&blocks, focus](BlockId id) {
-      return id == focus ? blocks(id) : nullptr;
-    };
-    std::vector<std::size_t> next;
-    next.reserve(pending.size());
-    for (const std::size_t i : pending) {
-      if (owner_of[i] != focus) {
-        next.push_back(i);
-        continue;
+    // Re-file the survivors where they stopped.  Most left the focus
+    // block, but one can still be in it: on ThreadRuntime an unpinned
+    // grid can vanish between the probe and the round.
+    for (const std::size_t i : cohort) {
+      if (!is_terminal(batch[i].status)) {
+        pending.file(i, decomp_->block_of(batch[i].pos));
       }
-      const AdvanceOutcome o =
-          advance_with_cursor(batch[i], focus_only, recorder, cur);
-      out[i].steps += o.steps;
-      out[i].evals += o.evals;
-      out[i].status = o.status;
-      out[i].blocking_block = o.blocking_block;
-      if (!is_terminal(batch[i].status)) next.push_back(i);
     }
-    pending = std::move(next);
+    pending.settle();
   }
   if (pins != nullptr && pinned_focus != kInvalidBlock && pins->unpin) {
     pins->unpin(pinned_focus);

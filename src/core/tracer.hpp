@@ -22,6 +22,13 @@
 // unchanged and virtual dispatch always.  The golden tests
 // (tests/test_fast_path.cpp) hold it bit-identical to the frozen per-step
 // virtual-dispatch oracle in tests/support/reference_advance.hpp.
+//
+// Its rounds are scheduled from an index of the pending particles by
+// owning block, kept up to date as particles move: only a round's
+// cohort is re-filed, so a round costs O(cohort + occupied blocks), not
+// a census of every pending particle.  The access and pin calls it makes
+// are part of every modelled result (each is a counted LRU touch in a
+// runtime); tests/test_fast_path.cpp pins their sequence too.
 
 #include <algorithm>
 #include <atomic>

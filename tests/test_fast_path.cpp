@@ -17,8 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/analytic_fields.hpp"
@@ -378,6 +380,203 @@ TEST(FastPath, SimdPartialCohortsMatchScalar) {
       expect_same_particle(vp[i], sp[i]);
       EXPECT_EQ(vo[i].evals, so[i].evals);
       EXPECT_EQ(vo[i].steps, so[i].steps);
+    }
+  }
+}
+
+// Schedule independence at scale: trace_all over 4,096 random seeds on
+// 512 blocks runs thousands of focus rounds, and every particle still
+// ends exactly where it ends when advanced alone — same status, step and
+// evaluation counts, position, time and step size.
+TEST(FastPath, TraceAllMatchesSoloAtScale) {
+  auto field = std::make_shared<SupernovaField>();
+  const BlockDecomposition decomp(field->bounds(), 8, 8, 8);
+  auto dataset = std::make_shared<BlockedDataset>(field, decomp, 9, 2);
+  std::vector<GridPtr> slots(static_cast<std::size_t>(dataset->num_blocks()));
+  const BlockAccessFn access = [&](BlockId id) -> const StructuredGrid* {
+    GridPtr& slot = slots[static_cast<std::size_t>(id)];
+    if (!slot) slot = dataset->block(id);
+    return slot.get();
+  };
+  TraceLimits limits;
+  limits.max_time = 15.0;
+  limits.max_steps = 50;
+  const IntegratorParams iparams;
+  Rng rng(2009);
+  const std::vector<Vec3> seeds = random_seeds(field->bounds(), 4096, rng);
+
+  const std::vector<Particle> traced =
+      trace_all(*dataset, seeds, iparams, limits);
+  // trace_all's own call, repeated for the outcomes it does not return.
+  const Tracer tracer(&decomp, iparams, limits);
+  std::vector<Particle> cohort(seeds.size());
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    cohort[i].id = static_cast<std::uint32_t>(i);
+    cohort[i].pos = seeds[i];
+  }
+  const std::vector<AdvanceOutcome> co = tracer.advance_batch(cohort, access);
+
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    Particle solo;
+    solo.id = static_cast<std::uint32_t>(i);
+    solo.pos = seeds[i];
+    const AdvanceOutcome so = tracer.advance_batch({&solo, 1}, access)[0];
+    const Particle& t = traced[i];
+    const bool same =
+        t.status == solo.status && t.steps == solo.steps &&
+        t.pos.x == solo.pos.x && t.pos.y == solo.pos.y &&
+        t.pos.z == solo.pos.z && t.time == solo.time && t.h == solo.h &&
+        co[i].status == so.status && co[i].steps == so.steps &&
+        co[i].evals == so.evals && cohort[i].pos.x == solo.pos.x &&
+        cohort[i].pos.y == solo.pos.y && cohort[i].pos.z == solo.pos.z &&
+        cohort[i].time == solo.time;
+    if (!same && mismatches++ < 5) {
+      ADD_FAILURE() << "particle " << i << " differs from its solo run";
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Access-sequence golden.  Inside a runtime the BlockAccessFn is
+// ctx.block(), which touches the rank's LRU and counts cache hits, and
+// the pin hooks pin the cache.  So the exact sequence of access and
+// pin/unpin calls advance_batch makes is part of every modelled result:
+// a change to the batch schedule's bookkeeping must leave it unchanged,
+// call for call.  Each golden is the call count and an FNV-1a hash of
+// the (kind, block) sequence.
+// ---------------------------------------------------------------------------
+
+class CallLog {
+ public:
+  void add(char kind, BlockId b) {
+    ++count_;
+    mix(static_cast<std::uint8_t>(kind));
+    const auto u = static_cast<std::uint32_t>(b);
+    for (int s = 0; s < 32; s += 8) mix(static_cast<std::uint8_t>(u >> s));
+    text_ += kind + std::to_string(b) + ' ';
+  }
+  std::size_t count() const { return count_; }
+  std::uint64_t hash() const { return hash_; }
+  const std::string& text() const { return text_; }
+
+ private:
+  void mix(std::uint8_t byte) {
+    hash_ = (hash_ ^ byte) * 0x100000001b3ULL;
+  }
+  std::size_t count_ = 0;
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+  std::string text_;
+};
+
+struct AccessGolden {
+  std::size_t count;
+  std::uint64_t hash;
+};
+
+struct AccessCase {
+  const char* name;
+  AccessGolden scalar;  // AdvectionKernel::kScalar
+  AccessGolden simd;    // kAuto where the AVX2 kernel runs
+};
+
+TEST(FastPath, AccessSequenceMatchesGolden) {
+  auto field = std::make_shared<TokamakField>();
+  const BlockDecomposition decomp(field->bounds(), 3, 3, 3);
+  auto dataset = std::make_shared<BlockedDataset>(field, decomp, 13, 2);
+  std::vector<GridPtr> slots(static_cast<std::size_t>(dataset->num_blocks()));
+  const auto grid = [&](BlockId id) -> const StructuredGrid* {
+    GridPtr& slot = slots[static_cast<std::size_t>(id)];
+    if (!slot) slot = dataset->block(id);
+    return slot.get();
+  };
+  TraceLimits limits;
+  limits.max_steps = 400;
+
+  const AABB box = field->bounds();
+  const Vec3 e = box.extent();
+  Rng rng(11);
+  const std::vector<Vec3> cluster = cluster_seeds(
+      {box.lo.x + 0.6 * e.x, box.lo.y + 0.55 * e.y, box.lo.z + 0.5 * e.z},
+      0.08 * e.x, 64, rng, box);
+  // Four cluster seeds around one outside the domain.
+  std::vector<Vec3> with_outsider(cluster.begin(), cluster.begin() + 4);
+  with_outsider.insert(with_outsider.begin() + 2,
+                       Vec3{box.hi.x + e.x, box.lo.y, box.lo.z});
+  const BlockId first_block = decomp.block_of(cluster.front());
+
+  const AccessCase cases[] = {
+      {"wide cohort, high-x slab hidden",
+       {308, 13558133205316937271ULL},
+       {308, 13558133205316937271ULL}},
+      {"wide cohort, high-x slab hidden, pinned",
+       {390, 3787068658934808354ULL},
+       {390, 3787068658934808354ULL}},
+      {"one-particle batches, high-x slab hidden, pinned",
+       {88, 15640509804126992145ULL},
+       {88, 15640509804126992145ULL}},
+      {"seed outside the domain, high-x slab hidden",
+       {11, 2151719297843163438ULL},
+       {11, 2151719297843163438ULL}},
+      {"first block evicted after k calls, k = 0..15",
+       {17495, 4949608142104241294ULL},
+       {17496, 15463486663608963244ULL}},
+  };
+
+  for (const AdvectionKernel kernel :
+       {AdvectionKernel::kScalar, AdvectionKernel::kAuto}) {
+    Tracer tracer(&decomp, IntegratorParams{}, limits);
+    tracer.set_kernel(kernel);
+    for (std::size_t c = 0; c < std::size(cases); ++c) {
+      const AccessCase& ac = cases[c];
+      SCOPED_TRACE(ac.name);
+      SCOPED_TRACE(kernel == AdvectionKernel::kScalar ? "scalar" : "auto");
+      CallLog log;
+      const BlockPinHooks pins{[&log](BlockId b) { log.add('p', b); },
+                               [&log](BlockId b) { log.add('u', b); }};
+      const auto run = [&](const std::vector<Vec3>& seeds,
+                           const BlockAccessFn& access, bool pinned) {
+        std::vector<Particle> batch(seeds.size());
+        for (std::size_t i = 0; i < seeds.size(); ++i) {
+          batch[i].id = static_cast<std::uint32_t>(i);
+          batch[i].pos = seeds[i];
+        }
+        tracer.advance_batch(batch, access, nullptr, pinned ? &pins : nullptr);
+      };
+      const BlockAccessFn partial = [&](BlockId b) -> const StructuredGrid* {
+        log.add('a', b);
+        return decomp.coords_of(b).i != 2 ? grid(b) : nullptr;
+      };
+      switch (c) {
+        case 0: run(cluster, partial, false); break;
+        case 1: run(cluster, partial, true); break;
+        case 2:
+          for (std::size_t i = 0; i < 8; ++i) {
+            run({cluster[i]}, partial, true);
+          }
+          break;
+        case 3: run(with_outsider, partial, true); break;
+        default:
+          // The first seed's block vanishes after k accesses to it, the
+          // way an unpinned grid can be evicted between rounds on
+          // ThreadRuntime; some k land between a round's probe and its
+          // fetch, so the cohort stays in the focus block.
+          for (int k = 0; k < 16; ++k) {
+            int calls = 0;
+            const BlockAccessFn evicting =
+                [&](BlockId b) -> const StructuredGrid* {
+              log.add('a', b);
+              return b == first_block && calls++ >= k ? nullptr : grid(b);
+            };
+            run(cluster, evicting, false);
+          }
+      }
+      const bool simd =
+          kernel == AdvectionKernel::kAuto && simd_kernel_available();
+      const AccessGolden& want = simd ? ac.simd : ac.scalar;
+      EXPECT_EQ(log.count(), want.count);
+      EXPECT_EQ(log.hash(), want.hash) << log.text();
     }
   }
 }
