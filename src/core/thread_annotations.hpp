@@ -124,6 +124,8 @@ enum class LockRank : int {
   kFailureBoard = 30,  // ThreadRuntime first-failure slot
   kMailbox = 40,    // per-rank Context mailboxes
   kLoader = 50,     // AsyncBlockLoader queues + LoadState map
+  kTraceBlocks = 55,  // trace_all's shared block memo (fetches take
+                      // kDataset inside it)
   kDataset = 60,    // BlockedDataset lazy block memoization
   kChecker = 70,    // InvariantChecker global model (leaf: its hooks
                     // must be called with no other sf::Mutex held)

@@ -1,9 +1,13 @@
 #include "core/tracer.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <iterator>
+#include <thread>
 #include <vector>
 
 #include "core/integrator_simd.hpp"
@@ -41,30 +45,58 @@ const char* to_string(ParticleStatus s) {
 // Fast path: block cursor + cell cursor, non-virtual sampling.
 // ---------------------------------------------------------------------------
 
-AdvanceOutcome Tracer::advance_with_cursor(Particle& particle,
-                                           const BlockAccessFn& blocks,
-                                           TraceRecorder* recorder,
-                                           Cursor& cur) const {
-  AdvanceOutcome out;
-  if (is_terminal(particle.status)) {
-    out.status = particle.status;
-    return out;
-  }
+bool Tracer::start_advance(Particle& particle,
+                           TraceRecorder* recorder) const {
+  if (is_terminal(particle.status)) return false;
   // Cancelled-query drain: terminate in place, before the seed vertex or
   // any integration step, so the particle flows through the normal
   // termination bookkeeping without touching the numerics of its
   // batch-mates.
   if (cancels_ != nullptr && cancels_->contains(particle.query)) {
     particle.status = ParticleStatus::kCancelled;
-    out.status = particle.status;
-    return out;
+    return false;
   }
-
   if (particle.steps == 0 && recorder != nullptr) {
     recorder->reserve_hint(static_cast<std::size_t>(limits_.max_steps) + 1);
     recorder->record(particle, particle.pos);  // seed vertex
   }
   if (particle.h <= 0.0) particle.h = iparams_.h_init;
+  return true;
+}
+
+BlockId Tracer::checked_owner(Particle& particle) const {
+  if (particle.time >= limits_.max_time) {
+    particle.status = ParticleStatus::kMaxTime;
+    return kInvalidBlock;
+  }
+  if (particle.steps >= limits_.max_steps) {
+    particle.status = ParticleStatus::kMaxSteps;
+    return kInvalidBlock;
+  }
+  const BlockId owner = decomp_->block_of(particle.pos);
+  if (owner == kInvalidBlock) particle.status = ParticleStatus::kExitedDomain;
+  return owner;
+}
+
+AdvanceOutcome Tracer::stop_before_access(Particle& particle,
+                                          TraceRecorder* recorder) const {
+  AdvanceOutcome out;
+  if (start_advance(particle, recorder)) {
+    out.blocking_block = checked_owner(particle);
+  }
+  out.status = particle.status;
+  return out;
+}
+
+AdvanceOutcome Tracer::advance_with_cursor(Particle& particle,
+                                           const BlockAccessFn& blocks,
+                                           TraceRecorder* recorder,
+                                           Cursor& cur) const {
+  AdvanceOutcome out;
+  if (!start_advance(particle, recorder)) {
+    out.status = particle.status;
+    return out;
+  }
 
   // FSAL carry: the velocity at particle.pos, left over from the
   // previous accepted step's 7th stage (DOPRI5 evaluates it exactly at
@@ -74,27 +106,14 @@ AdvanceOutcome Tracer::advance_with_cursor(Particle& particle,
   bool has_carried = false;
 
   for (;;) {
-    // Budget checks first so hand-offs can't dodge them.
-    if (particle.time >= limits_.max_time) {
-      particle.status = ParticleStatus::kMaxTime;
-      break;
-    }
-    if (particle.steps >= limits_.max_steps) {
-      particle.status = ParticleStatus::kMaxSteps;
-      break;
-    }
-
     // Ownership check against the cursor.  block_of is inline index
     // arithmetic on the precomputed reciprocal block size, so the
     // per-step cost is a handful of multiplies; only a block *change*
     // pays the BlockAccessFn (hash lookup + LRU touch).  Skipped
     // lookups cannot change LRU order: re-touching the front entry is
     // order-idempotent.
-    const BlockId owner = decomp_->block_of(particle.pos);
-    if (owner == kInvalidBlock) {
-      particle.status = ParticleStatus::kExitedDomain;
-      break;
-    }
+    const BlockId owner = checked_owner(particle);
+    if (owner == kInvalidBlock) break;
 
     if (owner != cur.id || cur.grid == nullptr) {
       const StructuredGrid* grid = blocks(owner);
@@ -197,6 +216,9 @@ class PendingIndex {
   std::uint32_t population(std::uint32_t slot) const {
     return blocks_[slot].count;
   }
+  // Whether the block was found missing earlier in the call.
+  bool missing(std::uint32_t slot) const { return blocks_[slot].missing; }
+  void mark_missing(std::uint32_t slot) { blocks_[slot].missing = true; }
 
   // Files pending particle `i` under block `b` (kInvalidBlock: outside
   // the domain).  Call settle() once a round's filing is done.
@@ -272,6 +294,7 @@ class PendingIndex {
     std::size_t tail = 0;
     bool ascending = true;  // filed in ascending order
     bool moved = false;     // `first` changed since the last settle()
+    bool missing = false;   // found missing by a probe
   };
 
   void append_members(const Occupant& o,
@@ -335,26 +358,39 @@ std::vector<AdvanceOutcome> Tracer::advance_batch(
     // in ascending order of their smallest pending member, and only
     // where the population beats the best so far: each probe is an
     // access the runtimes count, so this order is part of the result.
+    // A block once found missing is not asked for again in this call:
+    // its particles cannot move, and a second ask would count a second
+    // miss for the one block they want.
     std::uint32_t focus_slot = kNoSlot;
     BlockId focus = kInvalidBlock;
     std::uint32_t best = 0;
     for (const std::uint32_t slot : pending.order()) {
       const std::uint32_t n = pending.population(slot);
-      if (n > best && blocks(pending.block(slot)) != nullptr) {
-        focus_slot = slot;
-        focus = pending.block(slot);
-        best = n;
+      if (n <= best || pending.missing(slot)) continue;
+      if (blocks(pending.block(slot)) == nullptr) {
+        pending.mark_missing(slot);
+        continue;
       }
+      focus_slot = slot;
+      focus = pending.block(slot);
+      best = n;
     }
 
     if (focus == kInvalidBlock) {
-      // No pending particle's block is available.  Run each through the
-      // unrestricted kernel so domain exits terminate and the rest
-      // report their blocking block.
+      // No pending particle's block is available: every occupied block
+      // has been found missing.  So each particle stops on its block
+      // after the kernel's pre-access checks (budgets, domain exit),
+      // without asking for the block again.  Only a particle in the
+      // cursor's block, whose grid the cursor still holds though the
+      // access fn no longer offers it, runs through the kernel.
       pending.all(cohort);
       for (const std::size_t i : cohort) {
+        const bool in_cursor_block =
+            cur.grid != nullptr && decomp_->block_of(batch[i].pos) == cur.id;
         const AdvanceOutcome o =
-            advance_with_cursor(batch[i], blocks, recorder, cur);
+            in_cursor_block
+                ? advance_with_cursor(batch[i], blocks, recorder, cur)
+                : stop_before_access(batch[i], recorder);
         out[i].steps += o.steps;
         out[i].evals += o.evals;
         out[i].status = o.status;
@@ -423,43 +459,140 @@ std::vector<AdvanceOutcome> Tracer::advance_batch(
 }
 
 // ---------------------------------------------------------------------------
-// Serial entry points
+// Convenience entry points
 // ---------------------------------------------------------------------------
+
+namespace {
+
+using FetchFn = std::function<GridPtr(BlockId)>;
+
+// The blocks of one trace_all call, shared by its span threads: each is
+// fetched at most once and kept alive to the end of the call.  Once a
+// block is in, a read is one acquire load; its first reader fetches it
+// under the mutex.
+class SharedBlocks {
+ public:
+  SharedBlocks(const FetchFn& fetch, int num_blocks)
+      : fetch_(fetch),
+        grids_(static_cast<std::size_t>(num_blocks)),
+        owned_(static_cast<std::size_t>(num_blocks)) {}
+
+  const StructuredGrid* get(BlockId id) SF_EXCLUDES(mutex_) {
+    std::atomic<const StructuredGrid*>& slot =
+        grids_[static_cast<std::size_t>(id)];
+    // lockfree-lint: spsc — acquire pairs with the release store below:
+    // a non-null pointer happens-after the grid it points to was fetched
+    // and its owner stored.
+    const StructuredGrid* grid = slot.load(std::memory_order_acquire);
+    if (grid != nullptr) return grid;
+    MutexLock lock(mutex_);
+    GridPtr& owned = owned_[static_cast<std::size_t>(id)];
+    if (!owned) {
+      owned = fetch_(id);
+      // lockfree-lint: spsc — release store under the mutex; pairs with
+      // the acquire load above.
+      slot.store(owned.get(), std::memory_order_release);
+    }
+    return owned.get();
+  }
+
+ private:
+  const FetchFn& fetch_;
+  std::vector<std::atomic<const StructuredGrid*>> grids_;
+  // Fetches nest the source's own locks (BlockedDataset's memo) inside
+  // this one.
+  Mutex mutex_{LockRank::kTraceBlocks};
+  std::vector<GridPtr> owned_ SF_GUARDED_BY(mutex_);
+};
+
+std::vector<Particle> trace_spans(const BlockDecomposition& decomp,
+                                  const FetchFn& fetch,
+                                  std::span<const Vec3> seeds,
+                                  const IntegratorParams& iparams,
+                                  const TraceLimits& limits,
+                                  TraceRecorder* recorder) {
+  const Tracer tracer(&decomp, iparams, limits);
+  SharedBlocks shared(fetch, decomp.num_blocks());
+  const BlockAccessFn access = [&shared](BlockId id) { return shared.get(id); };
+
+  std::vector<Particle> particles(seeds.size());
+  std::size_t in_domain = 0;
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    particles[i].id = static_cast<std::uint32_t>(i);
+    particles[i].pos = seeds[i];
+    if (decomp.block_of(seeds[i]) == kInvalidBlock) {
+      particles[i].status = ParticleStatus::kExitedDomain;
+    } else {
+      ++in_domain;
+    }
+  }
+
+  // One contiguous span per core, each holding an equal share of the
+  // in-domain particles.  Within a span advance_batch schedules the work
+  // block by block, so seeds sharing blocks (at the start or anywhere
+  // downstream) are advanced while the block's data is hot.  Every block
+  // is accessible here, so each span runs its particles to a terminal
+  // state, and per-particle results are independent of the split
+  // (DESIGN.md §5.1).
+  const std::size_t cores =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const std::size_t spans =
+      std::clamp<std::size_t>(in_domain / kTraceAllMinSpan, 1, cores);
+  std::vector<std::size_t> cut{0};
+  for (std::size_t i = 0, seen = 0; i < particles.size(); ++i) {
+    if (cut.size() < spans && seen == cut.size() * in_domain / spans) {
+      cut.push_back(i);
+    }
+    if (!is_terminal(particles[i].status)) ++seen;
+  }
+  cut.push_back(particles.size());
+
+  std::vector<std::exception_ptr> errors(spans);
+  const auto run = [&](std::size_t k) {
+    try {
+      tracer.advance_batch(
+          std::span(particles).subspan(cut[k], cut[k + 1] - cut[k]), access,
+          recorder);
+    } catch (...) {
+      errors[k] = std::current_exception();
+    }
+  };
+  {
+    // The caller's thread takes the first span; jthreads join on scope
+    // exit, also when starting one of them throws.
+    std::vector<std::jthread> threads;
+    threads.reserve(spans - 1);
+    for (std::size_t k = 1; k < spans; ++k) threads.emplace_back(run, k);
+    run(0);
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  return particles;
+}
+
+}  // namespace
 
 std::vector<Particle> trace_all(const BlockedDataset& dataset,
                                 std::span<const Vec3> seeds,
                                 const IntegratorParams& iparams,
                                 const TraceLimits& limits,
                                 TraceRecorder* recorder) {
-  const BlockDecomposition& decomp = dataset.decomposition();
-  Tracer tracer(&decomp, iparams, limits);
+  return trace_spans(
+      dataset.decomposition(),
+      [&dataset](BlockId id) { return dataset.block(id); }, seeds, iparams,
+      limits, recorder);
+}
 
-  // Keep every touched block alive for the duration of the trace.
-  std::vector<GridPtr> cache(
-      static_cast<std::size_t>(dataset.num_blocks()));
-  const BlockAccessFn access = [&](BlockId id) -> const StructuredGrid* {
-    GridPtr& slot = cache[static_cast<std::size_t>(id)];
-    if (!slot) slot = dataset.block(id);
-    return slot.get();
-  };
-
-  std::vector<Particle> particles(seeds.size());
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    particles[i].id = static_cast<std::uint32_t>(i);
-    particles[i].pos = seeds[i];
-    if (decomp.block_of(seeds[i]) == kInvalidBlock) {
-      particles[i].status = ParticleStatus::kExitedDomain;
-    }
-  }
-
-  // One cohort: advance_batch schedules the work block by block, so
-  // seeds sharing blocks (at the start or anywhere downstream) are
-  // advanced while the block's data is hot.  Every block is accessible
-  // here, so the batch runs each particle to a terminal state, and
-  // per-particle results are independent of the schedule (DESIGN.md
-  // §5.1).
-  tracer.advance_batch(particles, access, recorder);
-  return particles;
+std::vector<Particle> trace_all(const BlockDecomposition& decomp,
+                                const BlockSource& source,
+                                std::span<const Vec3> seeds,
+                                const IntegratorParams& iparams,
+                                const TraceLimits& limits,
+                                TraceRecorder* recorder) {
+  return trace_spans(
+      decomp, [&source](BlockId id) { return source.load(id); }, seeds,
+      iparams, limits, recorder);
 }
 
 Particle trace_field(const VectorField& field, const Vec3& seed,

@@ -28,7 +28,8 @@
 // cohort is re-filed, so a round costs O(cohort + occupied blocks), not
 // a census of every pending particle.  The access and pin calls it makes
 // are part of every modelled result (each is a counted LRU touch in a
-// runtime); tests/test_fast_path.cpp pins their sequence too.
+// runtime); tests/test_fast_path.cpp pins their sequence too.  A call
+// asks for a missing block once: each ask is a counted cache miss.
 
 #include <algorithm>
 #include <atomic>
@@ -71,18 +72,26 @@ class PolylineRecorder final : public TraceRecorder {
   explicit PolylineRecorder(std::size_t num_particles)
       : lines_(num_particles) {}
 
+  // Safe to call concurrently for distinct particles (trace_all's
+  // threads do): each call touches only its particle's own line.
   void record(const Particle& particle, const Vec3& position) override {
     std::vector<Vec3>& line = lines_[particle.id];
-    if (line.size() == 1 && line.capacity() < hint_) {
+    // lockfree-lint: spsc — relaxed: the hint only sizes a reservation
+    // and publishes no other memory, so it needs no happens-before edge;
+    // every writer stores the same tracer budget.
+    const std::size_t hint = hint_.load(std::memory_order_relaxed);
+    if (line.size() == 1 && line.capacity() < hint) {
       // First accepted step: the line is live, so pre-size it.  Waiting
       // for the second vertex keeps dead-on-arrival seeds at one point.
-      line.reserve(hint_);
+      line.reserve(hint);
     }
     line.push_back(position);
   }
 
   void reserve_hint(std::size_t max_points) override {
-    hint_ = std::min(max_points, kReserveCap);
+    // lockfree-lint: spsc — relaxed, same argument as in record(): no
+    // happens-before edge rides on the hint.
+    hint_.store(std::min(max_points, kReserveCap), std::memory_order_relaxed);
   }
 
   const std::vector<std::vector<Vec3>>& lines() const { return lines_; }
@@ -93,7 +102,7 @@ class PolylineRecorder final : public TraceRecorder {
   static constexpr std::size_t kReserveCap = 4096;
 
   std::vector<std::vector<Vec3>> lines_;
-  std::size_t hint_ = 0;
+  std::atomic<std::size_t> hint_{0};
 };
 
 // Returns the grid for a block if the caller currently has it, nullptr
@@ -245,6 +254,23 @@ class Tracer {
                                      TraceRecorder* recorder,
                                      Cursor& cur) const;
 
+  // The checks the kernel makes before its first block access: a
+  // terminal particle stays put, a cancelled one terminates, a fresh one
+  // records its seed vertex and takes h_init.  False when the particle
+  // is (now) terminal.
+  bool start_advance(Particle& particle, TraceRecorder* recorder) const;
+
+  // The checks the kernel makes before each block access: the budgets
+  // (first, so hand-offs cannot dodge them), then the domain exit.
+  // Returns the block owning the particle, or kInvalidBlock once it
+  // terminated.
+  BlockId checked_owner(Particle& particle) const;
+
+  // A particle whose block was just found missing: the pre-access
+  // checks, then a stop on that block without asking for it again.
+  AdvanceOutcome stop_before_access(Particle& particle,
+                                    TraceRecorder* recorder) const;
+
   const BlockDecomposition* decomp_;
   IntegratorParams iparams_;
   TraceLimits limits_;
@@ -253,13 +279,39 @@ class Tracer {
 };
 
 // ---------------------------------------------------------------------------
-// Serial convenience APIs (the small-data entry points of the library).
+// Convenience APIs (the small-data entry points of the library).
 // ---------------------------------------------------------------------------
 
-// Trace all seeds over a fully accessible blocked dataset, serially.
-// Seeds are grouped by their starting block and advanced with
-// Tracer::advance_batch.
+// Fewest in-domain particles per trace_all thread: below
+// 2 * kTraceAllMinSpan particles a call runs on one thread
+// (measured: DESIGN.md §9.2, spans on threads).
+inline constexpr std::size_t kTraceAllMinSpan = 64;
+
+// Trace all seeds over a fully accessible blocked dataset; particle i
+// starts at seeds[i] (seeds outside the domain come back kExitedDomain
+// with no vertex recorded).  The in-domain particles are split into one
+// contiguous span per core (std::thread::hardware_concurrency()), each
+// advanced by one Tracer::advance_batch call on its own thread; inputs
+// too small to pay for a thread (kTraceAllMinSpan) run on the caller's
+// thread through the same code.  Per-particle results do not depend on
+// the split (DESIGN.md §5.1), so every particle and recorded vertex is
+// bit-identical to tracing its seed alone.  The call returns after every
+// thread joined; if spans threw, the exception of the first of them is
+// rethrown here.
+//
+// Threading contract: `recorder` is called concurrently from the span
+// threads, for distinct particles — PolylineRecorder is safe for that.
+// Each block is fetched at most once per call and shared by the spans.
 std::vector<Particle> trace_all(const BlockedDataset& dataset,
+                                std::span<const Vec3> seeds,
+                                const IntegratorParams& iparams,
+                                const TraceLimits& limits,
+                                TraceRecorder* recorder = nullptr);
+
+// The same over any BlockSource (a BlockStore on disk, say) cut by
+// `decomp`; the source must be safe to load from several threads.
+std::vector<Particle> trace_all(const BlockDecomposition& decomp,
+                                const BlockSource& source,
                                 std::span<const Vec3> seeds,
                                 const IntegratorParams& iparams,
                                 const TraceLimits& limits,

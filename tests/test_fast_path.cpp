@@ -17,12 +17,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
+#include <list>
+#include <map>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "algorithms/hybrid.hpp"
+#include "algorithms/load_on_demand.hpp"
+#include "algorithms/static_alloc.hpp"
 #include "core/analytic_fields.hpp"
 #include "core/dataset.hpp"
 #include "core/grid_sampler.hpp"
@@ -31,7 +38,9 @@
 #include "core/seeds.hpp"
 #include "core/structured_grid.hpp"
 #include "core/tracer.hpp"
+#include "runtime/sim_runtime.hpp"
 #include "support/reference_advance.hpp"
+#include "test_support.hpp"
 
 namespace sf {
 namespace {
@@ -506,22 +515,25 @@ TEST(FastPath, AccessSequenceMatchesGolden) {
                        Vec3{box.hi.x + e.x, box.lo.y, box.lo.z});
   const BlockId first_block = decomp.block_of(cluster.front());
 
+  // Recorded when a call stopped asking again for blocks it had found
+  // missing: each sequence is the earlier one with only those repeated
+  // accesses removed, pins unchanged.
   const AccessCase cases[] = {
       {"wide cohort, high-x slab hidden",
-       {308, 13558133205316937271ULL},
-       {308, 13558133205316937271ULL}},
+       {98, 17067853828165012334ULL},
+       {98, 17067853828165012334ULL}},
       {"wide cohort, high-x slab hidden, pinned",
-       {390, 3787068658934808354ULL},
-       {390, 3787068658934808354ULL}},
+       {180, 7317523419654425073ULL},
+       {180, 7317523419654425073ULL}},
       {"one-particle batches, high-x slab hidden, pinned",
-       {88, 15640509804126992145ULL},
-       {88, 15640509804126992145ULL}},
+       {84, 8462191442520125776ULL},
+       {84, 8462191442520125776ULL}},
       {"seed outside the domain, high-x slab hidden",
-       {11, 2151719297843163438ULL},
-       {11, 2151719297843163438ULL}},
+       {10, 17598787495182762062ULL},
+       {10, 17598787495182762062ULL}},
       {"first block evicted after k calls, k = 0..15",
-       {17495, 4949608142104241294ULL},
-       {17496, 15463486663608963244ULL}},
+       {12726, 6950664889783026651ULL},
+       {12727, 6705517690864764995ULL}},
   };
 
   for (const AdvectionKernel kernel :
@@ -578,6 +590,205 @@ TEST(FastPath, AccessSequenceMatchesGolden) {
       EXPECT_EQ(log.count(), want.count);
       EXPECT_EQ(log.hash(), want.hash) << log.text();
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Cache counters recounted from an access log.  A rank's BlockCache
+// counts one hit per find() that finds the block (an LRU touch), one
+// miss per find() that does not, one load per insert and one purge per
+// eviction.  Here every event that reaches the one advecting rank's
+// cache is logged in order — the tracer's accesses (with whether the
+// block was there) and pins, and the source's loads, each of which
+// lands in the cache at once with async I/O off — and replayed through
+// a model LRU.  The recount must match RankMetrics exactly.  On top,
+// each advance_batch call counts one miss per block it wants: no block
+// is found missing twice in a call, and each one found missing is a
+// block some particle of the call ends up waiting on.
+// ---------------------------------------------------------------------------
+
+struct CacheEvent {
+  char kind;  // 'a' access, 'p' pin, 'u' unpin, 'l' load
+  BlockId block;
+  bool found = false;  // 'a' only
+};
+
+class LoggingTracer final : public Tracer {
+ public:
+  LoggingTracer(const BlockDecomposition* decomp, const TraceLimits& limits,
+                std::vector<CacheEvent>* log)
+      : Tracer(decomp, IntegratorParams{}, limits), log_(log) {}
+
+  std::vector<AdvanceOutcome> advance_batch(
+      std::span<Particle> batch, const BlockAccessFn& blocks,
+      TraceRecorder* recorder, const BlockPinHooks* pins) const override {
+    const std::size_t first = log_->size();
+    const BlockAccessFn logged = [&](BlockId b) {
+      const StructuredGrid* grid = blocks(b);
+      log_->push_back({'a', b, grid != nullptr});
+      return grid;
+    };
+    BlockPinHooks logged_pins;
+    if (pins != nullptr) {
+      logged_pins.pin = [&](BlockId b) {
+        log_->push_back({'p', b});
+        pins->pin(b);
+      };
+      logged_pins.unpin = [&](BlockId b) {
+        log_->push_back({'u', b});
+        pins->unpin(b);
+      };
+    }
+    std::vector<AdvanceOutcome> out = Tracer::advance_batch(
+        batch, logged, recorder, pins != nullptr ? &logged_pins : nullptr);
+
+    // One miss per missing block: no block is found missing twice in a
+    // call, and each one found missing is a block a particle waits on.
+    std::set<BlockId> waited_on;
+    for (const AdvanceOutcome& o : out) {
+      if (o.status == ParticleStatus::kActive) waited_on.insert(o.blocking_block);
+    }
+    std::set<BlockId> missing;
+    for (std::size_t e = first; e < log_->size(); ++e) {
+      const CacheEvent& ev = (*log_)[e];
+      if (ev.kind != 'a' || ev.found) continue;
+      if (!missing.insert(ev.block).second) ++repeated_misses;
+      if (waited_on.count(ev.block) == 0) ++unwanted_misses;
+    }
+    return out;
+  }
+
+  mutable std::size_t repeated_misses = 0;
+  mutable std::size_t unwanted_misses = 0;
+
+ private:
+  std::vector<CacheEvent>* log_;
+};
+
+class LoggingSource final : public BlockSource {
+ public:
+  LoggingSource(const BlockSource& inner, std::vector<CacheEvent>* log)
+      : inner_(inner), log_(log) {}
+  GridPtr load(BlockId id) const override {
+    log_->push_back({'l', id});
+    return inner_.load(id);
+  }
+  std::size_t block_bytes(BlockId id) const override {
+    return inner_.block_bytes(id);
+  }
+  int num_blocks() const override { return inner_.num_blocks(); }
+
+ private:
+  const BlockSource& inner_;
+  std::vector<CacheEvent>* log_;
+};
+
+struct CacheCounts {
+  std::uint64_t hits = 0, misses = 0, loads = 0, purges = 0;
+};
+
+// BlockCache's policy, replayed: LRU order, nested pins, eviction of the
+// least recent unpinned block after an insert or an unpin.
+CacheCounts replay(const std::vector<CacheEvent>& log, std::size_t capacity) {
+  CacheCounts c;
+  std::list<BlockId> lru;  // front = most recent
+  std::map<BlockId, int> pins;
+  const auto evict = [&] {
+    for (auto it = lru.end(); lru.size() > capacity && it != lru.begin();) {
+      --it;
+      if (pins.count(*it) == 0) {
+        it = lru.erase(it);
+        ++c.purges;
+      }
+    }
+  };
+  for (const CacheEvent& ev : log) {
+    const auto at = std::find(lru.begin(), lru.end(), ev.block);
+    switch (ev.kind) {
+      case 'a':
+        EXPECT_EQ(ev.found, at != lru.end()) << "block " << ev.block;
+        if (at == lru.end()) {
+          ++c.misses;
+        } else {
+          ++c.hits;
+          lru.splice(lru.begin(), lru, at);
+        }
+        break;
+      case 'l':
+        if (at != lru.end()) {
+          lru.splice(lru.begin(), lru, at);
+          break;
+        }
+        lru.push_front(ev.block);
+        ++c.loads;
+        evict();
+        break;
+      case 'p': ++pins[ev.block]; break;
+      case 'u':
+        if (--pins[ev.block] == 0) pins.erase(ev.block);
+        evict();
+        break;
+    }
+  }
+  return c;
+}
+
+TEST(FastPath, CacheCountersRecountFromAccessLog) {
+  const testing::TestWorld w = testing::rotor_world(4);
+  const BlockDecomposition& decomp = w.decomp();
+  Rng rng(26);
+  const std::vector<Vec3> seeds = random_seeds(decomp.domain(), 150, rng);
+  std::vector<Particle> particles(seeds.size());
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    particles[i].id = static_cast<std::uint32_t>(i);
+    particles[i].pos = seeds[i];
+  }
+  const std::uint32_t total = static_cast<std::uint32_t>(seeds.size());
+
+  // One rank advects in each run: the static and Load On Demand runs
+  // have one rank, the hybrid run one master and one slave.
+  struct Case {
+    const char* name;
+    int ranks;
+    ProgramFactory factory;
+  };
+  HybridParams hybrid;
+  hybrid.slaves_per_master = 1;
+  const Case cases[] = {
+      {"static", 1,
+       make_static_allocation(&decomp,
+                              partition_by_block_owner(decomp, 1, particles),
+                              total)},
+      {"load on demand", 1,
+       make_load_on_demand(&decomp,
+                           partition_evenly_by_block(1, decomp, particles))},
+      {"hybrid", 2,
+       make_hybrid(&decomp, partition_evenly_by_block(1, decomp, particles),
+                   total, hybrid)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<CacheEvent> log;
+    const LoggingSource source(*w.source, &log);
+    const ExperimentConfig cfg =
+        testing::test_config(Algorithm::kLoadOnDemand, c.ranks);
+    const LoggingTracer tracer(&decomp, cfg.limits, &log);
+    SimRuntimeConfig config = cfg.runtime;
+    config.cache_blocks = 4;
+    SimRuntime runtime(config, &decomp, &source, IntegratorParams{},
+                       cfg.limits, &tracer);
+    const RunMetrics m = runtime.run(c.factory);
+    ASSERT_EQ(m.particles.size(), seeds.size());
+
+    const CacheCounts want = replay(log, config.cache_blocks);
+    EXPECT_EQ(m.total_cache_hits(), want.hits);
+    EXPECT_EQ(m.total_cache_misses(), want.misses);
+    EXPECT_EQ(m.total_blocks_loaded(), want.loads);
+    EXPECT_EQ(m.total_blocks_purged(), want.purges);
+    EXPECT_GT(want.misses, 0u);
+    EXPECT_GT(want.purges, 0u);
+    EXPECT_EQ(tracer.repeated_misses, 0u);
+    EXPECT_EQ(tracer.unwanted_misses, 0u);
   }
 }
 

@@ -203,35 +203,24 @@ int cmd_trace(const Flags& flags) {
     const auto store =
         std::make_shared<sf::BlockStore>(flags.get("store", ""));
     const auto& d = store->decomposition();
-    std::vector<sf::GridPtr> grids;
-    for (sf::BlockId b = 0; b < d.num_blocks(); ++b) {
-      grids.push_back(store->load_block(b));
-    }
     sf::IntegratorParams iparams;
     iparams.tol = flags.get_double("tol", 1e-6);
     sf::TraceLimits limits;
     limits.max_time = flags.get_double("max-time", 10.0);
     limits.max_steps =
         static_cast<std::uint32_t>(flags.get_count("max-steps", 5000));
-    sf::Tracer t(&d, iparams, limits);
 
-    // One cohort of the in-domain seeds, as trace_all does; ids stay the
-    // seed indices, so out-of-domain seeds keep empty lines.
+    // Out-of-domain seeds keep empty lines and are not counted.
     const auto seeds = make_seeds(flags, d.domain());
-    std::vector<sf::Particle> particles;
-    for (std::size_t i = 0; i < seeds.size(); ++i) {
-      if (d.block_of(seeds[i]) == sf::kInvalidBlock) continue;
-      sf::Particle& p = particles.emplace_back();
-      p.id = static_cast<std::uint32_t>(i);
-      p.pos = seeds[i];
-    }
     sf::PolylineRecorder recorder(seeds.size());
-    t.advance_batch(
-        particles, [&grids](sf::BlockId b) { return grids[b].get(); },
-        &recorder);
+    const auto particles =
+        sf::trace_all(d, sf::DiskBlockSource(store), seeds, iparams, limits,
+                      &recorder);
     const auto terminated = std::count_if(
-        particles.begin(), particles.end(),
-        [](const sf::Particle& p) { return is_terminal(p.status); });
+        particles.begin(), particles.end(), [&](const sf::Particle& p) {
+          return is_terminal(p.status) &&
+                 d.block_of(seeds[p.id]) != sf::kInvalidBlock;
+        });
     const std::string out = flags.get("out", "lines.vtk");
     sf::write_vtk_polylines(out, recorder.lines());
     std::cout << "traced " << terminated << "/" << seeds.size()
