@@ -625,6 +625,49 @@ TEST(TreeFailover, LeafMastersFinishWhenEverySlaveDies) {
                         "every-tree-slave-dead-vs-clean");
 }
 
+TEST(TreeFailover, RootLeafAndSlaveFaultsModelledOutputIsPinned) {
+  // Golden for the tree's coordinator duties under faults: root 0 (the
+  // counter, and leaf 3's parent) dies, then leaf 3 — which the surviving
+  // root 1 adopts — then slave 9, while 5% of all messages drop and
+  // slave 11 runs 10x slow.  Root failover, root adoption of a dead leaf,
+  // relay brokering, retransmits and straggler speculation all act, and
+  // the modelled output is pinned to the exact values.
+  const TreeFaultWorld fw;
+  auto base = fw.tree_config();
+  base.runtime.cache_blocks = 8;
+  base.limits.max_steps = 1500;
+  const HybridLayout layout = HybridLayout::make(13, 2, 2);
+  ASSERT_EQ(layout.root_of(3), 0);
+  ASSERT_EQ(layout.master_of(9), 4);
+  auto w = sf::testing::rotor_world(4);
+  Rng rng(79);
+  const auto seeds = random_seeds(w.dataset->bounds(), 600, rng);
+  const RunMetrics clean = run_experiment(base, w.decomp(), *w.source, seeds);
+  ASSERT_FALSE(clean.failed_oom);
+
+  auto cfg = base;
+  cfg.runtime.fault.crashes = {{0.3 * clean.wall_clock, 0},
+                               {0.5 * clean.wall_clock, 3},
+                               {0.6 * clean.wall_clock, 9}};
+  cfg.runtime.fault.message_drop_rate = 0.05;
+  cfg.runtime.fault.slowdowns = {{0.1 * clean.wall_clock, 11, 10.0}};
+  const RunMetrics m = run_experiment(cfg, w.decomp(), *w.source, seeds);
+  ASSERT_FALSE(m.failed_oom);
+  ASSERT_FALSE(m.failed_fault);
+  expect_same_particles(clean.particles, m.particles, "tree-golden-vs-clean");
+
+  EXPECT_EQ(m.wall_clock, 0.093786496000000108);
+  EXPECT_EQ(m.total_messages(), 4168u);
+  EXPECT_EQ(m.total_control_messages(), 3931u);
+  EXPECT_EQ(m.total_bytes_sent(), 2242480u);
+  EXPECT_EQ(m.ranks[1].bytes_received, 17452u);
+  EXPECT_EQ(m.total_steps(), 22096u);
+  EXPECT_EQ(m.fault.crashes_survived, 3u);
+  EXPECT_EQ(m.fault.control_retransmits, 137u);
+  EXPECT_EQ(m.fault.stragglers_flagged, 1u);
+  EXPECT_EQ(m.fault.particles_speculated, 81u);
+}
+
 // ThreadRuntime leg: the tree layout on real threads terminates with the
 // same streamline set as the discrete-event simulator (fault-free — the
 // thread runtime has no fault plane to crash a rank with).
