@@ -2,8 +2,10 @@
 //
 // Each soak iteration draws a random fault schedule from a per-run seed:
 // an algorithm, a crash MTBF, explicit gray slowdowns, disk fault /
-// latency-inflation / corruption rates, message drops and a checkpoint
-// cadence — then runs the experiment twice on the simulated machine:
+// latency-inflation / corruption rates, message drops, a checkpoint
+// cadence and, for hybrid, the master layout (W and the root fanout, so
+// multi-master balancing, peer adoption and the root tier soak too) —
+// then runs the experiment twice on the simulated machine:
 // once fault-free (the oracle) and once under the schedule.  A run
 // passes only if
 //
@@ -26,19 +28,22 @@
 //   --count=N      streamlines per run (default 300)
 //   --out-dir=DIR  where failing schedules are written (chaos_failures)
 //   --replay=FILE  run one dumped schedule instead of soaking
-//   --quick        smoke preset: 6 runs, 150 streamlines
+//   --quick        smoke preset: 6 runs, 150 streamlines, each run's
+//                  algorithm and hybrid layout pinned (see kSmokeCover)
 
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "algorithms/driver.hpp"
+#include "algorithms/hybrid.hpp"
 #include "core/analytic_fields.hpp"
 #include "core/rng.hpp"
 #include "core/seeds.hpp"
@@ -65,6 +70,8 @@ struct Schedule {
   double disk_fault_rate = 0.0;
   double disk_slow_rate = 0.0;
   double drop_rate = 0.0;
+  int slaves_per_master = 32;  // hybrid W
+  int root_fanout = 32;        // hybrid root tier fanout
 };
 
 Algorithm algorithm_from(const std::string& s) {
@@ -113,6 +120,14 @@ Schedule draw_schedule(std::uint64_t run_seed, int procs,
              static_cast<std::uint64_t>(procs))),
          .factor = 8.0});
   }
+  // Drawn last, so the fields above stay what they were before layouts
+  // were drawn.  At 16 ranks W = 4 or 2 gives several masters, and a
+  // fanout of 2 puts a root tier above them.
+  if (s.algorithm == Algorithm::kHybridMasterSlave) {
+    const int widths[] = {32, 4, 2};
+    s.slaves_per_master = widths[rng.next_below(3)];
+    s.root_fanout = rng.next_below(2) == 0 ? 32 : 2;
+  }
   return s;
 }
 
@@ -129,7 +144,9 @@ void write_schedule(const Schedule& s, std::ostream& out) {
       << "corrupt_rate " << s.corrupt_rate << '\n'
       << "disk_fault_rate " << s.disk_fault_rate << '\n'
       << "disk_slow_rate " << s.disk_slow_rate << '\n'
-      << "drop_rate " << s.drop_rate << '\n';
+      << "drop_rate " << s.drop_rate << '\n'
+      << "slaves_per_master " << s.slaves_per_master << '\n'
+      << "root_fanout " << s.root_fanout << '\n';
   for (const SlowdownEvent& ev : s.slowdowns) {
     out << "slowdown " << ev.rank << ' ' << ev.time << ' ' << ev.factor
         << '\n';
@@ -157,6 +174,8 @@ bool read_schedule(const std::string& path, Schedule& s) {
     else if (key == "disk_fault_rate") in >> s.disk_fault_rate;
     else if (key == "disk_slow_rate") in >> s.disk_slow_rate;
     else if (key == "drop_rate") in >> s.drop_rate;
+    else if (key == "slaves_per_master") in >> s.slaves_per_master;
+    else if (key == "root_fanout") in >> s.root_fanout;
     else if (key == "slowdown") {
       SlowdownEvent ev;
       in >> ev.rank >> ev.time >> ev.factor;
@@ -202,6 +221,8 @@ bool run_schedule(const SoakContext& ctx, const Schedule& s,
   base.runtime.cache_blocks = s.cache_blocks;
   base.limits.max_time = 15.0;
   base.limits.max_steps = s.max_steps;
+  base.hybrid.slaves_per_master = s.slaves_per_master;
+  base.hybrid.root_fanout = s.root_fanout;
 
   RunMetrics oracle;
   try {
@@ -269,8 +290,32 @@ std::string describe(const Schedule& s) {
      << s.slowdowns.size() << " corrupt=" << s.corrupt_rate << " disk="
      << s.disk_fault_rate << "/" << s.disk_slow_rate << " drop="
      << s.drop_rate << " ckpt=" << s.checkpoint_rel;
+  if (s.algorithm == Algorithm::kHybridMasterSlave) {
+    const HybridLayout layout = HybridLayout::make(
+        s.procs, s.slaves_per_master, s.root_fanout);
+    os << " W=" << s.slaves_per_master << " fanout=" << s.root_fanout
+       << " masters=" << layout.num_masters << " roots=" << layout.num_roots;
+  }
   return os.str();
 }
+
+// The smoke preset's algorithm and hybrid layout per run, so its few runs
+// cover every algorithm and, at 16 ranks, one master, several flat
+// masters and a root tier above them, whatever the draws give; every
+// other field is still drawn.
+struct Cover {
+  Algorithm algorithm;
+  int slaves_per_master;
+  int root_fanout;
+};
+constexpr Cover kSmokeCover[] = {
+    {Algorithm::kStaticAllocation, 32, 32},
+    {Algorithm::kLoadOnDemand, 32, 32},
+    {Algorithm::kHybridMasterSlave, 32, 32},
+    {Algorithm::kHybridMasterSlave, 4, 32},
+    {Algorithm::kHybridMasterSlave, 2, 2},
+    {Algorithm::kHybridMasterSlave, 4, 2},
+};
 
 }  // namespace
 
@@ -281,6 +326,7 @@ int main(int argc, char** argv) {
   std::size_t count = 300;
   std::string out_dir = "chaos_failures";
   std::string replay;
+  bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--runs=", 0) == 0) {
@@ -299,6 +345,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--quick") {
       runs = 6;
       count = 150;
+      smoke = true;
     } else {
       std::cerr << "unknown flag: " << arg << '\n';
       return 2;
@@ -323,6 +370,9 @@ int main(int argc, char** argv) {
       std::cerr << "cannot read schedule file " << replay << '\n';
       return 2;
     }
+    // The schedule names its own streamline count, whatever --count says.
+    seed_rng = Rng(2026);
+    ctx.seeds = random_seeds(field->bounds(), s.num_seeds, seed_rng);
     std::cout << "replay " << replay << ": " << describe(s) << '\n';
     std::string why;
     const bool ok = run_schedule(ctx, s, why);
@@ -334,7 +384,14 @@ int main(int argc, char** argv) {
   std::uint64_t mix = master_seed;
   for (int i = 0; i < runs; ++i) {
     const std::uint64_t run_seed = splitmix64(mix);
-    const Schedule s = draw_schedule(run_seed, procs, count);
+    Schedule s = draw_schedule(run_seed, procs, count);
+    if (smoke) {
+      const Cover& c = kSmokeCover[static_cast<std::size_t>(i) %
+                                   std::size(kSmokeCover)];
+      s.algorithm = c.algorithm;
+      s.slaves_per_master = c.slaves_per_master;
+      s.root_fanout = c.root_fanout;
+    }
     std::string why;
     const bool ok = run_schedule(ctx, s, why);
     std::cout << (ok ? "pass" : "FAIL") << " run " << i << " seed="
