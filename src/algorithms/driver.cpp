@@ -138,12 +138,12 @@ PreparedRun prepare_run(const ExperimentConfig& config,
       if (run.faulty) {
         // Hybrid detects failures in-protocol, both ways: slaves
         // heartbeat status and the master declares the silent dead (the
-        // sixth rule); masters beacon and orphaned slaves re-home to a
+        // declare-dead rule); masters beacon and orphaned slaves re-home to a
         // successor when their master goes silent (§11 failover).  No
         // rank is immune — a dead master's scheduling state is
         // reconstructed from re-reports and the particle ledger.
-        // With no heartbeat neither the sixth rule nor failover could
-        // ever detect a crash, so the run would stall.
+        // With no heartbeat neither the declare-dead rule nor failover
+        // could ever detect a crash, so the run would stall.
         if (!(cfg.runtime.fault.heartbeat_period > 0.0)) {
           throw std::invalid_argument(
               "hybrid fault runs need fault.heartbeat_period > 0, got " +

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <stdexcept>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "algorithms/hybrid_rules.hpp"
@@ -84,106 +83,52 @@ std::pair<int, int> HybridLayout::leaves_of(int root_rank) const {
 
 namespace {
 
-// Straggler detection (DESIGN.md §16): a progress window spans this many
-// heartbeat periods, and a slave is flagged when its effective speed
-// falls below this fraction of the working-group median.
-constexpr int kStragglerMinBeats = 3;
-constexpr double kStragglerSlowness = 0.25;
 // Seeds the Send_hint rule's pick among equally busy slaves.
 constexpr std::uint64_t kHintRngSeed = 0x1dd51c3ULL;
-// Heartbeat periods a peer may stay silent before it is presumed dead.
-constexpr int kHeartbeatMissLimit = 3;
 
-// Failover (DESIGN.md §11) is on exactly when the heartbeat is: the driver
-// wires both on fault runs, and fault-free runs keep the five-rule message
-// sequence.
-bool failover(const HybridParams& params) {
-  return params.heartbeat_period > 0.0;
-}
-
-// How long a peer may stay silent before it is presumed dead: the
-// master's sixth rule for slaves, a slave's failover for its master.
-double heartbeat_deadline(const HybridParams& params) {
-  return kHeartbeatMissLimit * params.heartbeat_period;
-}
-
-// The failover successor: the lowest live original master, or — when every
-// master is dead — the lowest live slave rank, which promotes itself.
-// Every rank computes this from the layout and the runtime's liveness view,
-// so the role migrates without any election traffic.  The successor is
-// also the acting termination counter.
-int successor_rank(const RankContext& ctx, const HybridLayout& layout) {
-  for (int m = 0; m < layout.num_masters; ++m) {
-    if (ctx.is_alive(m)) return m;
-  }
-  for (int r = layout.num_masters; r < layout.num_ranks; ++r) {
-    if (ctx.is_alive(r)) return r;
-  }
-  return 0;
-}
-
-// The unique live rank responsible for absorbing a dead coordinator, and
-// so the rank its orphaned slaves re-home to: its parent root when the
-// tree is on and the parent survives, else the global successor (which
-// may be an orphan itself, promoting).  Uniqueness keeps ledger recovery
-// single-fire on the primary path (duplicate adoption stays safe —
-// recovered credits max-merge and re-run terminations dedup — but never
-// happens fault-free under this rule).
-int adopter_of(const RankContext& ctx, const HybridLayout& layout,
-               int dead_coordinator) {
-  if (layout.num_roots > 0 && dead_coordinator >= layout.num_roots &&
-      dead_coordinator < layout.num_masters) {
-    const int parent = layout.root_of(dead_coordinator);
-    if (ctx.is_alive(parent)) return parent;
-  }
-  return successor_rank(ctx, layout);
+// The runtime's liveness view, as the machines' predicate.
+auto liveness(const RankContext& ctx) {
+  return [&ctx](int rank) { return ctx.is_alive(rank); };
 }
 
 // ---------------------------------------------------------------------------
 // Coordinator core
 // ---------------------------------------------------------------------------
 
-// The coordinator side of a hybrid rank: dispatch of coordinator traffic,
-// the sixth (declare-dead) rule, straggler windows, failover, seed
-// brokering between masters and the survivable termination board.  The
-// §4.3 rules live in the GroupScheduler; the core sends its orders in
-// emission order and charges the seeds that enter and leave the pool.
-// Every coordinator hosts one inside the HybridSlave host: a master from
-// t=0, a slave promoted by failover from the moment it promotes
-// (DESIGN.md §11).
+// The coordinator side of a hybrid rank: it feeds coordinator traffic to
+// the runtime-free machines of hybrid_rules.hpp — the GroupScheduler's
+// §4.3 rules, the termination board, failover, the straggler windows and
+// seed brokering — and carries out their orders in emission order,
+// charging the seeds that enter and leave the pool.  Every coordinator
+// hosts one inside the HybridSlave host: a master from t=0, a slave
+// promoted by failover from the moment it promotes (DESIGN.md §11).
 class MasterCore {
  public:
   MasterCore(const BlockDecomposition* decomp, int self, HybridLayout layout,
-             HybridParams params, std::uint32_t total_active,
-             std::vector<Particle> seeds = {})
+             HybridParams params, std::uint32_t total_active)
       : self_(self),
         layout_(layout),
-        params_(params),
-        total_active_(total_active),
-        initial_seeds_(std::move(seeds)),
         sched_(decomp, params.assign_batch, params.overload_factor,
                params.load_threshold,
-               kHintRngSeed + static_cast<std::uint64_t>(self)) {}
+               kHintRngSeed + static_cast<std::uint64_t>(self)),
+        term_(layout, self, total_active, params.heartbeat_period > 0.0),
+        failover_(layout, self, params.heartbeat_period),
+        straggler_(params.heartbeat_period, params.speculative_reissue),
+        broker_(layout, self, params.assign_batch) {}
 
   // A master from t=0: register its slave group, pool its seed share and
   // hand out the initial allocation, N seeds per slave (Assign_unloaded).
-  void start(RankContext& ctx) {
+  // With nothing to trace the counter finishes at once.
+  void start(RankContext& ctx, std::vector<Particle> seeds) {
     const auto [first, last] = layout_.slaves_of(self_);
     for (int s = first; s < last; ++s) sched_.add_slave(s);
-
-    pool_seeds(ctx, std::move(initial_seeds_));
-    initial_seeds_.clear();
-
-    if (total_active_ == 0 && successor_rank(ctx, layout_) == self_) {
-      finish_everyone(ctx);
-      return;
-    }
+    pool_seeds(ctx, std::move(seeds));
+    publish(ctx);
+    if (finished_) return;
     sched_.initial_allocation(orders_);
-    send_orders(ctx);
-    if (failover(params_) && !finished_) {
-      for (const auto& [slave, record] : sched_.records()) {
-        last_heard_[slave] = ctx.now();
-      }
+    flush(ctx);
+    for (const auto& [slave, record] : sched_.records()) {
+      failover_.heard(slave, ctx.now());
     }
   }
 
@@ -200,21 +145,31 @@ class MasterCore {
       on_status(ctx, msg.from, std::move(*status));
     } else if (auto* term = std::get_if<TerminationCount>(&msg.payload)) {
       on_termination_count(ctx, term->totals);
-    } else if (std::holds_alternative<SeedRequest>(msg.payload)) {
-      on_seed_demand(ctx, msg.from, /*relayed=*/false);
-    } else if (std::holds_alternative<SeedRelay>(msg.payload)) {
-      on_seed_demand(ctx, msg.from, /*relayed=*/true);
+    } else if (std::holds_alternative<SeedRequest>(msg.payload) ||
+               std::holds_alternative<SeedRelay>(msg.payload)) {
+      if (finished_) return;
+      broker_.on_demand(msg.from,
+                        std::holds_alternative<SeedRelay>(msg.payload),
+                        sched_, liveness(ctx), orders_);
+      flush(ctx);
     } else if (auto* transfer = std::get_if<SeedTransfer>(&msg.payload)) {
-      on_seed_transfer(ctx, msg.from, std::move(*transfer));
+      if (finished_) return;
+      const bool empty = transfer->seeds.empty();
+      pool_seeds(ctx, std::move(transfer->seeds));
+      broker_.on_transfer(msg.from, empty, sched_, liveness(ctx), orders_);
+      assignment_pass(ctx);
     } else if (std::holds_alternative<DoneSignal>(msg.payload)) {
-      if (!finished_) terminate_group(ctx);
+      if (finished_) return;
+      term_.terminate_group(
+          liveness(ctx), [&](int s) { return mine(ctx, s); }, orders_);
+      finished_ = true;
+      flush(ctx);
     }
   }
 
   bool finished() const { return finished_; }
 
   void snapshot_particles(std::vector<Particle>& out) const {
-    out.insert(out.end(), initial_seeds_.begin(), initial_seeds_.end());
     sched_.seeds().append_all(out);
   }
 
@@ -233,104 +188,51 @@ class MasterCore {
   // recovery of the dead ranks plus registration of the survivors, whose
   // re-reported statuses rebuild the scheduling state.
   void start_as_successor(RankContext& ctx) {
-    for (int m = 0; m < layout_.num_masters; ++m) {
-      if (!ctx.is_alive(m)) adopt_coordinator(ctx, m);
-    }
-    publish_totals(ctx);
+    for (int m = 0; m < layout_.num_masters; ++m) adopt(ctx, m);
+    publish(ctx);
     if (!finished_) assignment_pass(ctx);
   }
 
   void tick(RankContext& ctx) {
     if (finished_) return;
-    // The sixth rule: a slave silent for kHeartbeatMissLimit periods is
-    // declared dead and its streamlines are reclaimed and reassigned.
-    // Detection is purely silence-based — no liveness oracle.
-    const double deadline = heartbeat_deadline(params_);
-    std::vector<int> missing;
-    for (const auto& [slave, heard_at] : last_heard_) {
-      if (ctx.now() - heard_at > deadline) missing.push_back(slave);
-    }
-    for (const int slave : missing) {
+    const auto alive = liveness(ctx);
+    // The declare-dead rule: a slave silent for kHeartbeatMissLimit
+    // periods is declared dead and its streamlines are reclaimed and
+    // reassigned.
+    for (const int slave : failover_.silent(ctx.now())) {
       declare_dead(ctx, slave);
       if (finished_) return;  // reclaimed credits may have ended the run
     }
-
-    // Parent duty (tree layouts): each live root absorbs its own dead
-    // leaf children, keeping recovery local to the subtree instead of
-    // serializing every adoption through the global successor.
-    if (layout_.num_roots > 0 && layout_.is_root(self_)) {
-      const auto [first, last] = layout_.leaves_of(self_);
-      for (int leaf = first; leaf < last; ++leaf) {
-        if (ctx.is_alive(leaf)) continue;
-        adopt_coordinator(ctx, leaf);
-        if (finished_) return;
-      }
-    }
-    // Successor duty: absorb groups whose dead master has no survivor
-    // left to re-home (dead promoted coordinators are reached through
-    // their own group's dead-slave recovery).  Under the tree, a dead
-    // leaf master with a live parent is that parent's duty, not ours —
-    // exactly one live rank claims any dead coordinator.
-    if (successor_rank(ctx, layout_) == self_) {
-      for (int m = 0; m < layout_.num_masters; ++m) {
-        if (m == self_ || ctx.is_alive(m)) continue;
-        if (adopter_of(ctx, layout_, m) != self_) continue;
-        adopt_coordinator(ctx, m);
-        if (finished_) return;
-      }
-    }
-    // Un-wedge master-to-master balancing if the donor died mid-request.
-    if (seed_request_outstanding_ && !ctx.is_alive(seed_request_target_)) {
-      seed_request_outstanding_ = false;
-      dry_masters_.insert(seed_request_target_);
-    }
-    // Same for a brokered relay whose donor died before answering.
-    if (relay_outstanding_ && !ctx.is_alive(relay_target_)) {
-      relay_outstanding_ = false;
-      dry_masters_.insert(relay_target_);
-      if (!pending_requests_.empty()) broker(ctx);
+    for (const int dead : failover_.claims(alive)) {
+      adopt(ctx, dead);
       if (finished_) return;
     }
-    // Liveness beacons: slaves track the last time they heard us; silence
-    // past their miss limit is what triggers their re-homing.
-    for (const auto& [slave, rec] : sched_.records()) {
-      if (!ctx.is_alive(slave)) continue;
-      Message m;
-      m.payload = MasterBeacon{};
-      ctx.send(slave, std::move(m));
-    }
-    publish_totals(ctx);  // re-report the board if the counter moved
+    broker_.tick(sched_, alive, orders_);
+    failover_.beacon(sched_, alive, orders_);
+    publish(ctx);  // re-report the board if the counter moved
     if (finished_) return;
     assignment_pass(ctx);  // adopted seeds may be waiting for takers
   }
 
   void on_status(RankContext& ctx, int from, StatusUpdate status) {
     if (finished_) {
-      // A re-home that arrived after the run ended: a master answers with
-      // the terminate the orphan missed so it can quiesce.  A promoted
-      // slave is always the counter, whose finish already terminated
-      // every live slave directly, so it stays silent.
-      if (failover(params_) && layout_.is_master(self_)) {
-        send_terminate(ctx, from);
-      }
+      term_.after_finish(from, orders_);
+      flush(ctx);
       return;
     }
-    if (failover(params_) && sched_.records().count(from) == 0) {
+    if (failover_.on() && sched_.records().count(from) == 0) {
       // A re-homing orphan: adopt its dead coordinator's group first,
       // then the orphan itself.
-      if (status.orphaned_from >= 0) {
-        adopt_coordinator(ctx, status.orphaned_from);
-      }
-      register_slave(ctx, from);
+      if (status.orphaned_from >= 0) adopt(ctx, status.orphaned_from);
+      failover_.enroll(sched_, from, ctx.now());
       if (finished_) return;  // adoption credits may have ended the run
     }
     if (sched_.records().count(from) == 0) return;
-    last_heard_[from] = ctx.now();
+    failover_.heard(from, ctx.now());
     sched_.apply_status(from, status);
-    update_progress(ctx, from, status.steps_total, status.busy_seconds,
-                    status.computing);
-    merge_total(from, status.terminated_total);
-    publish_totals(ctx);
+    straggler_.on_status(from, ctx.now(), status, sched_, orders_);
+    term_.merge(from, status.terminated_total);
+    publish(ctx);
     if (finished_) return;  // terminations may have ended the run
     assignment_pass(ctx);
   }
@@ -342,71 +244,8 @@ class MasterCore {
       RankContext& ctx,
       const std::vector<std::pair<int, std::uint32_t>>& totals) {
     if (finished_) return;
-    if (board_.merge(totals)) totals_dirty_ = true;
-    publish_totals(ctx);
-  }
-
-  // A starving master's SeedRequest, or a broker root's SeedRelay: donate
-  // to `requester` (a relay's seeds flow back to the broker, which
-  // forwards them to whichever starving master it is serving).  In tree
-  // mode a root brokers demand it cannot satisfy from its own pool
-  // instead of answering dry — the requester's one candidate is its
-  // root, so a dry answer here would quench balancing for the whole
-  // subtree while leaf pools still hold seeds.  A relay is brokered
-  // within the root's own subtree but never escalated again: the
-  // one-escalation rule is what bounds the chain.
-  void on_seed_demand(RankContext& ctx, int requester, bool relayed) {
-    if (finished_) return;
-    if (layout_.num_roots > 0 && layout_.is_root(self_)) {
-      pending_requests_.push_back({requester, /*may_escalate=*/!relayed});
-      broker(ctx);
-      return;
-    }
-    answer_seed_request(ctx, requester);
-  }
-
-  void on_seed_transfer(RankContext& ctx, int from, SeedTransfer transfer) {
-    if (finished_) return;
-    // Clear only the matching outstanding marker: a broker root can have
-    // its own request and a relayed donation in flight at once.
-    if (from == seed_request_target_) seed_request_outstanding_ = false;
-    if (from == relay_target_) relay_outstanding_ = false;
-    if (transfer.seeds.empty()) {
-      dry_masters_.insert(from);
-    } else {
-      pool_seeds(ctx, std::move(transfer.seeds));
-    }
-    if (!pending_requests_.empty()) {
-      broker(ctx);
-      if (finished_) return;
-    }
-    assignment_pass(ctx);
-  }
-
-  // A particle-bearing message we sent bounced (dropped link or dead
-  // destination): take the payload back and retry through the normal
-  // machinery.
-  void reclaim_undelivered(RankContext& ctx, Undeliverable u) {
-    if (finished_) return;
-    if (u.target >= 0 && u.target < layout_.num_masters &&
-        u.target != self_ && ctx.is_alive(u.target)) {
-      // A master-to-master seed transfer bounced off a live peer: the
-      // link dropped it, so just retry the transfer (the requester is
-      // still waiting on its outstanding request).  A dead peer's seeds
-      // fall through to the generic reclaim below instead.
-      SeedTransfer transfer;
-      transfer.seeds = std::move(u.particles);
-      Message m;
-      m.payload = std::move(transfer);
-      ctx.send(u.target, std::move(m));
-      return;
-    }
-
-    // A seed assignment to a slave failed: un-book the optimistic queue
-    // accounting so the rules do not chase phantom particles.
-    sched_.bounced(u.target, u.block, u.particles.size());
-    pool_seeds(ctx, std::move(u.particles));
-    assignment_pass(ctx);
+    term_.merge(totals);
+    publish(ctx);
   }
 
   // Hand the whole seed pool to a solo host for direct integration.
@@ -422,6 +261,28 @@ class MasterCore {
   }
 
  private:
+  // A particle-bearing message we sent bounced (dropped link or dead
+  // destination): take the payload back and retry through the normal
+  // machinery.
+  void reclaim_undelivered(RankContext& ctx, Undeliverable u) {
+    if (finished_) return;
+    if (u.target >= 0 && u.target < layout_.num_masters &&
+        u.target != self_ && ctx.is_alive(u.target)) {
+      // A master-to-master seed transfer bounced off a live peer: the
+      // link dropped it, so just retry the transfer (the requester is
+      // still waiting on its outstanding request).  Its seeds left the
+      // pool's charge when it first went out.  A dead peer's seeds fall
+      // through to the generic reclaim below instead.
+      send(ctx, u.target, SeedTransfer{std::move(u.particles)});
+      return;
+    }
+    // A seed assignment to a slave failed: un-book the optimistic queue
+    // accounting so the rules do not chase phantom particles.
+    sched_.bounced(u.target, u.block, u.particles.size());
+    pool_seeds(ctx, std::move(u.particles));
+    assignment_pass(ctx);
+  }
+
   // The seed pool holds bare seed points, not active streamline objects,
   // so a seed is charged at solver-state size on the way in and out.
   void pool_seeds(RankContext& ctx, std::vector<Particle> seeds) {
@@ -438,486 +299,107 @@ class MasterCore {
     ctx.charge_particle_memory(-static_cast<std::int64_t>(bytes));
   }
 
-  // The scheduler's orders go out in emission order; an Assign's seeds
-  // leave the pool's charge as they go.
-  void send_orders(RankContext& ctx) {
-    for (auto& [slave, cmd] : orders_) {
-      if (cmd.type == Command::Type::kAssign) release(ctx, cmd.particles);
-      send_command(ctx, slave, std::move(cmd));
+  template <typename Payload>
+  static void send(RankContext& ctx, int to, Payload payload) {
+    Message m;
+    m.payload = std::move(payload);
+    ctx.send(to, std::move(m));
+  }
+
+  // Carry out the machines' orders in emission order.
+  void flush(RankContext& ctx) {
+    for (auto& [rank, order] : orders_) {
+      std::visit([&, to = rank](auto& o) { carry_out(ctx, to, o); }, order);
     }
     orders_.clear();
   }
 
-  // --- straggler detection (gray failures, DESIGN.md §16) ------------------
-
-  struct ProgressTrack {
-    std::uint64_t anchor_steps = 0;  // watermark at the window anchor
-    double anchor_busy = 0.0;        // busy clock at the window anchor
-    double anchor_time = 0.0;        // when the current window opened
-    double rate = 0.0;      // steps per *busy* second, last closed window
-    double last_busy = 0.0; // busy seconds inside the last closed window
-    int windows = 0;        // closed windows so far
-    bool computing = false;          // latest status: burst in flight
-    bool started = false;
-  };
-
-  // Width of one progress-measurement window.  Several heartbeat periods
-  // wide, so a window spans multiple bursts: per-status rate samples are
-  // all-or-nothing noise (a burst credits its steps at acceptance), while
-  // a multi-beat window averages over the burst cadence.
-  double progress_window() const {
-    return static_cast<double>(kStragglerMinBeats) * params_.heartbeat_period;
-  }
-
-  // Straggler detection (gray failures): every status carries the
-  // slave's cumulative accepted-step watermark and its cumulative busy
-  // clock.  The master differentiates watermark against busy clock over
-  // fixed-width wall windows into an *effective compute speed* — steps
-  // per busy second.  Wall-clock rates cannot separate "slow" from
-  // "starved" (a mostly-idle healthy slave and a continuously-busy slow
-  // one post similar steps/wall-second), but busy-second rates can:
-  // every healthy slave computes at exactly 1/seconds_per_step no matter
-  // how little work it holds, while a gray-slowed slave's bursts take
-  // longer than the steps they retire, collapsing its ratio by the
-  // slowdown factor.  Cumulative counters make this robust to re-reports
-  // and failover re-homing: a duplicate merges as zero delta, never as
-  // double progress.
-  void update_progress(RankContext& ctx, int slave,
-                       std::uint64_t steps_total, double busy_seconds,
-                       bool computing) {
-    if (params_.heartbeat_period <= 0.0 || !params_.speculative_reissue) {
+  // A ledger request pools what the ledger hands back.
+  void carry_out(RankContext& ctx, int rank, LedgerRequest& req) {
+    if (req.speculate) {
+      pool_seeds(ctx, ctx.speculate_rank(rank));
       return;
     }
-    ProgressTrack& t = progress_[slave];
-    t.computing = computing;
-    const double now = ctx.now();
-    if (!t.started) {
-      t.started = true;
-      t.anchor_steps = steps_total;
-      t.anchor_busy = busy_seconds;
-      t.anchor_time = now;
-      return;
-    }
-    if (now - t.anchor_time < progress_window()) return;  // window open
-    const std::uint64_t ds =
-        steps_total > t.anchor_steps ? steps_total - t.anchor_steps : 0;
-    const double dbusy = busy_seconds - t.anchor_busy;
-    // No busy time in the window: the slave never computed, so there is
-    // no speed sample.  Rate 0 with computing set still marks it a
-    // candidate (burst accepted but no progress at all = hard stall).
-    t.rate = dbusy > 0.0 ? static_cast<double>(ds) / dbusy : 0.0;
-    t.last_busy = dbusy > 0.0 ? dbusy : 0.0;
-    ++t.windows;
-    t.anchor_steps = steps_total;
-    t.anchor_busy = busy_seconds;
-    t.anchor_time = now;
-    flag_stragglers(ctx);
+    RecoveredWork work = ctx.recover_rank(rank);
+    pool_seeds(ctx, std::move(work.active));
+    term_.merge(rank, work.terminated_total);
   }
 
-  // A slave is a detection candidate only while it is *expected* to
-  // progress: its latest status says a burst is in flight, or it
-  // reported runnable (resident-block) work.  A slave whose particles
-  // are all blocked on unloaded blocks — or which has simply run dry —
-  // produces a zero rate that means "no runnable work", not "slow";
-  // flagging the waiting and idle tails would starve them forever and
-  // poison the median.
-  bool detection_candidate(int slave, const ProgressTrack& t) const {
-    if (t.computing) return true;
-    const auto it = sched_.records().find(slave);
-    return it != sched_.records().end() && it->second.workable > 0;
-  }
-
-  // Flag every candidate slave whose last-window effective speed sits
-  // below the slowness threshold of the healthy-group median, and
-  // speculatively re-issue its ledger-owned streamlines into the seed
-  // pool for healthy slaves.  The reference group is every unflagged
-  // slave with a positive speed sample — a single short burst already
-  // yields an accurate steps-per-busy-second reading — so healthy bursts
-  // finishing between heartbeats never shrink it; requiring two of them
-  // also guarantees a healthy slave remains to run the copies.  Flagging
-  // additionally demands the suspect spent most of its last window
-  // *busy*: a slave that barely computed has a noisy speed sample (the
-  // pro-rated watermark truncates to whole steps), while a genuinely
-  // gray-slowed slave is busy wall-to-wall — its bursts overrun the
-  // window — so the gate costs no detection coverage where mitigation
-  // matters.
-  void flag_stragglers(RankContext& ctx) {
-    const auto flagged = [this](int slave) {
-      return sched_.records().at(slave).straggler;
-    };
-    std::vector<double> rates;
-    for (const auto& [slave, t] : progress_) {
-      if (flagged(slave) || t.windows < 1 || t.rate <= 0.0) continue;
-      rates.push_back(t.rate);
-    }
-    if (rates.size() < 2) return;
-    const std::size_t mid = rates.size() / 2;
-    std::nth_element(rates.begin(),
-                     rates.begin() + static_cast<std::ptrdiff_t>(mid),
-                     rates.end());
-    const double median = rates[mid];
-    if (median <= 0.0) return;
-    const double busy_floor = 0.5 * progress_window();
-    for (const auto& [slave, t] : progress_) {
-      if (flagged(slave) || t.windows < 1) continue;
-      if (t.last_busy < busy_floor) continue;
-      if (!detection_candidate(slave, t)) continue;
-      if (t.rate >= kStragglerSlowness * median) continue;
-      sched_.flag_straggler(slave);
-      speculate_straggler(ctx, slave);
+  void carry_out(RankContext& ctx, int rank, SeedDemand& demand) {
+    if (demand.relayed) {
+      send(ctx, rank, SeedRelay{});
+    } else {
+      send(ctx, rank, SeedRequest{});
     }
   }
 
-  // Copy the straggler's in-progress streamlines out of the ledger into
-  // the seed pool, exactly like absorb_recovered — except the straggler
-  // stays alive and keeps its own copies, so its termination total is NOT
-  // merged here (it reports its own credits; first-terminal-wins dedups
-  // whichever copy loses the race).
-  void speculate_straggler(RankContext& ctx, int straggler) {
-    pool_seeds(ctx, ctx.speculate_rank(straggler));
+  // An Assign's seeds and a donation leave the pool's charge as they go.
+  void carry_out(RankContext& ctx, int rank, Command& cmd) {
+    if (cmd.type == Command::Type::kAssign) release(ctx, cmd.particles);
+    send(ctx, rank, std::move(cmd));
   }
 
-  void send_command(RankContext& ctx, int to, Command cmd) {
-    Message m;
-    m.payload = std::move(cmd);
-    ctx.send(to, std::move(m));
+  void carry_out(RankContext& ctx, int rank, SeedTransfer& transfer) {
+    release(ctx, transfer.seeds);
+    send(ctx, rank, std::move(transfer));
   }
 
-  void send_terminate(RankContext& ctx, int to) {
-    Command cmd;
-    cmd.type = Command::Type::kTerminate;
-    send_command(ctx, to, std::move(cmd));
+  template <typename Payload>
+  void carry_out(RankContext& ctx, int rank, Payload& payload) {
+    send(ctx, rank, std::move(payload));
+  }
+
+  // The slaves this coordinator terminates: its registered ones, plus
+  // its layout group (including slaves the scheduler dropped on a
+  // false-positive declare-dead) and any whose dead master it adopts.
+  bool mine(const RankContext& ctx, int slave) const {
+    return sched_.records().count(slave) != 0 ||
+           failover_.coordinates(slave, liveness(ctx));
+  }
+
+  // Both run after the orders already made, so that the board and the
+  // pool hold what the ledger handed back.
+  void publish(RankContext& ctx) {
+    flush(ctx);
+    if (finished_) return;
+    finished_ = term_.publish(
+        liveness(ctx), [&](int s) { return mine(ctx, s); }, orders_);
+    flush(ctx);
   }
 
   void assignment_pass(RankContext& ctx) {
+    flush(ctx);
     sched_.assignment_pass(orders_);
-    send_orders(ctx);
-    // Master-to-master balancing: my pool is dry but slaves are starving.
-    if (sched_.seeds().empty() && !seed_request_outstanding_ &&
-        layout_.num_masters > 1) {
-      bool starving = false;
-      for (const auto& [slave, rec] : sched_.records()) {
-        if (rec.needs_work && !rec.outstanding) starving = true;
-      }
-      if (starving) {
-        const int candidate = seed_donor_candidate(ctx);
-        if (candidate >= 0) {
-          Message msg;
-          msg.payload = SeedRequest{};
-          ctx.send(candidate, std::move(msg));
-          seed_request_outstanding_ = true;
-          seed_request_target_ = candidate;
-        }
-      }
+    broker_.after_pass(sched_, liveness(ctx), orders_);
+    flush(ctx);
+  }
+
+  void adopt(RankContext& ctx, int dead) {
+    if (failover_.adopt(dead, liveness(ctx), sched_, ctx.now(), orders_)) {
+      publish(ctx);
     }
   }
 
-  // Whom a starving master asks for seeds.  Flat layout: round-robin over
-  // the peer masters.  Tree layout: a leaf asks a root (its parent first),
-  // so demand is brokered instead of flooding every master; a root asks
-  // its own leaf children first, then peer roots (roots hold no pool of
-  // their own unless they adopted one).  -1 when every candidate is dry
-  // or dead.
-  int seed_donor_candidate(const RankContext& ctx) const {
-    auto viable = [&](int m) {
-      return m != self_ && dry_masters_.count(m) == 0 && ctx.is_alive(m);
-    };
-    if (layout_.num_roots == 0 || self_ >= layout_.num_masters) {
-      // Flat layout — or a promoted slave, whose master candidates are
-      // all dead by the promotion condition (the loop degenerates).
-      for (int m = 0; m < layout_.num_masters; ++m) {
-        const int candidate = (self_ + 1 + m) % layout_.num_masters;
-        if (viable(candidate)) return candidate;
-      }
-      return -1;
-    }
-    if (layout_.is_root(self_)) {
-      const auto [first, last] = layout_.leaves_of(self_);
-      for (int leaf = first; leaf < last; ++leaf) {
-        if (viable(leaf)) return leaf;
-      }
-      for (int i = 0; i < layout_.num_roots; ++i) {
-        const int peer = (self_ + 1 + i) % layout_.num_roots;
-        if (viable(peer)) return peer;
-      }
-      return -1;
-    }
-    const int parent = layout_.root_of(self_);
-    for (int i = 0; i < layout_.num_roots; ++i) {
-      const int candidate = (parent + i) % layout_.num_roots;
-      if (viable(candidate)) return candidate;
-    }
-    return -1;
-  }
-
-  // --- root-tier seed brokering (tree layouts) -----------------------------
-
-  // Donate up to 4N seeds, whole blocks at a time, if we can spare them.
-  SeedTransfer collect_donation(RankContext& ctx) {
-    SeedTransfer transfer;
-    const std::size_t spare_floor =
-        static_cast<std::size_t>(params_.assign_batch) *
-        sched_.records().size();
-    const std::size_t donate_cap =
-        static_cast<std::size_t>(4 * params_.assign_batch);
-    // One seed at a time: the densest block can change after each take.
-    while (sched_.seeds().size() > spare_floor &&
-           transfer.seeds.size() < donate_cap) {
-      const BlockId b = sched_.seeds().densest_block();
-      if (b == kInvalidBlock) break;
-      sched_.take_seeds(b, 1, transfer.seeds);
-    }
-    release(ctx, transfer.seeds);
-    return transfer;
-  }
-
-  // Always answers with a SeedTransfer — an empty one is the "I am dry"
-  // signal the requester's dry_masters_ set quenches on.
-  void answer_seed_request(RankContext& ctx, int requester) {
-    Message m;
-    m.payload = collect_donation(ctx);
-    ctx.send(requester, std::move(m));
-  }
-
-  // Serve queued demands from this root's own pool; when dry, relay one
-  // demand at a time to a child leaf (round-robin), escalating once to a
-  // peer root when the whole subtree answered dry.  Donations flow back
-  // here (on_seed_transfer re-enters), so every queued demand ends in
-  // either seeds or a definitive empty answer once all candidates are dry
-  // — the same quenching guarantee the flat round-robin has.
-  void broker(RankContext& ctx) {
-    while (!pending_requests_.empty()) {
-      PendingSeedRequest& req = pending_requests_.front();
-      if (!ctx.is_alive(req.reply_to)) {
-        pending_requests_.pop_front();  // failover reclaims its work
-        continue;
-      }
-      SeedTransfer transfer = collect_donation(ctx);
-      if (!transfer.seeds.empty()) {
-        Message m;
-        m.payload = std::move(transfer);
-        ctx.send(req.reply_to, std::move(m));
-        pending_requests_.pop_front();
-        continue;
-      }
-      if (relay_outstanding_) return;  // a donation is already in flight
-      const auto [first, last] = layout_.leaves_of(self_);
-      const int span = last - first;
-      for (int i = 0; i < span; ++i) {
-        const int leaf = first + (relay_cursor_ + i) % span;
-        if (leaf == req.reply_to || dry_masters_.count(leaf) != 0) continue;
-        if (!ctx.is_alive(leaf)) continue;
-        relay_cursor_ = (leaf - first + 1) % span;
-        send_relay(ctx, leaf);
-        return;
-      }
-      if (req.may_escalate) {
-        req.may_escalate = false;
-        for (int i = 0; i < layout_.num_roots; ++i) {
-          const int peer = (self_ + 1 + i) % layout_.num_roots;
-          if (peer == self_ || peer == req.reply_to) continue;
-          if (dry_masters_.count(peer) != 0 || !ctx.is_alive(peer)) continue;
-          send_relay(ctx, peer);
-          return;
-        }
-      }
-      // Every candidate is dry or dead: a definitive empty answer, which
-      // marks this root dry at the requester and quenches its asking.
-      Message m;
-      m.payload = SeedTransfer{};
-      ctx.send(req.reply_to, std::move(m));
-      pending_requests_.pop_front();
-    }
-  }
-
-  void send_relay(RankContext& ctx, int donor) {
-    Message m;
-    m.payload = SeedRelay{};
-    ctx.send(donor, std::move(m));
-    relay_outstanding_ = true;
-    relay_target_ = donor;
-  }
-
-  // --- failover ------------------------------------------------------------
-
-  void register_slave(RankContext& ctx, int slave) {
-    if (!sched_.add_slave(slave)) return;
-    // Adopted slaves get one extra detection window before the sixth rule
-    // may declare them: their own re-home detection runs on the same
-    // silence clock as ours, so a fresh adoptee may legitimately report
-    // up to a full deadline late.
-    last_heard_[slave] = ctx.now() + heartbeat_deadline(params_);
-  }
-
-  // Absorb a dead coordinator: its unassigned seed pool and termination
-  // total come out of the particle ledger; the survivors of its group are
-  // registered (their re-reports arrive within a heartbeat), and its dead
-  // slaves are recovered too so no credit or streamline is orphaned by a
-  // chain of deaths.
-  void adopt_coordinator(RankContext& ctx, int dead) {
-    if (ctx.is_alive(dead)) return;
-    if (!recovered_coords_.insert(dead).second) return;
-    absorb_recovered(ctx, dead);
-    if (dead < layout_.num_masters) {
-      const auto [first, last] = layout_.slaves_of(dead);
-      for (int s = first; s < last; ++s) {
-        if (s == self_) continue;
-        if (ctx.is_alive(s)) {
-          register_slave(ctx, s);
-        } else if (recovered_coords_.insert(s).second) {
-          absorb_recovered(ctx, s);
-        }
-      }
-    }
-    publish_totals(ctx);
-  }
-
-  void absorb_recovered(RankContext& ctx, int dead) {
-    RecoveredWork work = ctx.recover_rank(dead);
-    pool_seeds(ctx, std::move(work.active));
-    merge_total(dead, work.terminated_total);
-  }
-
-  // The sixth rule's action: forget everything we believed about the
-  // slave, reclaim its streamlines from the ledger into the seed pool,
-  // fold its ledger-logged termination total into the board, and
+  // The declare-dead rule's action: forget everything we believed about
+  // the slave, reclaim its streamlines from the ledger into the seed
+  // pool, fold its ledger-logged termination total into the board, and
   // rebalance.
   void declare_dead(RankContext& ctx, int slave) {
-    if (!sched_.remove_slave(slave)) return;
-    last_heard_.erase(slave);
-    progress_.erase(slave);
-
-    recovered_coords_.insert(slave);
-    absorb_recovered(ctx, slave);
-    publish_totals(ctx);
+    if (!failover_.declare_dead(sched_, slave, orders_)) return;
+    straggler_.forget(slave);
+    publish(ctx);
     if (finished_) return;
     assignment_pass(ctx);
   }
 
-  // --- termination board ---------------------------------------------------
-
-  void merge_total(int rank, std::uint32_t total) {
-    if (board_.merge(rank, total)) totals_dirty_ = true;
-  }
-
-  // Where this coordinator publishes its board.  Flat layout: straight to
-  // the acting counter.  Tree layout: leaf masters report to their parent
-  // root, which max-merges its subtree's boards and forwards the merged
-  // board to the counter — a two-level reduction that replaces the
-  // all-to-all master exchange, so the counter hears O(num_roots) links
-  // instead of O(num_masters).  A dead parent falls back to the
-  // successor, so every credit still reaches the counter.
-  int publish_target(const RankContext& ctx) const {
-    if (layout_.num_roots > 0 && !layout_.is_root(self_) &&
-        self_ < layout_.num_masters) {
-      const int parent = layout_.root_of(self_);
-      if (ctx.is_alive(parent)) return parent;
-    }
-    return successor_rank(ctx, layout_);
-  }
-
-  // Push the per-rank high-water board one tier up (or, when we are the
-  // counter, check for completion).  Re-publishing the *full* board — not
-  // deltas — is what lets a counter successor reconstruct the count after
-  // the old counter died with reports it never broadcast, and what makes
-  // the tree reduction idempotent (max-merge of cumulative totals).
-  void publish_totals(RankContext& ctx) {
-    if (finished_) return;
-    const int counter = publish_target(ctx);
-    if (counter == self_) {
-      last_published_counter_ = counter;
-      totals_dirty_ = false;
-      maybe_finish(ctx);
-      return;
-    }
-    if (!totals_dirty_ && counter == last_published_counter_) return;
-    if (board_.totals().empty()) return;
-    TerminationCount tc;
-    tc.totals.assign(board_.totals().begin(), board_.totals().end());
-    Message m;
-    m.payload = std::move(tc);
-    ctx.send(counter, std::move(m));
-    totals_dirty_ = false;
-    last_published_counter_ = counter;
-  }
-
-  void maybe_finish(RankContext& ctx) {
-    if (board_.sum() >= total_active_) finish_everyone(ctx);
-  }
-
-  void finish_everyone(RankContext& ctx) {
-    for (int m = 0; m < layout_.num_masters; ++m) {
-      if (m == self_ || !ctx.is_alive(m)) continue;
-      Message msg;
-      msg.payload = DoneSignal{};
-      ctx.send(m, std::move(msg));
-    }
-    if (failover(params_)) {
-      // A master can die with its DoneSignal still in flight; its orphans
-      // would then re-home to a coordinator that already finished.  The
-      // counter closes that window by terminating every live slave
-      // directly (duplicate kTerminates are idempotent).
-      for (int s = layout_.num_masters; s < layout_.num_ranks; ++s) {
-        if (s == self_ || !ctx.is_alive(s)) continue;
-        send_terminate(ctx, s);
-      }
-      finished_ = true;
-      return;
-    }
-    terminate_group(ctx);
-  }
-
-  void terminate_group(RankContext& ctx) {
-    // Every live slave this coordinator is responsible for: the layout
-    // group (including slaves the scheduler dropped on a false-positive
-    // declare-dead), plus anyone adopted through failover.
-    for (int s = layout_.num_masters; s < layout_.num_ranks; ++s) {
-      if (s == self_ || !ctx.is_alive(s)) continue;
-      if (sched_.records().count(s) == 0 && !coordinates(ctx, s)) continue;
-      send_terminate(ctx, s);
-    }
-    finished_ = true;
-  }
-
-  bool coordinates(const RankContext& ctx, int slave) const {
-    const int m = layout_.master_of(slave);
-    if (ctx.is_alive(m)) return m == self_;
-    return adopter_of(ctx, layout_, m) == self_;
-  }
-
   int self_;
   HybridLayout layout_;
-  HybridParams params_;
-  std::uint32_t total_active_;  // global streamline count
-  std::vector<Particle> initial_seeds_;  // this master's pool until start
-
   GroupScheduler sched_;
-  GroupScheduler::Orders orders_;  // reused by every pass
-  std::map<int, double> last_heard_;  // heartbeat bookkeeping (§7)
-  std::map<int, ProgressTrack> progress_;  // straggler detection (§16)
-  std::set<int> dry_masters_;
-  bool seed_request_outstanding_ = false;
-  int seed_request_target_ = -1;
-  // Root-tier brokering state (tree layouts; unused in flat runs).  One
-  // queued demand records whom the eventual SeedTransfer goes to (the
-  // starving master, or the peer root that escalated on its behalf) and
-  // whether one escalation is still allowed.
-  struct PendingSeedRequest {
-    int reply_to = -1;
-    bool may_escalate = false;
-  };
-  std::deque<PendingSeedRequest> pending_requests_;
-  int relay_cursor_ = 0;
-  bool relay_outstanding_ = false;
-  int relay_target_ = -1;
-  // Survivable termination accounting (§11), max-merged from statuses,
-  // peer boards, and ledger recoveries.
-  TerminationBoard board_;
-  bool totals_dirty_ = false;
-  int last_published_counter_ = -1;
-  // Dead coordinators (and dead slaves) whose ledger state was already
-  // absorbed; keeps adoption idempotent across re-homing bursts.
-  std::set<int> recovered_coords_;
+  TerminationDuty term_;
+  Failover failover_;
+  StragglerWatch straggler_;
+  SeedBroker broker_;
+  CoordinatorOrders orders_;  // reused by every handler
   bool finished_ = false;
 };
 
@@ -940,10 +422,10 @@ class HybridSlave final : public RankProgram {
         layout_(layout),
         params_(params),
         total_active_(total_active),
-        coord_(layout.master_of(rank)) {
+        coord_(layout.master_of(rank)),
+        initial_seeds_(std::move(seeds)) {
     if (layout.is_master(rank)) {
-      core_.emplace(decomp, rank, layout, params, total_active,
-                    std::move(seeds));
+      core_.emplace(decomp, rank, layout, params, total_active);
     }
   }
 
@@ -952,12 +434,11 @@ class HybridSlave final : public RankProgram {
     // report yet — the master hands out the initial allocation unasked.
     master_heard_ = ctx.now();
     if (core_) {
-      core_->start(ctx);
+      core_->start(ctx, std::move(initial_seeds_));
+      initial_seeds_.clear();
       core_post(ctx);
     }
-    if (params_.heartbeat_period > 0.0 && !finished_) {
-      ctx.set_timer(params_.heartbeat_period);
-    }
+    if (failover() && !finished_) ctx.set_timer(params_.heartbeat_period);
   }
 
   void on_timer(RankContext& ctx) override {
@@ -997,7 +478,7 @@ class HybridSlave final : public RankProgram {
       // new coordinator's beacons would keep resetting the silence clock
       // while our reports still went to the corpse, and the adopter would
       // eventually declare *us* dead for never reporting.
-      if (failover(params_) && msg.from != coord_ && !ctx.is_alive(coord_)) {
+      if (failover() && msg.from != coord_ && !ctx.is_alive(coord_)) {
         coord_ = msg.from;
       }
       return;
@@ -1022,8 +503,8 @@ class HybridSlave final : public RankProgram {
     // that computed us as successor may deliver before our own silence
     // detection fires — promote on demand; the liveness view makes this
     // safe (successor == self implies every master is already dead).
-    if (!core_ && failover(params_) && !finished_ &&
-        successor_rank(ctx, layout_) == rank_) {
+    if (!core_ && failover() && !finished_ &&
+        successor_rank(layout_, liveness(ctx)) == rank_) {
       promote(ctx);
     }
     if (!core_) return;
@@ -1059,6 +540,7 @@ class HybridSlave final : public RankProgram {
 
   void snapshot_particles(std::vector<Particle>& out) const override {
     worker_.snapshot(out);
+    out.insert(out.end(), initial_seeds_.begin(), initial_seeds_.end());
     if (core_) core_->snapshot_particles(out);
   }
 
@@ -1117,12 +599,13 @@ class HybridSlave final : public RankProgram {
   // survives.  The liveness confirmation is what prevents a lossy-link
   // silence from electing two acting masters.
   void maybe_failover(RankContext& ctx) {
-    if (!failover(params_)) return;
-    if (ctx.now() - master_heard_ <= heartbeat_deadline(params_)) {
+    if (!failover()) return;
+    if (ctx.now() - master_heard_ <=
+        kHeartbeatMissLimit * params_.heartbeat_period) {
       return;  // not silent yet
     }
     if (ctx.is_alive(coord_)) return;  // silent but alive: keep waiting
-    const int succ = adopter_of(ctx, layout_, coord_);
+    const int succ = adopter_of(layout_, liveness(ctx), coord_);
     if (succ == rank_) {
       promote(ctx);
       return;
@@ -1158,6 +641,9 @@ class HybridSlave final : public RankProgram {
     try_start(ctx);
   }
 
+  // Failover (DESIGN.md §11) is on exactly when the heartbeat is.
+  bool failover() const { return params_.heartbeat_period > 0.0; }
+
   std::uint32_t workable(RankContext& ctx) const {
     std::uint32_t n = 0;
     for (const auto& [block, count] : worker_.pool().census()) {
@@ -1190,12 +676,11 @@ class HybridSlave final : public RankProgram {
   // burst completion folds the same total into steps_total_.
   std::uint64_t watermark(const RankContext& ctx) const {
     if (in_flight_steps_ == 0) return steps_total_;
-    double frac = 1.0;
-    if (burst_duration_ > 0.0) {
-      frac = (ctx.now() - burst_start_) / burst_duration_;
-      if (frac > 1.0) frac = 1.0;
-      if (frac < 0.0) frac = 0.0;
-    }
+    const double frac =
+        burst_duration_ > 0.0
+            ? std::clamp((ctx.now() - burst_start_) / burst_duration_, 0.0,
+                         1.0)
+            : 1.0;
     return steps_total_ +
            static_cast<std::uint64_t>(
                frac * static_cast<double>(in_flight_steps_));
@@ -1286,6 +771,7 @@ class HybridSlave final : public RankProgram {
   HybridParams params_;
   std::uint32_t total_active_;  // global streamline count
   int coord_;                   // current coordinator (re-homed on failover)
+  std::vector<Particle> initial_seeds_;  // a master's pool until start
 
   StreamlineWorker worker_;
   std::uint32_t terminated_total_ = 0;   // cumulative first-time credits

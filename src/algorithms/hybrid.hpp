@@ -6,24 +6,20 @@
 // processes.  Slaves advance streamlines from their block caches and
 // report status when they run out of work; masters monitor slave state
 // and rebalance by either communicating streamlines or instructing
-// duplicate block loads, using five rules applied in order:
-//
-//   Assign_loaded    — N seeds in block B to a slave with B loaded
-//   Assign_unloaded  — N seeds in block B to a slave, which loads B
-//   Send_force       — slave S1 must send its particles in B to S2
-//                      (only if S2's load stays under NO)
-//   Send_hint        — S1 *may* offload particles in given blocks to S2
-//   Load             — slave must load block B
-//
-// with heuristics N = 10 (assignment granularity), NO = 20 N (overload
+// duplicate block loads, using the paper's five rules (Assign_loaded,
+// Assign_unloaded, Send_force, Send_hint, Load) as the numbered passes
+// (1)-(7) of GroupScheduler::rules_for in hybrid_rules.hpp, with
+// heuristics N = 10 (assignment granularity), NO = 20 N (overload
 // limit), NL = 40 (load-rather-than-send threshold), W = 32.  Multiple
 // masters balance seeds among themselves; the acting counter (the lowest
 // live master, master 0 in fault-free runs) aggregates the global
 // termination count from per-rank cumulative totals.
 //
-// The rules themselves are a runtime-free GroupScheduler
-// (hybrid_rules.hpp).  Every rank runs one host program; on a coordinator
-// it engages the master core, which sends the scheduler's orders.
+// Every coordinator decision is made by a runtime-free machine in
+// hybrid_rules.hpp: the GroupScheduler's rules, the termination board,
+// failover, the straggler windows and seed brokering.  Every rank runs
+// one host program; on a coordinator it engages the master core, which
+// carries out the machines' orders.
 //
 // With a heartbeat (fault runs, DESIGN.md §11) coordinator death is
 // recoverable: masters beacon their group, slaves that observe a silent
@@ -48,7 +44,7 @@ struct HybridParams {
   // Fault tolerance (DESIGN.md §7, §11): when heartbeat_period > 0 slaves
   // report status at least every period and the master declares a slave
   // dead after kHeartbeatMissLimit silent periods, reclaiming its
-  // streamlines (the sixth rule); masters beacon their slaves, orphaned
+  // streamlines (the declare-dead rule); masters beacon their slaves, orphaned
   // slaves re-home to a successor (or promote themselves), and the
   // counter terminates stragglers directly.  The driver copies the fault
   // config's heartbeat on fault runs; 0 disables the protocol, keeping
@@ -60,7 +56,7 @@ struct HybridParams {
   // per-slave *effective compute speed* (steps per busy second — immune
   // to starvation, unlike wall-clock rates), and flags a slave that holds
   // work but whose speed falls below a quarter of the working-group
-  // median (both thresholds are constants in hybrid.cpp).  A flagged
+  // median (both thresholds are constants in hybrid_rules.hpp).  A flagged
   // slave's ledger-owned streamlines are speculatively re-issued to
   // healthy slaves (ownership stays with the straggler; the ledger's
   // first-terminal-wins credit dedups the losing copies) and it receives

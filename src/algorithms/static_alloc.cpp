@@ -4,6 +4,8 @@
 #include <memory>
 #include <utility>
 
+#include "algorithms/hybrid_rules.hpp"
+
 namespace sf {
 
 namespace {
@@ -14,17 +16,14 @@ class StaticProgram final : public RankProgram {
                 std::vector<Particle> initial, std::uint32_t total_active)
       : decomp_(decomp),
         rank_(rank),
-        num_ranks_(num_ranks),
         initial_(std::move(initial)),
-        total_active_(total_active) {}
+        term_(HybridLayout{num_ranks, num_ranks, 0}, rank, total_active,
+              false) {}
 
   void start(RankContext& ctx) override {
     worker_.accept(ctx, std::move(initial_));
     initial_.clear();
-    if (total_active_ == 0 && rank_ == counter_rank(ctx)) {
-      broadcast_done(ctx);
-      return;
-    }
+    publish(ctx);  // with nothing to trace the counter finishes at once
     try_start(ctx);
   }
 
@@ -50,8 +49,8 @@ class StaticProgram final : public RankProgram {
     } else if (auto* term = std::get_if<TerminationCount>(&msg.payload)) {
       // A worker's cumulative report, or the runtime's full-ledger
       // recount delivered to us as the new acting counter after a crash.
-      board_.merge(term->totals);
-      maybe_finish(ctx);
+      term_.merge(term->totals);
+      publish(ctx);
     } else if (std::holds_alternative<DoneSignal>(msg.payload)) {
       finished_ = true;
     }
@@ -81,7 +80,11 @@ class StaticProgram final : public RankProgram {
     for (auto& [dest, particles] : forwards) {
       worker_.ship(ctx, dest.first, dest.second, std::move(particles));
     }
-    if (new_terminations > 0) note_terminations(ctx, new_terminations);
+    if (new_terminations > 0) {
+      my_total_ += new_terminations;
+      term_.merge(rank_, my_total_);
+      publish(ctx);
+    }
     try_start(ctx);
   }
 
@@ -137,59 +140,39 @@ class StaticProgram final : public RankProgram {
     }
   }
 
-  // The acting termination counter is the lowest live rank.  Every rank
-  // computes it the same way, so when rank 0 dies the counter role (and
-  // every subsequent report) migrates to the next survivor without an
-  // election; the runtime seeds the successor's board with a full ledger
-  // recount so reports already absorbed by the dead counter are not lost.
-  int counter_rank(RankContext& ctx) const {
-    for (int r = 0; r < num_ranks_; ++r) {
-      if (ctx.is_alive(r)) return r;
-    }
-    return 0;
-  }
-
-  void note_terminations(RankContext& ctx, std::uint32_t n) {
-    my_total_ += n;
-    board_.merge(rank_, my_total_);
-    const int counter = counter_rank(ctx);
-    if (counter == rank_) {
-      maybe_finish(ctx);
-      return;
-    }
-    // Report the cumulative total, not a delta: max-merge on the counter
-    // makes duplicated or re-ordered reports (at-least-once control
-    // delivery, post-crash re-reports) harmless.
-    Message m;
-    m.payload = TerminationCount{{{rank_, my_total_}}};
-    ctx.send(counter, std::move(m));
-  }
-
-  // When this rank is the acting counter and every streamline is
-  // accounted for, finish.
-  void maybe_finish(RankContext& ctx) {
-    if (finished_ || rank_ != counter_rank(ctx)) return;
-    if (board_.sum() >= total_active_) broadcast_done(ctx);
-  }
-
-  void broadcast_done(RankContext& ctx) {
-    for (int r = 0; r < num_ranks_; ++r) {
-      if (r == rank_ || !ctx.is_alive(r)) continue;
+  // The termination board, with every rank a coordinator: the acting
+  // counter is the lowest live rank.  Every rank computes it the same
+  // way, so when rank 0 dies the counter role (and every subsequent
+  // report) migrates to the next survivor without an election; the
+  // runtime seeds the successor's board with a full ledger recount so
+  // reports already absorbed by the dead counter are not lost.  A worker
+  // reports its cumulative total, not a delta: max-merge on the counter
+  // makes duplicated or re-ordered reports (at-least-once control
+  // delivery, post-crash re-reports) harmless.  When every streamline is
+  // accounted for, the counter sends DoneSignal to every live rank.
+  void publish(RankContext& ctx) {
+    if (finished_) return;
+    finished_ = term_.publish([&ctx](int r) { return ctx.is_alive(r); },
+                              [](int) { return false; }, orders_);
+    for (auto& [rank, order] : orders_) {
       Message m;
-      m.payload = DoneSignal{};
-      ctx.send(r, std::move(m));
+      if (auto* tc = std::get_if<TerminationCount>(&order)) {
+        m.payload = std::move(*tc);
+      } else {
+        m.payload = DoneSignal{};  // no slaves, so nothing else
+      }
+      ctx.send(rank, std::move(m));
     }
-    finished_ = true;
+    orders_.clear();
   }
 
   const BlockDecomposition* decomp_;
   int rank_;
-  int num_ranks_;
   std::vector<Particle> initial_;
-  std::uint32_t total_active_;  // global streamline count (every rank)
   std::uint32_t my_total_ = 0;  // cumulative first-time terminations here
   // Authoritative on the acting counter, where global done = its sum.
-  TerminationBoard board_;
+  TerminationDuty term_;
+  CoordinatorOrders orders_;  // reused by every publish
 
   StreamlineWorker worker_;
   bool finished_ = false;

@@ -99,7 +99,7 @@ struct FaultConfig {
     kRuntime,  // process-manager style: recovery fires a fixed delay
                // after the crash (Static Allocation, Load On Demand)
     kProgram,  // the hybrid master detects missed status heartbeats and
-               // runs recovery itself (the sixth rule)
+               // runs recovery itself (the declare-dead rule)
   };
   Detector detector = Detector::kRuntime;
   double heartbeat_period = 0.05;  // kProgram slave status period

@@ -470,8 +470,8 @@ TEST(CoordinatorFailoverHybrid, PeerMasterAdoptsOrphanedSlaves) {
             m.fault.crash_records[0].detect_time);
 }
 
-// Without a heartbeat neither the sixth rule nor failover can see a
-// crash, so a hybrid fault run must name a positive heartbeat period.
+// Without a heartbeat neither the declare-dead rule nor failover can see
+// a crash, so a hybrid fault run must name a positive heartbeat period.
 TEST(CoordinatorFailoverHybrid, RejectsAHeartbeatThatCannotDetectACrash) {
   const FaultWorld fw;
   for (const double period : {0.0, -1.0, std::nan("")}) {
@@ -756,9 +756,9 @@ TEST(ControlPlane, SurvivingMasterFinishesWhenEverySlaveDies) {
 TEST(ControlPlane, FailoverAndStragglerModelledOutputIsPinned) {
   // Golden for the fault plane: a flat run with two masters loses master
   // 1 (its peer adopts the group) and a slave, drops 5% of all messages
-  // and runs one slave 10x slow from early on.  Failover, the sixth rule,
-  // retransmits and straggler speculation all act, and the modelled
-  // output is pinned to the exact values.
+  // and runs one slave 10x slow from early on.  Failover, the
+  // declare-dead rule, retransmits and straggler speculation all act, and
+  // the modelled output is pinned to the exact values.
   auto w = sf::testing::rotor_world(4);
   Rng rng(79);
   const auto seeds = random_seeds(w.dataset->bounds(), 400, rng);
