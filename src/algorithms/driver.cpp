@@ -1,7 +1,9 @@
 #include "algorithms/driver.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "algorithms/load_on_demand.hpp"
@@ -19,8 +21,42 @@ const char* to_string(Algorithm a) {
   return "unknown";
 }
 
-bool enable_requested_faults(FaultConfig& f, const std::string& restart_from,
+namespace {
+
+// A scheduled fault event must name a rank of the run and a finite,
+// non-negative time; `what` is e.g. "fault.crashes[2]".
+void check_fault_event(const std::string& what, int rank, double time,
+                       int num_ranks) {
+  if (rank < 0 || rank >= num_ranks) {
+    throw std::invalid_argument(what + ": rank " + std::to_string(rank) +
+                                " is outside [0, " +
+                                std::to_string(num_ranks) + ")");
+  }
+  if (!std::isfinite(time) || time < 0.0) {
+    throw std::invalid_argument(what + ": time " + std::to_string(time) +
+                                " must be finite and >= 0");
+  }
+}
+
+}  // namespace
+
+bool enable_requested_faults(FaultConfig& f, int num_ranks,
+                             const std::string& restart_from,
                              std::vector<Particle> settled) {
+  for (std::size_t i = 0; i < f.crashes.size(); ++i) {
+    check_fault_event("fault.crashes[" + std::to_string(i) + "]",
+                      f.crashes[i].rank, f.crashes[i].time, num_ranks);
+  }
+  for (std::size_t i = 0; i < f.slowdowns.size(); ++i) {
+    const std::string what = "fault.slowdowns[" + std::to_string(i) + "]";
+    const SlowdownEvent& e = f.slowdowns[i];
+    check_fault_event(what, e.rank, e.time, num_ranks);
+    if (!std::isfinite(e.factor)) {
+      throw std::invalid_argument(what + ": factor " +
+                                  std::to_string(e.factor) +
+                                  " must be finite");
+    }
+  }
   f.enabled = f.enabled || !restart_from.empty() || f.mtbf > 0.0 ||
               !f.crashes.empty() || f.disk_fault_rate > 0.0 ||
               f.disk_stall_rate > 0.0 || f.message_drop_rate > 0.0 ||
@@ -107,8 +143,8 @@ PreparedRun prepare_run(const ExperimentConfig& config,
     particles = ck.active;
     run.settled.insert(run.settled.end(), ck.done.begin(), ck.done.end());
   }
-  run.faulty =
-      enable_requested_faults(cfg.runtime.fault, cfg.restart_from, run.settled);
+  run.faulty = enable_requested_faults(cfg.runtime.fault, cfg.runtime.num_ranks,
+                                       cfg.restart_from, run.settled);
   const auto total_active = static_cast<std::uint32_t>(particles.size());
   const int num_ranks = cfg.runtime.num_ranks;
 

@@ -48,8 +48,11 @@ struct ExperimentConfig {
 // (`restart_from` counts), with the runtime failure detector and
 // `settled` (rejected seeds, a restart's done list) in the ledger from
 // the start.  Returns whether it is on; when not, the runtime takes the
-// exact fault-free code paths (bit-identical runs).
-bool enable_requested_faults(FaultConfig& fault,
+// exact fault-free code paths (bit-identical runs).  Throws
+// std::invalid_argument, naming the field and the entry, for a scheduled
+// crash or slowdown whose rank is outside [0, num_ranks), whose time is
+// negative or not finite, or (slowdowns) whose factor is not finite.
+bool enable_requested_faults(FaultConfig& fault, int num_ranks,
                              const std::string& restart_from,
                              std::vector<Particle> settled);
 

@@ -42,7 +42,8 @@ RunMetrics run_pathline_experiment(const PathlineExperimentConfig& config,
   SimRuntimeConfig runtime_config = config.runtime;
   runtime_config.checked_protocol = CheckedProtocol::kLoadOnDemand;
   const bool faulty =
-      enable_requested_faults(runtime_config.fault, {}, rejected);
+      enable_requested_faults(runtime_config.fault, runtime_config.num_ranks,
+                              {}, rejected);
   SimRuntime runtime(runtime_config, &decomp, &source, config.integrator,
                      config.limits, &tracer);
   RunMetrics metrics = runtime.run(make_load_on_demand(

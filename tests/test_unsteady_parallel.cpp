@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "algorithms/driver.hpp"
 #include "analysis/pathlines.hpp"
 #include "core/analytic_fields.hpp"
 #include "core/seeds.hpp"
@@ -352,6 +355,70 @@ TEST(PathlineLod, RejectsQueryCancels) {
   PathlineExperimentConfig cfg = gyre_config(2, 8);
   cfg.runtime.cancels = {{0, 0.1}};
   EXPECT_NE(rejection_of(cfg).find("runtime.cancels"), std::string::npos);
+}
+
+// A malformed scheduled crash or slowdown is a typed error naming the
+// field and the entry, from both streamline runtimes and the pathline
+// driver, before any rank runs: never a silently dropped crash, nor a
+// disk-ordering abort once the bad event lands.
+TEST(PathlineLod, MalformedFaultEventsAreRejectedByEveryDriver) {
+  struct Row {
+    std::vector<CrashEvent> crashes;
+    std::vector<SlowdownEvent> slowdowns;
+    const char* names;  // expected in the message
+  };
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Row> rows = {
+      {{{nan, 1}}, {}, "fault.crashes[0]: time"},
+      {{{0.01, 1}, {-0.5, 2}}, {}, "fault.crashes[1]: time"},
+      {{{0.01, 4}}, {}, "fault.crashes[0]: rank 4"},
+      {{{0.01, -1}}, {}, "fault.crashes[0]: rank -1"},
+      {{}, {{nan, 1, 8.0}}, "fault.slowdowns[0]: time"},
+      {{}, {{0.01, 1, nan}}, "fault.slowdowns[0]: factor"},
+      {{}, {{0.01, 1, inf}}, "fault.slowdowns[0]: factor"},
+      {{}, {{0.01, 9, 8.0}}, "fault.slowdowns[0]: rank 9"},
+  };
+  const auto w = sf::testing::abc_world(2);
+  const std::vector<Vec3> seeds{{0.5, 0.5, 0.5}, {1.5, 2.5, 3.5}};
+  auto s = gyre_slices(3, 8.0, 2);
+  const std::vector<Vec3> gyre{{0.7, 0.4, 0.0}};
+  for (const Row& row : rows) {
+    const auto message = [](const auto& run) -> std::string {
+      try {
+        run();
+      } catch (const std::invalid_argument& e) {
+        return e.what();
+      }
+      return "";
+    };
+    for (const Algorithm algo :
+         {Algorithm::kStaticAllocation, Algorithm::kHybridMasterSlave}) {
+      auto cfg = sf::testing::test_config(algo, 4);
+      cfg.runtime.fault.crashes = row.crashes;
+      cfg.runtime.fault.slowdowns = row.slowdowns;
+      EXPECT_NE(message([&] {
+                  (void)run_experiment(cfg, w.decomp(), *w.source, seeds);
+                }).find(row.names),
+                std::string::npos)
+          << row.names << " sim " << to_string(algo);
+      EXPECT_NE(message([&] {
+                  (void)run_experiment_threads(cfg, w.decomp(), *w.source,
+                                               seeds);
+                }).find(row.names),
+                std::string::npos)
+          << row.names << " threads " << to_string(algo);
+    }
+    PathlineExperimentConfig cfg = gyre_config(4, 8);
+    cfg.runtime.fault.crashes = row.crashes;
+    cfg.runtime.fault.slowdowns = row.slowdowns;
+    EXPECT_NE(message([&] {
+                (void)run_pathline_experiment(cfg, s.decomp, s.slices,
+                                              s.times, gyre);
+              }).find(row.names),
+              std::string::npos)
+        << row.names << " pathlines";
+  }
 }
 
 TEST(PathlineLod, FailedRunKeepsRejectedSeeds) {

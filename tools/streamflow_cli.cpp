@@ -20,6 +20,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "algorithms/driver.hpp"
 #include "core/analytic_fields.hpp"
@@ -107,6 +108,41 @@ class Flags {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
+
+// The '@'-separated fields of one fault-schedule token.
+std::vector<std::string> split_at(const std::string& item) {
+  std::vector<std::string> fields;
+  for (std::size_t at = 0;;) {
+    const std::size_t sep = item.find('@', at);
+    fields.push_back(item.substr(at, sep == std::string::npos
+                                         ? std::string::npos
+                                         : sep - at));
+    if (sep == std::string::npos) return fields;
+    at = sep + 1;
+  }
+}
+
+// Parse a whole field as a number, with the end-pointer checks of
+// Flags::get_long / get_double: false on trailing text or overflow.
+bool parse_whole(const std::string& text, int& out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+      v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  out = static_cast<int>(v);
+  return true;
+}
+
+bool parse_whole(const std::string& text, double& out) {
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtod(text.c_str(), &end);
+  return end != text.c_str() && *end == '\0' && errno != ERANGE;
+}
 
 sf::FieldPtr make_field(const std::string& name) {
   if (name == "supernova") return std::make_shared<sf::SupernovaField>();
@@ -350,15 +386,15 @@ int cmd_experiment(const Flags& flags) {
     const std::size_t comma = crash_list.find(',', at);
     const std::string item = crash_list.substr(
         at, comma == std::string::npos ? std::string::npos : comma - at);
-    const std::size_t sep = item.find('@');
-    try {
-      if (sep == std::string::npos) throw std::invalid_argument(item);
-      fc.crashes.push_back({.time = std::stod(item.substr(sep + 1)),
-                            .rank = std::stoi(item.substr(0, sep))});
-    } catch (const std::exception&) {
+    const std::vector<std::string> f = split_at(item);
+    int rank = 0;
+    double time = 0.0;
+    if (f.size() != 2 || !parse_whole(f[0], rank) ||
+        !parse_whole(f[1], time)) {
       std::cerr << "bad --crash entry '" << item << "' (want rank@time)\n";
       return 2;
     }
+    fc.crashes.push_back({.time = time, .rank = rank});
     if (comma == std::string::npos) break;
     at = comma + 1;
   }
@@ -368,21 +404,17 @@ int cmd_experiment(const Flags& flags) {
     const std::size_t comma = slow_list.find(',', at);
     const std::string item = slow_list.substr(
         at, comma == std::string::npos ? std::string::npos : comma - at);
-    const std::size_t sep1 = item.find('@');
-    const std::size_t sep2 =
-        sep1 == std::string::npos ? std::string::npos
-                                  : item.find('@', sep1 + 1);
-    try {
-      if (sep2 == std::string::npos) throw std::invalid_argument(item);
-      fc.slowdowns.push_back(
-          {.time = std::stod(item.substr(sep1 + 1, sep2 - sep1 - 1)),
-           .rank = std::stoi(item.substr(0, sep1)),
-           .factor = std::stod(item.substr(sep2 + 1))});
-    } catch (const std::exception&) {
+    const std::vector<std::string> f = split_at(item);
+    int rank = 0;
+    double time = 0.0;
+    double factor = 0.0;
+    if (f.size() != 3 || !parse_whole(f[0], rank) ||
+        !parse_whole(f[1], time) || !parse_whole(f[2], factor)) {
       std::cerr << "bad --slow-rank entry '" << item
                 << "' (want rank@time@factor)\n";
       return 2;
     }
+    fc.slowdowns.push_back({.time = time, .rank = rank, .factor = factor});
     if (comma == std::string::npos) break;
     at = comma + 1;
   }
