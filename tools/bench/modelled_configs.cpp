@@ -19,6 +19,7 @@
 #include <exception>
 #include <iostream>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
