@@ -152,7 +152,9 @@ def build(checkout, jobs):
         f.write(f'add_executable(modelled_configs '
                 f'"{os.path.join(HERE, "modelled_configs.cpp")}")\n'
                 f"target_link_libraries(modelled_configs PRIVATE "
-                f"streamflow)\n")
+                f"streamflow)\n"
+                f"target_compile_features(modelled_configs PRIVATE "
+                f"cxx_std_20)\n")
     steps = [["cmake", "-S", checkout, "-B", build_dir,
               "-DCMAKE_BUILD_TYPE=Release",
               f"-DCMAKE_PROJECT_streamflow_INCLUDE={hook}"],
