@@ -21,7 +21,9 @@ deterministic workloads in both and compares every output byte for byte:
     checkout's library.
 
 Every program runs in its own output directory with relative paths, so
-the outputs hold no checkout path.  Exit status 0 when every output is
+the outputs hold no checkout path.  A run still going after TIMEOUT_S
+seconds is stopped and recorded as "timeout", and each side lists its
+timeouts.  Exit status 0 when every output is
 identical, 1 naming the first differing output, 2 when a build fails.
 The worktrees are removed at the end unless --keep is given; a later call
 with the same --scratch reuses kept worktrees at the requested commits.
@@ -41,6 +43,10 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from paired import add_worktree, git  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+
+# A run still going after this many seconds is recorded as "timeout": the
+# slowest workload here, the chaos soak, takes about 5 s.
+TIMEOUT_S = 60
 
 TARGETS = ["scale_sweep", "fault_sweep", "ablation_hybrid", "fig_astro",
            "fig_fusion", "fig_thermal", "io_overlap", "chaos_soak",
@@ -135,12 +141,20 @@ def cli_configs():
 
 
 def run(argv, cwd, stdin=None):
-    proc = subprocess.run(argv, cwd=cwd, input=stdin, capture_output=True,
-                          text=True)
+    """Run one program; its stdout and exit status (or "timeout") become
+    outputs.  Returns whether it timed out."""
+    try:
+        proc = subprocess.run(argv, cwd=cwd, input=stdin,
+                              capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+        stdout, status = proc.stdout, str(proc.returncode)
+    except subprocess.TimeoutExpired:
+        stdout, status = "", "timeout"
     with open(os.path.join(cwd, "stdout"), "w") as f:
-        f.write(proc.stdout)
+        f.write(stdout)
     with open(os.path.join(cwd, "status"), "w") as f:
-        f.write(f"{proc.returncode}\n")
+        f.write(status + "\n")
+    return status == "timeout"
 
 
 def build(checkout, jobs):
@@ -183,15 +197,17 @@ def run_side(build_dir, out, jobs):
             f.write(" ".join(args) + "\n")
         tasks.append(([cli, *args], cwd, None))
     lines = driver_configs()
-    chunk = (len(lines) + jobs - 1) // jobs
-    for k in range(0, len(lines), chunk):
-        cwd = os.path.join(out, "configs", f"{k // chunk:02d}")
+    for i, line in enumerate(lines):
+        cwd = os.path.join(out, "configs", f"{i:03d}")
         os.makedirs(cwd)
         tasks.append(([os.path.join(build_dir, "modelled_configs")], cwd,
-                      "\n".join(lines[k:k + chunk]) + "\n"))
+                      line + "\n"))
     with concurrent.futures.ThreadPoolExecutor(jobs) as pool:
-        for future in [pool.submit(run, *t) for t in tasks]:
-            future.result()
+        futures = [pool.submit(run, *t) for t in tasks]
+        timeouts = [os.path.relpath(t[1], out)
+                    for t, f in zip(tasks, futures) if f.result()]
+    for rel in timeouts:
+        print(f"  timeout after {TIMEOUT_S} s: {rel}")
     return len(cli_configs()), len(lines)
 
 
