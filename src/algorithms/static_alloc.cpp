@@ -18,7 +18,7 @@ class StaticProgram final : public RankProgram {
         rank_(rank),
         initial_(std::move(initial)),
         term_(HybridLayout{num_ranks, num_ranks, 0}, rank, total_active,
-              false) {}
+              /*failover=*/false) {}
 
   void start(RankContext& ctx) override {
     worker_.accept(ctx, std::move(initial_));
