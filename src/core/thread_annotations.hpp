@@ -123,7 +123,7 @@ enum class LockRank : int {
   kQueryBoard = 20,  // QueryBoard per-query termination board (rank_host)
   kFailureBoard = 30,  // ThreadRuntime first-failure slot
   kMailbox = 40,    // per-rank Context mailboxes
-  kLoader = 50,     // AsyncBlockLoader queues + LoadState map
+  kLoader = 50,     // AsyncBlockLoader queues + entry map
   kTraceBlocks = 55,  // trace_all's shared block memo (fetches take
                       // kDataset inside it)
   kDataset = 60,    // BlockedDataset lazy block memoization

@@ -2,32 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
-#include "io/io_error.hpp"
-
 namespace sf {
 
-const char* to_string(LoadState s) {
-  switch (s) {
-    case LoadState::kQueued: return "queued";
-    case LoadState::kLoading: return "loading";
-    case LoadState::kReady: return "ready";
-    case LoadState::kCancelled: return "cancelled";
-    case LoadState::kFailed: return "failed";
-  }
-  return "unknown";
-}
-
 namespace {
-
-void sleep_seconds(double s) {
-  if (s <= 0.0) return;
-  std::this_thread::sleep_for(std::chrono::duration<double>(s));
-}
 
 void erase_from(std::deque<BlockId>& q, BlockId id) {
   q.erase(std::remove(q.begin(), q.end(), id), q.end());
@@ -35,9 +15,9 @@ void erase_from(std::deque<BlockId>& q, BlockId id) {
 
 }  // namespace
 
-AsyncBlockLoader::AsyncBlockLoader(const BlockSource* source, Config cfg)
-    : source_(source), cfg_(cfg) {
-  const int n = std::max(1, cfg_.workers);
+AsyncBlockLoader::AsyncBlockLoader(const BlockSource* source, int workers)
+    : source_(source) {
+  const int n = std::max(1, workers);
   workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     workers_.emplace_back([this] { worker_main(); });
@@ -45,31 +25,22 @@ AsyncBlockLoader::AsyncBlockLoader(const BlockSource* source, Config cfg)
 }
 
 AsyncBlockLoader::~AsyncBlockLoader() {
-  // Drain every still-queued request under the lock, then fire the
-  // cancellations outside it; entries being read resolve normally
-  // before their worker exits.
-  std::vector<std::pair<BlockId, Settled>> drained;
+  // Cancel every still-queued request; entries being read resolve
+  // normally before their worker exits.
   {
     MutexLock lock(mu_);
     stop_ = true;
-    while (!demand_q_.empty() || !prefetch_q_.empty()) {
-      const BlockId id =
-          demand_q_.empty() ? prefetch_q_.front() : demand_q_.front();
-      erase_from(demand_q_, id);
-      erase_from(prefetch_q_, id);
-      ++cancelled_;
-      drained.emplace_back(id, take_settled(id, LoadState::kCancelled));
+    for (std::deque<BlockId>* q : {&demand_q_, &prefetch_q_}) {
+      for (const BlockId id : *q) settle(id, nullptr, nullptr);
+      q->clear();
     }
-  }
-  for (auto& [id, settled] : drained) {
-    settle(std::move(settled), id, nullptr, nullptr);
   }
   cv_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
-std::shared_future<GridPtr> AsyncBlockLoader::request(BlockId id, bool demand,
-                                                      Completion done) {
+std::shared_future<GridPtr> AsyncBlockLoader::request(BlockId id,
+                                                      bool demand) {
   std::shared_future<GridPtr> fut;
   {
     MutexLock lock(mu_);
@@ -79,22 +50,18 @@ std::shared_future<GridPtr> AsyncBlockLoader::request(BlockId id, bool demand,
     auto [it, inserted] = entries_.try_emplace(id);
     Entry& e = it->second;
     if (!inserted) {
-      ++coalesced_;
-      if (done) e.completions.push_back(std::move(done));
       if (demand && !e.demand) {
         // Promote a queued prefetch: a particle faulted on it for real.
         e.demand = true;
-        if (e.state == LoadState::kQueued) {
+        if (!e.loading) {
           erase_from(prefetch_q_, id);
           demand_q_.push_back(id);
         }
       }
       return e.future;
     }
-    ++submitted_;
     e.demand = demand;
     e.future = e.promise.get_future().share();
-    if (done) e.completions.push_back(std::move(done));
     (demand ? demand_q_ : prefetch_q_).push_back(id);
     fut = e.future;
   }
@@ -103,45 +70,13 @@ std::shared_future<GridPtr> AsyncBlockLoader::request(BlockId id, bool demand,
 }
 
 bool AsyncBlockLoader::cancel(BlockId id) {
-  Settled settled;
-  {
-    MutexLock lock(mu_);
-    auto it = entries_.find(id);
-    if (it == entries_.end() || it->second.state != LoadState::kQueued) {
-      return false;
-    }
-    erase_from(demand_q_, id);
-    erase_from(prefetch_q_, id);
-    ++cancelled_;
-    settled = take_settled(id, LoadState::kCancelled);
-  }
-  settle(std::move(settled), id, nullptr, nullptr);
+  MutexLock lock(mu_);
+  auto it = entries_.find(id);
+  if (it == entries_.end() || it->second.loading) return false;
+  erase_from(it->second.demand ? demand_q_ : prefetch_q_, id);
+  settle(id, nullptr, nullptr);
   return true;
 }
-
-void AsyncBlockLoader::set_fault_hook(FaultHook hook) {
-  MutexLock lock(mu_);
-  fault_hook_ = std::move(hook);
-}
-
-void AsyncBlockLoader::set_stall_hook(StallHook hook) {
-  MutexLock lock(mu_);
-  stall_hook_ = std::move(hook);
-}
-
-#define SF_LOADER_COUNTER(name)                  \
-  std::uint64_t AsyncBlockLoader::name() const { \
-    MutexLock lock(mu_);                         \
-    return name##_;                              \
-  }
-SF_LOADER_COUNTER(submitted)
-SF_LOADER_COUNTER(coalesced)
-SF_LOADER_COUNTER(completed)
-SF_LOADER_COUNTER(cancelled)
-SF_LOADER_COUNTER(failed)
-SF_LOADER_COUNTER(retries)
-SF_LOADER_COUNTER(corruptions)
-#undef SF_LOADER_COUNTER
 
 bool AsyncBlockLoader::pop_next(BlockId& id) {
   while (!stop_ && demand_q_.empty() && prefetch_q_.empty()) {
@@ -154,40 +89,27 @@ bool AsyncBlockLoader::pop_next(BlockId& id) {
   return true;
 }
 
-AsyncBlockLoader::Settled AsyncBlockLoader::take_settled(
-    BlockId id, LoadState final_state) {
+void AsyncBlockLoader::settle(BlockId id, GridPtr grid,
+                              std::exception_ptr error) {
   auto it = entries_.find(id);
   assert(it != entries_.end());
-  it->second.state = final_state;
-  Settled settled{std::move(it->second.promise),
-                  std::move(it->second.completions)};
-  entries_.erase(it);
-  return settled;
-}
-
-void AsyncBlockLoader::settle(Settled settled, BlockId id, GridPtr grid,
-                              std::exception_ptr error) {
   if (error != nullptr) {
-    settled.promise.set_exception(error);
+    it->second.promise.set_exception(error);
   } else {
-    settled.promise.set_value(grid);
+    it->second.promise.set_value(std::move(grid));
   }
-  for (auto& c : settled.completions) c(id, grid, error);
+  entries_.erase(it);
 }
 
 void AsyncBlockLoader::worker_main() {
   for (;;) {
     BlockId id = kInvalidBlock;
-    FaultHook fault;
-    StallHook stall;
     {
       MutexLock lock(mu_);
       if (!pop_next(id)) return;
       auto eit = entries_.find(id);
       assert(eit != entries_.end());
-      eit->second.state = LoadState::kLoading;
-      fault = fault_hook_;
-      stall = stall_hook_;
+      eit->second.loading = true;
     }
 
     // The read itself runs unlocked: other workers keep draining the
@@ -196,55 +118,14 @@ void AsyncBlockLoader::worker_main() {
     // too, off the compute hot path.
     GridPtr grid;
     std::exception_ptr error;
-    int attempts_retried = 0;
-    int corrupt_attempts = 0;
-    for (int attempt = 0;; ++attempt) {
-      if (stall) sleep_seconds(stall(id, attempt));
-      bool faulted = fault && fault(id, attempt);
-      bool recoverable = true;
-      error = nullptr;
-      if (!faulted) {
-        try {
-          grid = source_->load(id);
-        } catch (const BlockReadError& e) {
-          error = std::current_exception();
-          faulted = true;
-          recoverable = e.recoverable();
-          if (e.kind() == BlockReadError::Kind::kCorrupt) ++corrupt_attempts;
-        } catch (...) {
-          error = std::current_exception();
-          faulted = true;
-        }
-      }
-      if (!faulted) break;
-      if (error == nullptr) {
-        error = std::make_exception_ptr(BlockReadError(
-            BlockReadError::Kind::kInjected, id, "injected disk fault"));
-      }
-      // A structurally unrecoverable read (missing file) fails at once;
-      // everything else walks the retry ladder.
-      if (!recoverable || attempt >= cfg_.max_retries) break;
-      ++attempts_retried;
-      // Same deterministic capped exponential backoff as the simulated
-      // disk's retry path.
-      sleep_seconds(std::min(cfg_.retry_backoff * std::ldexp(1.0, attempt),
-                             cfg_.backoff_cap));
+    try {
+      grid = source_->load(id);
+    } catch (...) {
+      error = std::current_exception();
     }
 
-    Settled settled;
-    {
-      MutexLock lock(mu_);
-      retries_ += static_cast<std::uint64_t>(attempts_retried);
-      corruptions_ += static_cast<std::uint64_t>(corrupt_attempts);
-      if (error != nullptr) {
-        ++failed_;
-        settled = take_settled(id, LoadState::kFailed);
-      } else {
-        ++completed_;
-        settled = take_settled(id, LoadState::kReady);
-      }
-    }
-    settle(std::move(settled), id, error != nullptr ? nullptr : grid, error);
+    MutexLock lock(mu_);
+    settle(id, std::move(grid), error);
   }
 }
 

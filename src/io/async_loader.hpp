@@ -8,35 +8,23 @@
 // blocking BlockSource::load.  Concurrent requests for the same block
 // coalesce onto one read; demand requests jump the queue ahead of
 // prefetches; queued requests can be cancelled before a worker picks
-// them up.  Completions are delivered two ways — a shared_future for
-// callers that want to wait, and an optional callback (invoked on the
-// worker thread) for runtimes that marshal completions back onto the
-// rank thread themselves.
+// them up.  Completions are delivered through a shared_future.
 //
-// Locking: one mutex (mu_, LockRank::kLoader) guards the queues, the
-// LoadState map and the counters.  Completions and promises are always
-// settled *outside* the lock — they may block a waiter awake or re-enter
-// request()/cancel() — so an entry is first taken out of the map under
-// the lock (take_settled) and fired after release (settle).  The
-// thread-safety analysis enforces the split: Entry state is guarded,
-// settle() takes no capability.
+// Locking: one mutex (mu_, LockRank::kLoader) guards the queues and the
+// entry map.  A finished entry's promise is resolved and the entry
+// erased in one step under the lock (settle); resolving a promise runs
+// no caller code, so nothing re-enters the loader with mu_ held.  The
+// read itself runs with mu_ released.
 //
-// Faults: an injectable per-attempt fault hook models disk read errors
-// on the loader threads.  Failed attempts retry with the same
-// deterministic capped exponential backoff as the simulated disk
-// (min(retry_backoff * 2^attempt, backoff_cap)); when retries are
-// exhausted the error surfaces through the future/callback as an
-// exception_ptr.  An injectable stall hook adds per-attempt latency
-// (a stall is slowness, not failure — it never consumes a retry, even
-// when it exceeds the backoff cap).
+// Faults: each request gets exactly one BlockSource::load attempt.  A
+// failed read surfaces through the future as the load's exception; the
+// rank decides what to do with it (a failed prefetch is discarded and
+// re-read synchronously by ThreadRuntime).
 
-#include <cstdint>
 #include <deque>
 #include <exception>
-#include <functional>
 #include <future>
 #include <map>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -44,19 +32,6 @@
 #include "core/thread_annotations.hpp"
 
 namespace sf {
-
-// Lifecycle of one coalesced request.  tools/lint/check_protocol.py
-// parses this enum and requires every switch over it to be exhaustive,
-// like Command::Type.
-enum class LoadState : std::uint8_t {
-  kQueued,     // accepted, waiting for a worker
-  kLoading,    // a worker is reading it (no longer cancellable)
-  kReady,      // payload delivered, future resolved
-  kCancelled,  // cancelled while queued; future resolves to nullptr
-  kFailed,     // retries exhausted; future rethrows
-};
-
-const char* to_string(LoadState s);
 
 // Shared async-I/O knobs.  Both runtimes embed one of these in their
 // config; `enabled == false` (the default) keeps the synchronous
@@ -70,107 +45,50 @@ struct AsyncIoConfig {
 
 class AsyncBlockLoader {
  public:
-  struct Config {
-    int workers = 2;
-    int max_retries = 0;        // extra attempts after a failed read
-    double retry_backoff = 0.0;  // seconds, doubled per attempt
-    double backoff_cap = 0.0;    // upper bound on one backoff sleep
-  };
-
-  // (block, grid-or-null, error-or-null); exactly one of grid/error is
-  // set on completion, both are null on cancellation.  Runs on a worker
-  // thread (or on the caller's thread for cancellations), always with
-  // mu_ released — re-entering request()/cancel() from a completion is
-  // legal.
-  using Completion =
-      std::function<void(BlockId, GridPtr, std::exception_ptr)>;
-  // Return true to fail this attempt.  Runs on the worker thread.
-  using FaultHook = std::function<bool(BlockId, int attempt)>;
-  // Extra seconds of latency for this attempt.  Runs on the worker.
-  using StallHook = std::function<double(BlockId, int attempt)>;
-
-  AsyncBlockLoader(const BlockSource* source, Config cfg);
+  AsyncBlockLoader(const BlockSource* source, int workers);
   ~AsyncBlockLoader();  // cancels queued work, then joins the workers
 
   AsyncBlockLoader(const AsyncBlockLoader&) = delete;
   AsyncBlockLoader& operator=(const AsyncBlockLoader&) = delete;
 
   // Enqueue a read.  A request for a block already queued or loading
-  // coalesces: the completion joins the existing entry and the same
-  // future is returned.  `demand` requests are serviced before
-  // prefetches and promote an already-queued prefetch to the demand
-  // queue.  The future resolves to the grid, to nullptr if cancelled,
-  // or rethrows the load error.
-  std::shared_future<GridPtr> request(BlockId id, bool demand,
-                                      Completion done = nullptr)
+  // coalesces: the same future is returned.  `demand` requests are
+  // serviced before prefetches and promote an already-queued prefetch to
+  // the demand queue.  The future resolves to the grid, to nullptr if
+  // cancelled, or rethrows the load error.
+  std::shared_future<GridPtr> request(BlockId id, bool demand)
       SF_EXCLUDES(mu_);
 
   // Cancel a request that is still queued.  Returns true if it was
-  // cancelled (completions fire with nullptr grid and nullptr error);
-  // false if it already started loading or was never requested.
+  // cancelled (its future resolves to nullptr); false if it already
+  // started loading or was never requested.
   bool cancel(BlockId id) SF_EXCLUDES(mu_);
-
-  // Test/fault-injection hooks; set before issuing requests.
-  void set_fault_hook(FaultHook hook) SF_EXCLUDES(mu_);
-  void set_stall_hook(StallHook hook) SF_EXCLUDES(mu_);
-
-  std::uint64_t submitted() const SF_EXCLUDES(mu_);  // created an entry
-  std::uint64_t coalesced() const SF_EXCLUDES(mu_);  // joined an entry
-  std::uint64_t completed() const SF_EXCLUDES(mu_);
-  std::uint64_t cancelled() const SF_EXCLUDES(mu_);
-  std::uint64_t failed() const SF_EXCLUDES(mu_);
-  std::uint64_t retries() const SF_EXCLUDES(mu_);
-  // Attempts that failed with BlockReadError::kCorrupt — checksum
-  // verification happens inside BlockSource::load on the worker thread
-  // (off the compute hot path), and every caught flip lands here.
-  std::uint64_t corruptions() const SF_EXCLUDES(mu_);
 
  private:
   struct Entry {
-    LoadState state = LoadState::kQueued;
+    bool loading = false;  // a worker is reading it (no longer cancellable)
     bool demand = false;
     std::promise<GridPtr> promise;
     std::shared_future<GridPtr> future;
-    std::vector<Completion> completions;
-  };
-
-  // The parts of a finished entry that must be fired with mu_ released.
-  struct Settled {
-    std::promise<GridPtr> promise;
-    std::vector<Completion> completions;
   };
 
   void worker_main();
   // Blocks until there is a block to read (demand queue first).  Returns
   // false when stopping and both queues are empty.
   bool pop_next(BlockId& id) SF_REQUIRES(mu_);
-  // Record the terminal LoadState and take the entry's promise +
-  // completions out of the map; the caller settles them after release.
-  Settled take_settled(BlockId id, LoadState final_state) SF_REQUIRES(mu_);
-  // Resolve the future and fire the completions.  Never called (and by
-  // construction uncallable) with mu_ held.
-  static void settle(Settled settled, BlockId id, GridPtr grid,
-                     std::exception_ptr error);
+  // Resolve the entry's future (to `error` if set, else to `grid`) and
+  // take it out of the map.
+  void settle(BlockId id, GridPtr grid, std::exception_ptr error)
+      SF_REQUIRES(mu_);
 
   const BlockSource* source_;
-  Config cfg_;
 
-  mutable Mutex mu_{LockRank::kLoader};
+  Mutex mu_{LockRank::kLoader};
   CondVar cv_;
   bool stop_ SF_GUARDED_BY(mu_) = false;
   std::deque<BlockId> demand_q_ SF_GUARDED_BY(mu_);
   std::deque<BlockId> prefetch_q_ SF_GUARDED_BY(mu_);
   std::map<BlockId, Entry> entries_ SF_GUARDED_BY(mu_);
-  FaultHook fault_hook_ SF_GUARDED_BY(mu_);
-  StallHook stall_hook_ SF_GUARDED_BY(mu_);
-
-  std::uint64_t submitted_ SF_GUARDED_BY(mu_) = 0;
-  std::uint64_t coalesced_ SF_GUARDED_BY(mu_) = 0;
-  std::uint64_t completed_ SF_GUARDED_BY(mu_) = 0;
-  std::uint64_t cancelled_ SF_GUARDED_BY(mu_) = 0;
-  std::uint64_t failed_ SF_GUARDED_BY(mu_) = 0;
-  std::uint64_t retries_ SF_GUARDED_BY(mu_) = 0;
-  std::uint64_t corruptions_ SF_GUARDED_BY(mu_) = 0;
 
   std::vector<std::thread> workers_;  // written in the ctor only
 };

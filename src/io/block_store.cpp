@@ -197,7 +197,6 @@ const char* to_string(BlockReadError::Kind k) {
     case BlockReadError::Kind::kBadMagic: return "bad-magic";
     case BlockReadError::Kind::kTruncated: return "truncated";
     case BlockReadError::Kind::kCorrupt: return "corrupt";
-    case BlockReadError::Kind::kInjected: return "injected";
   }
   return "unknown";
 }

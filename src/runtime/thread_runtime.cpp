@@ -187,7 +187,7 @@ class ThreadRuntime::Context final : public RankHost {
   using LocalEvent = std::variant<BlockId, ComputeDone>;
 
   // The grid a loader read delivered to this rank, counted as read;
-  // nullptr when the read was cancelled or exhausted its retries.
+  // nullptr when the read was cancelled or failed.
   GridPtr arrived(BlockId id, const std::shared_future<GridPtr>& read) {
     GridPtr grid;
     try {
@@ -323,9 +323,8 @@ RunMetrics ThreadRuntime::run(const ProgramFactory& factory) {
 
   loader_.reset();
   if (config_.async_io.enabled) {
-    AsyncBlockLoader::Config lcfg;
-    lcfg.workers = config_.async_io.workers;
-    loader_ = std::make_unique<AsyncBlockLoader>(&hosts_.source(), lcfg);
+    loader_ = std::make_unique<AsyncBlockLoader>(&hosts_.source(),
+                                                 config_.async_io.workers);
   }
 
   std::vector<std::unique_ptr<RankHost>> hosts;

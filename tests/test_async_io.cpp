@@ -1,5 +1,5 @@
-// Async block I/O tests (DESIGN.md §10): the loader coalesces, retries
-// and cancels deterministically; prefetching never changes trajectories
+// Async block I/O tests (DESIGN.md §10): the loader coalesces, orders
+// and cancels deterministically and reads each request once; prefetching never changes trajectories
 // (both runtimes, all three algorithms, including under disk faults,
 // stalls, crashes and schedule fuzz); the pinned LRU protects the
 // batch's focus block at tiny capacities; and the invariant checker
@@ -10,9 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
+#include <condition_variable>
 #include <future>
-#include <map>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -23,6 +23,7 @@
 #include "algorithms/static_alloc.hpp"
 #include "check/invariants.hpp"
 #include "core/tracer.hpp"
+#include "io/io_error.hpp"
 #include "runtime/block_cache.hpp"
 #include "runtime/thread_runtime.hpp"
 #include "test_support.hpp"
@@ -47,16 +48,34 @@ void expect_same_particles(const std::vector<Particle>& a,
   }
 }
 
-// Counts per-block load() calls (thread-safe: the loader workers call it
-// concurrently).  Lets coalescing tests assert "one read, many waiters".
-class CountingSource final : public BlockSource {
+// ---------------------------------------------------------------------------
+// AsyncBlockLoader unit tests
+// ---------------------------------------------------------------------------
+
+// A BlockSource fake for the loader tests.  load() logs every read in
+// service order, blocks on a gate while reading `held` until the test
+// opens it, and fails every read of `failing` with a checksum error.
+// With one loader worker the gate decides when the worker is busy, and
+// the log is the order in which the loader serviced its queues.
+class GatedSource final : public BlockSource {
  public:
-  explicit CountingSource(const BlockSource* inner) : inner_(inner) {}
+  GatedSource(const BlockSource* inner, BlockId held,
+              BlockId failing = kInvalidBlock)
+      : inner_(inner), held_(held), failing_(failing) {}
 
   GridPtr load(BlockId id) const override {
     {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counts_[id];
+      std::unique_lock<std::mutex> lock(mu_);
+      reads_.push_back(id);
+      if (id == held_) {
+        entered_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return open_; });
+      }
+    }
+    if (id == failing_) {
+      throw BlockReadError(BlockReadError::Kind::kCorrupt, id,
+                           "checksum mismatch");
     }
     return inner_->load(id);
   }
@@ -65,231 +84,136 @@ class CountingSource final : public BlockSource {
   }
   int num_blocks() const override { return inner_->num_blocks(); }
 
-  int count(BlockId id) const {
+  // Wait until a worker is reading `held`.
+  void wait_entered() const {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return entered_; });
+  }
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  std::vector<BlockId> reads() const {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = counts_.find(id);
-    return it == counts_.end() ? 0 : it->second;
+    return reads_;
+  }
+  long count(BlockId id) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::count(reads_.begin(), reads_.end(), id);
   }
 
  private:
   const BlockSource* inner_;
+  const BlockId held_;
+  const BlockId failing_;
   mutable std::mutex mu_;
-  mutable std::map<BlockId, int> counts_;
-};
-
-// ---------------------------------------------------------------------------
-// AsyncBlockLoader unit tests
-// ---------------------------------------------------------------------------
-
-// A stall hook that blocks the first attempt on `held` until the test
-// releases it: deterministic control over when the single worker is busy.
-struct WorkerGate {
-  BlockId held = 0;
-  std::atomic<bool> entered{false};
-  std::promise<void> release;
-  std::shared_future<void> released{release.get_future().share()};
-
-  AsyncBlockLoader::StallHook hook() {
-    return [this](BlockId id, int attempt) {
-      if (id == held && attempt == 0) {
-        entered = true;
-        released.wait();
-      }
-      return 0.0;
-    };
-  }
-  void wait_entered() {
-    while (!entered) std::this_thread::yield();
-  }
+  mutable std::condition_variable cv_;
+  mutable std::vector<BlockId> reads_;
+  mutable bool entered_ = false;
+  bool open_ = false;
 };
 
 TEST(AsyncBlockLoader, CoalescesConcurrentRequestsIntoOneRead) {
   auto w = sf::testing::rotor_world(2);
-  CountingSource source(w.source.get());
-  AsyncBlockLoader::Config cfg;
-  cfg.workers = 1;
-  AsyncBlockLoader loader(&source, cfg);
-
-  WorkerGate gate;
-  loader.set_stall_hook(gate.hook());
+  GatedSource source(w.source.get(), /*held=*/0);
+  AsyncBlockLoader loader(&source, /*workers=*/1);
 
   auto f1 = loader.request(0, /*demand=*/false);
-  gate.wait_entered();  // the read is in flight (kLoading)...
+  source.wait_entered();  // the read is in flight...
   auto f2 = loader.request(0, /*demand=*/false);  // ...both of these
   auto f3 = loader.request(0, /*demand=*/true);   // coalesce onto it
-  gate.release.set_value();
+  source.open();
 
   const GridPtr g1 = f1.get();
   ASSERT_NE(g1, nullptr);
   EXPECT_EQ(f2.get().get(), g1.get());
   EXPECT_EQ(f3.get().get(), g1.get());
   EXPECT_EQ(source.count(0), 1);
-  EXPECT_EQ(loader.submitted(), 1u);
-  EXPECT_EQ(loader.coalesced(), 2u);
-  EXPECT_EQ(loader.completed(), 1u);
 }
 
 TEST(AsyncBlockLoader, DemandRequestsJumpThePrefetchQueue) {
   auto w = sf::testing::rotor_world(2);
-  CountingSource source(w.source.get());
-  AsyncBlockLoader::Config cfg;
-  cfg.workers = 1;  // a single worker exposes the service order
-  AsyncBlockLoader loader(&source, cfg);
-
-  WorkerGate gate;
-  loader.set_stall_hook(gate.hook());
-
-  std::mutex order_mu;
-  std::vector<BlockId> order;
-  const auto record = [&](BlockId id, GridPtr, std::exception_ptr) {
-    std::lock_guard<std::mutex> lock(order_mu);
-    order.push_back(id);
-  };
+  GatedSource source(w.source.get(), /*held=*/0);
+  AsyncBlockLoader loader(&source, 1);  // one worker: the service order
 
   std::vector<std::shared_future<GridPtr>> futures;
-  futures.push_back(loader.request(0, false, record));
-  gate.wait_entered();  // worker held on 0: everything below stays queued
-  futures.push_back(loader.request(1, false, record));
-  futures.push_back(loader.request(2, false, record));
-  futures.push_back(loader.request(3, true, record));  // demand: overtakes
-  gate.release.set_value();
+  futures.push_back(loader.request(0, false));
+  source.wait_entered();  // worker held on 0: everything below stays queued
+  futures.push_back(loader.request(1, false));
+  futures.push_back(loader.request(2, false));
+  futures.push_back(loader.request(3, false));
+  futures.push_back(loader.request(4, true));  // demand: overtakes
+  futures.push_back(loader.request(3, true));  // promotes the queued 3
+  source.open();
   for (auto& f : futures) ASSERT_NE(f.get(), nullptr);
 
-  // Futures resolve just before their completion fires; wait for the
-  // last callback rather than racing it.
-  for (;;) {
-    std::lock_guard<std::mutex> lock(order_mu);
-    if (order.size() == futures.size()) break;
-    std::this_thread::yield();
+  EXPECT_EQ(source.reads(), (std::vector<BlockId>{0, 4, 3, 1, 2}));
+}
+
+// One request, one BlockSource::load: the error goes out through the
+// future as thrown, and a later request is a fresh read.
+TEST(AsyncBlockLoader, FailedReadRethrowsAfterOneAttempt) {
+  auto w = sf::testing::rotor_world(2);
+  GatedSource source(w.source.get(), kInvalidBlock, /*failing=*/0);
+  AsyncBlockLoader loader(&source, 1);
+
+  for (long attempt = 1; attempt <= 2; ++attempt) {
+    auto f = loader.request(0, true);
+    try {
+      (void)f.get();
+      ADD_FAILURE() << "expected the read of block 0 to throw";
+    } catch (const BlockReadError& e) {
+      EXPECT_EQ(e.kind(), BlockReadError::Kind::kCorrupt);
+      EXPECT_EQ(e.block(), 0);
+    }
+    EXPECT_EQ(source.count(0), attempt);
   }
-  std::lock_guard<std::mutex> lock(order_mu);
-  EXPECT_EQ(order, (std::vector<BlockId>{0, 3, 1, 2}));
-}
-
-TEST(AsyncBlockLoader, ExhaustedRetriesSurfaceTheError) {
-  auto w = sf::testing::rotor_world(2);
-  AsyncBlockLoader::Config cfg;
-  cfg.workers = 1;
-  cfg.max_retries = 2;
-  cfg.retry_backoff = 1e-4;
-  cfg.backoff_cap = 1e-3;
-  AsyncBlockLoader loader(w.source.get(), cfg);
-  loader.set_fault_hook([](BlockId, int) { return true; });  // always fail
-
-  std::promise<std::exception_ptr> seen;
-  auto f = loader.request(0, true,
-                          [&](BlockId, GridPtr g, std::exception_ptr e) {
-                            EXPECT_EQ(g, nullptr);
-                            seen.set_value(e);
-                          });
-  EXPECT_THROW(f.get(), std::runtime_error);
-  EXPECT_NE(seen.get_future().get(), nullptr);
-  EXPECT_EQ(loader.failed(), 1u);
-  EXPECT_EQ(loader.retries(), 2u);  // max_retries backoffs were taken
-  EXPECT_EQ(loader.completed(), 0u);
-}
-
-TEST(AsyncBlockLoader, TransientFaultRetriesToSuccess) {
-  auto w = sf::testing::rotor_world(2);
-  CountingSource source(w.source.get());
-  AsyncBlockLoader::Config cfg;
-  cfg.workers = 1;
-  cfg.max_retries = 3;
-  cfg.retry_backoff = 1e-4;
-  cfg.backoff_cap = 1e-3;
-  AsyncBlockLoader loader(&source, cfg);
-  // Attempts 0 and 1 fail, attempt 2 goes through.
-  loader.set_fault_hook([](BlockId, int attempt) { return attempt < 2; });
-
-  ASSERT_NE(loader.request(0, true).get(), nullptr);
-  EXPECT_EQ(loader.retries(), 2u);
-  EXPECT_EQ(loader.failed(), 0u);
-  EXPECT_EQ(loader.completed(), 1u);
-  EXPECT_EQ(source.count(0), 1);  // faulted attempts never reached the disk
-}
-
-TEST(AsyncBlockLoader, StallBeyondBackoffCapConsumesNoRetries) {
-  auto w = sf::testing::rotor_world(2);
-  AsyncBlockLoader::Config cfg;
-  cfg.workers = 1;
-  cfg.max_retries = 1;
-  cfg.retry_backoff = 1e-4;
-  cfg.backoff_cap = 1e-3;  // the stall below is 50x the cap
-  AsyncBlockLoader loader(w.source.get(), cfg);
-  loader.set_stall_hook([](BlockId, int) { return 0.05; });
-
-  ASSERT_NE(loader.request(0, true).get(), nullptr);
-  EXPECT_EQ(loader.retries(), 0u);  // slowness is not failure
-  EXPECT_EQ(loader.failed(), 0u);
-  EXPECT_EQ(loader.completed(), 1u);
+  ASSERT_NE(loader.request(1, true).get(), nullptr);  // the worker lives on
 }
 
 TEST(AsyncBlockLoader, CancelQueuedResolvesNullButLoadingIsUncancellable) {
   auto w = sf::testing::rotor_world(2);
-  CountingSource source(w.source.get());
-  AsyncBlockLoader::Config cfg;
-  cfg.workers = 1;
-  AsyncBlockLoader loader(&source, cfg);
-
-  WorkerGate gate;
-  loader.set_stall_hook(gate.hook());
+  GatedSource source(w.source.get(), /*held=*/0);
+  AsyncBlockLoader loader(&source, 1);
 
   auto f0 = loader.request(0, false);
-  gate.wait_entered();
+  source.wait_entered();
   auto f1 = loader.request(1, false);
+  auto f2 = loader.request(2, true);
 
   EXPECT_FALSE(loader.cancel(0));   // already loading
   EXPECT_TRUE(loader.cancel(1));    // still queued
   EXPECT_FALSE(loader.cancel(1));   // second cancel is a no-op
+  EXPECT_TRUE(loader.cancel(2));    // queued on the demand side
   EXPECT_FALSE(loader.cancel(99));  // never requested
-  gate.release.set_value();
+  source.open();
 
   ASSERT_NE(f0.get(), nullptr);
   EXPECT_EQ(f1.get(), nullptr);  // cancellation contract: null, no throw
-  EXPECT_EQ(source.count(1), 0);
-  EXPECT_EQ(loader.cancelled(), 1u);
+  EXPECT_EQ(f2.get(), nullptr);
+  EXPECT_EQ(source.reads(), std::vector<BlockId>{0});
 }
 
-// Regression for the take_settled()/settle() split (async_loader.hpp's
-// locking contract, DESIGN.md §13): completions fire with mu_ released,
-// so a callback may re-enter the loader.  Before the lock-scope
-// refactor a completion that called request() or cancel() would
-// self-deadlock on the non-recursive mutex — this test would hang (and
-// in Debug the lock-rank registry would abort on the same-rank
-// reacquisition).
-TEST(AsyncBlockLoader, CompletionMayReenterRequestAndCancel) {
+// The destructor cancels what is still queued, lets the read in flight
+// finish, and joins.
+TEST(AsyncBlockLoader, DestructorCancelsQueuedReadsAndJoins) {
   auto w = sf::testing::rotor_world(2);
-  CountingSource source(w.source.get());
-  AsyncBlockLoader::Config cfg;
-  cfg.workers = 1;
-  AsyncBlockLoader loader(&source, cfg);
+  GatedSource source(w.source.get(), /*held=*/0);
+  auto loader = std::make_unique<AsyncBlockLoader>(&source, 1);
 
-  WorkerGate gate;
-  loader.set_stall_hook(gate.hook());
-
-  // Block 0's completion — on the worker thread — cancels the still
-  // queued block 2 and chains a request for block 1.
-  std::promise<std::shared_future<GridPtr>> chained;
-  std::atomic<bool> cancel_ok{false};
-  auto f0 = loader.request(0, true,
-                           [&](BlockId, GridPtr g, std::exception_ptr) {
-                             EXPECT_NE(g, nullptr);
-                             cancel_ok = loader.cancel(2);
-                             chained.set_value(loader.request(1, true));
-                           });
-  gate.wait_entered();                 // 0 holds the only worker...
-  auto f2 = loader.request(2, false);  // ...so 2 waits in the queue
-  gate.release.set_value();
+  auto f0 = loader->request(0, false);
+  source.wait_entered();
+  auto f1 = loader->request(1, true);
+  std::thread destroy([&loader] { loader.reset(); });
+  EXPECT_EQ(f1.get(), nullptr);  // cancelled by the destructor...
+  source.open();                 // ...which then waits out the read of 0
+  destroy.join();
 
   ASSERT_NE(f0.get(), nullptr);
-  auto f1 = chained.get_future().get();
-  ASSERT_NE(f1.get(), nullptr);  // the re-entrant request was serviced
-  EXPECT_TRUE(cancel_ok);        // the re-entrant cancel caught 2 queued
-  EXPECT_EQ(f2.get(), nullptr);
-  EXPECT_EQ(source.count(1), 1);
-  EXPECT_EQ(source.count(2), 0);
-  EXPECT_EQ(loader.completed(), 2u);
-  EXPECT_EQ(loader.cancelled(), 1u);
+  EXPECT_EQ(source.reads(), std::vector<BlockId>{0});
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <vector>
 
 #include "core/analytic_fields.hpp"
@@ -60,15 +61,17 @@ void flip_bit(const fs::path& file, std::streamoff at, int bit) {
   f.write(&c, 1);
 }
 
-// The kind of BlockReadError load_block throws for `id`.
-BlockReadError::Kind load_error(const BlockStore& store, BlockId id) {
+// The kind of BlockReadError load_block throws for `id`, nullopt if it
+// does not throw.
+std::optional<BlockReadError::Kind> load_error(const BlockStore& store,
+                                               BlockId id) {
   try {
     (void)store.load_block(id);
   } catch (const BlockReadError& e) {
     return e.kind();
   }
   ADD_FAILURE() << "expected load_block(" << id << ") to throw";
-  return BlockReadError::Kind::kInjected;
+  return std::nullopt;
 }
 
 // A checksum chained over three arrays, as BlockStore checksums the x,

@@ -34,9 +34,9 @@ Static checks that clang-tidy cannot express, run in CI next to it:
 
 Randomness hygiene (unseeded RNG / wall-clock engines) lives in
 check_determinism.py, next to the other sources of nondeterminism.
-Switch exhaustiveness over Command::Type and LoadState is the compiler's
-job: -Wswitch (in -Wall) flags a missing enumerator in a switch without
-default:, and CI builds with -Werror.
+Switch exhaustiveness over Command::Type is the compiler's job: -Wswitch
+(in -Wall) flags a missing enumerator in a switch without default:, and
+CI builds with -Werror.
 
 Translation units come from build*/compile_commands.json when present
 (headers are always globbed); see lintutil.source_files.
