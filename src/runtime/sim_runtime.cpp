@@ -199,14 +199,12 @@ class SimRuntime::Context final : public RankHost {
     if (fs == nullptr) return a;
     if (fs->injector.draw_disk_fault()) {
       a.faulted = true;
-      disk_->note_faulted_read();
       ++fs->stats.disk_faults;
     } else if (fs->injector.draw_disk_corrupt()) {
       // Silent payload bit-flip.  The checksum catches it at completion
       // (never delivered to the tracer), so the attempt behaves exactly
       // like a failed read and walks the same capped-backoff ladder.
       a.faulted = true;
-      disk_->note_faulted_read();
       ++fs->stats.corruptions_injected;
       ++fs->stats.corruptions_detected;
     } else if (fs->injector.draw_disk_stall()) {
@@ -391,11 +389,18 @@ CrashRecord* SimRuntime::crash_record_of(int rank) {
   return nullptr;
 }
 
-void SimRuntime::note_detected_recovered(int dead_rank) {
+RecoveredWork SimRuntime::recover_ledger(int dead_rank, int recoverer) {
+  FaultState& fs = *fault_;
+  RecoveredWork work = fs.ledger.recover(dead_rank, recoverer);
+  ++fs.stats.crashes_survived;
+  fs.stats.particles_recovered += work.active.size();
+  fs.stats.time_to_recovery +=
+      engine_->now() - fs.crash_time[static_cast<std::size_t>(dead_rank)];
   if (CrashRecord* rec = crash_record_of(dead_rank)) {
     if (rec->detect_time < 0.0) rec->detect_time = engine_->now();
     if (rec->recover_time < 0.0) rec->recover_time = engine_->now();
   }
+  return work;
 }
 
 void SimRuntime::runtime_recover(int dead_rank) {
@@ -406,12 +411,7 @@ void SimRuntime::runtime_recover(int dead_rank) {
   const int succ = next != live_ranks_.end() ? *next : *live_ranks_.begin();
 
   FaultState& fs = *fault_;
-  RecoveredWork work = fs.ledger.recover(dead_rank, succ);
-  ++fs.stats.crashes_survived;
-  fs.stats.particles_recovered += work.active.size();
-  fs.stats.time_to_recovery +=
-      engine_->now() - fs.crash_time[static_cast<std::size_t>(dead_rank)];
-  note_detected_recovered(dead_rank);
+  RecoveredWork work = recover_ledger(dead_rank, succ);
 
   // Termination accounting first: if handing the particles over aborts
   // the run (successor OOM), the global count must already be settled.
@@ -453,12 +453,7 @@ RecoveredWork SimRuntime::recover_for(int recoverer, int dead_rank) {
     kill_rank(dead_rank);
     ++fs.stats.crashes_injected;
   }
-  RecoveredWork work = fs.ledger.recover(dead_rank, recoverer);
-  ++fs.stats.crashes_survived;
-  fs.stats.particles_recovered += work.active.size();
-  fs.stats.time_to_recovery +=
-      engine_->now() - fs.crash_time[static_cast<std::size_t>(dead_rank)];
-  note_detected_recovered(dead_rank);
+  RecoveredWork work = recover_ledger(dead_rank, recoverer);
   SF_INVARIANT_HOOK(
       hosts_.checker,
       on_recover(dead_rank, recoverer, work.active, engine_->now()));
@@ -512,7 +507,6 @@ void SimRuntime::fault_send(int from, int to, SimTime arrive,
   }
 
   if (fs.injector.draw_message_drop()) {
-    network_->note_dropped(bytes);
     ++fs.stats.messages_dropped;
     engine_->schedule_at(arrive, [this, to, m = std::move(msg)]() mutable {
       bounce_undeliverable(to, std::move(m));
@@ -549,7 +543,6 @@ void SimRuntime::transmit_control(int from, int to, std::uint32_t seq,
   PendingControl& pc = pit->second;
 
   if (fs.injector.draw_message_drop()) {
-    network_->note_dropped(pc.bytes);
     ++fs.stats.messages_dropped;
   } else {
     engine_->schedule_at(
@@ -622,7 +615,6 @@ void SimRuntime::send_control_ack(int acker, int sender, std::uint32_t seq) {
   // Acks draw from the same lossy link but are never retransmitted: a
   // lost ack just provokes one more (deduped) retransmit of the data.
   if (fs.injector.draw_message_drop()) {
-    network_->note_dropped(bytes);
     ++fs.stats.messages_dropped;
     return;
   }
@@ -835,11 +827,12 @@ RunMetrics SimRuntime::run(const ProgramFactory& factory) {
 
   RunMetrics run_metrics;
   run_metrics.num_ranks = config_.num_ranks;
-  // Quiescence time of a cancel-bearing fault-free run: a deadline cancel
-  // scheduled past completion still fires (and advances engine.now()), but
-  // must not stretch the reported wall clock — same trailing-event rule
-  // the fault plane applies through done_time.
-  double quiesce_time = -1.0;
+  // The wall clock is when every live rank finished.  A trailing event
+  // past that point (an injector or checkpoint tick of a fault run, a
+  // deadline cancel scheduled past completion) still fires and advances
+  // engine.now(), but must not stretch the reported wall clock.
+  const bool trailing_events = fault_ || !config_.cancels.empty();
+  double done_time = -1.0;
   for (;;) {
     try {
       if (!engine.step()) break;
@@ -862,24 +855,15 @@ RunMetrics SimRuntime::run(const ProgramFactory& factory) {
       run_metrics.abort_reason = abort.what();
       break;
     }
-    if (fault_) {
+    if (trailing_events) {
       if (all_live_finished()) {
-        if (fault_->done_time < 0.0) fault_->done_time = engine.now();
+        if (done_time < 0.0) done_time = engine.now();
       } else {
-        fault_->done_time = -1.0;  // a recovery re-opened some rank
-      }
-    } else if (!config_.cancels.empty()) {
-      if (all_live_finished()) {
-        if (quiesce_time < 0.0) quiesce_time = engine.now();
-      } else {
-        quiesce_time = -1.0;  // a late arrival re-opened some rank
+        done_time = -1.0;  // a recovery or a late arrival re-opened a rank
       }
     }
   }
-  run_metrics.wall_clock = (fault_ && fault_->done_time >= 0.0)
-                               ? fault_->done_time
-                               : (quiesce_time >= 0.0 ? quiesce_time
-                                                      : engine.now());
+  run_metrics.wall_clock = done_time >= 0.0 ? done_time : engine.now();
 
   // With no immune ranks a crash (or OOM) cascade can kill every rank;
   // the vacuous "all live ranks finished" must then read as a failed

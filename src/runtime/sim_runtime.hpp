@@ -108,9 +108,6 @@ class SimRuntime {
     std::map<int, double> slowdown_time;
     std::set<int> speculated;
     std::map<std::uint32_t, std::uint32_t> speculated_at_steps;
-    // Simulated time when every live rank finished; the fault-mode wall
-    // clock (trailing injector/checkpoint events do not extend the run).
-    double done_time = -1.0;
     // Reliable control transport (DESIGN.md §11): per-link sender
     // sequence counters, pending unacked messages, and receiver dedup
     // windows.
@@ -145,7 +142,10 @@ class SimRuntime {
   std::vector<Particle> speculate_for(int speculator, int straggler);
   // Bookkeeping for the per-crash timeline (satellite of DESIGN.md §11).
   CrashRecord* crash_record_of(int rank);
-  void note_detected_recovered(int dead_rank);
+  // Both recovery paths: take the dead rank's streamlines out of the
+  // ledger for `recoverer`, book the recovery stats and stamp the crash
+  // record's detect and recover times.
+  RecoveredWork recover_ledger(int dead_rank, int recoverer);
   // Ledger snooping + drop/dead-rank handling for one sent message.
   void fault_send(int from, int to, SimTime arrive, std::size_t bytes,
                   Message msg);

@@ -46,19 +46,12 @@ class SharedDisk {
   std::uint64_t reads() const { return reads_; }
   std::uint64_t bytes_read() const { return bytes_read_; }
 
-  // Fault-injection bookkeeping: a submitted read whose result was
-  // discarded (simulated I/O error).  The channel time is still consumed —
-  // the server did the work, the reader got garbage.
-  void note_faulted_read() { ++faulted_reads_; }
-  std::uint64_t faulted_reads() const { return faulted_reads_; }
-
  private:
   MachineModel model_;
   std::vector<SimTime> free_at_;
   SimTime last_submit_ = 0.0;
   std::uint64_t reads_ = 0;
   std::uint64_t bytes_read_ = 0;
-  std::uint64_t faulted_reads_ = 0;
 };
 
 }  // namespace sf

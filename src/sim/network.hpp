@@ -31,21 +31,10 @@ class Network {
   std::uint64_t messages() const { return messages_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
 
-  // Fault-injection bookkeeping: a message accounted above whose delivery
-  // was suppressed (the send cost was paid; the payload never arrived).
-  void note_dropped(std::size_t bytes) {
-    ++dropped_messages_;
-    dropped_bytes_ += bytes;
-  }
-  std::uint64_t dropped_messages() const { return dropped_messages_; }
-  std::uint64_t dropped_bytes() const { return dropped_bytes_; }
-
  private:
   MachineModel model_;
   std::uint64_t messages_ = 0;
   std::uint64_t bytes_sent_ = 0;
-  std::uint64_t dropped_messages_ = 0;
-  std::uint64_t dropped_bytes_ = 0;
 };
 
 }  // namespace sf

@@ -52,8 +52,6 @@ class SimEngine {
     return true;
   }
 
-  std::size_t pending_events() const { return queue_.size(); }
-
  private:
   EventQueue queue_;
   SimTime now_ = 0.0;
