@@ -171,6 +171,7 @@ class GroupScheduler {
   bool remove_slave(int slave) {
     const auto it = records_.find(slave);
     if (it == records_.end()) return false;
+    if (it->second.straggler) --stragglers_;
     // Purge the record's index entries by applying an empty status, then
     // drop the record: dead slaves take no further part in any rule.
     StatusUpdate none;
@@ -237,7 +238,11 @@ class GroupScheduler {
     audit_indexes();
   }
 
-  void flag_straggler(int slave) { records_.at(slave).straggler = true; }
+  void flag_straggler(int slave) {
+    bool& flagged = records_.at(slave).straggler;
+    if (!flagged) ++stragglers_;
+    flagged = true;
+  }
 
   // The initial allocation: N seeds per slave, in rank order, while seeds
   // last (Assign_loaded / Assign_unloaded).
@@ -253,11 +258,16 @@ class GroupScheduler {
   template <typename Out>
   void assignment_pass(Out& out) {
     bool expensive_available = true;
+    // A flagged straggler gets no new work while an unflagged slave of
+    // the group can take it: its remaining copies race the speculated
+    // ones, and feeding it more only slows the run.  Once every
+    // registered slave is flagged, they are the only takers left (the
+    // coordinator integrates its pool only with no registered slave), so
+    // they are fed like any other.
+    const bool skip_stragglers = stragglers_ < records_.size();
     for (auto& [slave, rec] : records_) {
       if (!rec.needs_work || rec.outstanding) continue;
-      // A flagged straggler gets no new work: its remaining copies race
-      // the speculated ones, and feeding it more only slows the run.
-      if (rec.straggler) continue;
+      if (rec.straggler && skip_stragglers) continue;
       if (rules_for(slave, rec, expensive_available, out)) {
         rec.needs_work = false;
         rec.outstanding = true;
@@ -565,6 +575,7 @@ class GroupScheduler {
 
   ParticlePool seeds_;
   std::map<int, SlaveRecord> records_;
+  std::size_t stragglers_ = 0;  // records flagged straggler
   // The inverted indexes over the records (see index_* above).
   std::map<BlockId, std::vector<int>> holders_;
   std::map<BlockId, std::vector<std::pair<int, std::uint32_t>>> queued_idx_;

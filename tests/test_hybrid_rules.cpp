@@ -253,6 +253,38 @@ TEST(HybridRules, ADeclaredDeadSlaveLeavesBothIndexes) {
   EXPECT_EQ(g.orders[0].second.block, 3);
 }
 
+// A flagged straggler is skipped only while an unflagged slave of the
+// group can take the work.  When every registered slave is flagged (the
+// healthy ones died), skipping them would hold the seed pool forever.
+TEST(HybridRules, FlaggedStragglersAreFedOnceNoUnflaggedSlaveRemains) {
+  struct Row {
+    bool flag_1;
+    bool flag_2;
+    bool remove_2;
+    std::vector<int> fed;
+  };
+  for (const Row& row :
+       {Row{false, false, false, {1, 2}}, Row{true, false, false, {2}},
+        Row{true, true, false, {1, 2}}, Row{true, false, true, {1}},
+        Row{false, true, true, {1}}}) {
+    Group g;
+    g.seed(2, 30);
+    g.report(1, {}, {}, 0);
+    g.report(2, {}, {}, 0);
+    if (row.flag_1) g.sched.flag_straggler(1);
+    if (row.flag_2) g.sched.flag_straggler(2);
+    if (row.remove_2) g.sched.remove_slave(2);
+    g.pass();
+    std::vector<int> fed;
+    for (const auto& [slave, cmd] : g.orders) {
+      if (cmd.type == Type::kAssign) fed.push_back(slave);
+    }
+    EXPECT_EQ(fed, row.fed) << "flag_1=" << row.flag_1
+                            << " flag_2=" << row.flag_2
+                            << " remove_2=" << row.remove_2;
+  }
+}
+
 TEST(HybridRules, InitialAllocationGivesEachSlaveNSeedsWhileTheyLast) {
   Group g;
   g.seed(1, 25);

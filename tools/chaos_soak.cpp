@@ -23,16 +23,17 @@
 //
 // Flags:
 //   --runs=N       schedules to soak (default 50)
-//   --seed=S       master seed (default 0xc4a05)
+//   --seed=S       master seed, 0..INT_MAX (default 0xc4a05)
 //   --procs=N      simulated ranks per run (default 16)
 //   --count=N      streamlines per run (default 300)
+//
+// A malformed or out-of-range number exits 2 naming the flag.
 //   --out-dir=DIR  where failing schedules are written (chaos_failures)
 //   --replay=FILE  run one dumped schedule instead of soaking
 //   --quick        smoke preset: 6 runs, 150 streamlines, each run's
 //                  algorithm and hybrid layout pinned (see kSmokeCover)
 
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -43,6 +44,7 @@
 #include <vector>
 
 #include "algorithms/driver.hpp"
+#include "bench/bench_flags.hpp"
 #include "algorithms/hybrid.hpp"
 #include "core/analytic_fields.hpp"
 #include "core/rng.hpp"
@@ -317,9 +319,8 @@ constexpr Cover kSmokeCover[] = {
     {Algorithm::kHybridMasterSlave, 4, 2},
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int soak_main(int argc, char** argv) {
+  using sf::bench::flag_int;
   int runs = 50;
   std::uint64_t master_seed = 0xc4a05;
   int procs = 16;
@@ -330,14 +331,14 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--runs=", 0) == 0) {
-      runs = std::atoi(arg.substr(7).c_str());
+      runs = flag_int("runs", arg.substr(7), 1);
     } else if (arg.rfind("--seed=", 0) == 0) {
       master_seed =
-          static_cast<std::uint64_t>(std::atoll(arg.substr(7).c_str()));
+          static_cast<std::uint64_t>(flag_int("seed", arg.substr(7), 0));
     } else if (arg.rfind("--procs=", 0) == 0) {
-      procs = std::atoi(arg.substr(8).c_str());
+      procs = flag_int("procs", arg.substr(8), 1);
     } else if (arg.rfind("--count=", 0) == 0) {
-      count = static_cast<std::size_t>(std::atoll(arg.substr(8).c_str()));
+      count = static_cast<std::size_t>(flag_int("count", arg.substr(8), 1));
     } else if (arg.rfind("--out-dir=", 0) == 0) {
       out_dir = arg.substr(10);
     } else if (arg.rfind("--replay=", 0) == 0) {
@@ -411,4 +412,10 @@ int main(int argc, char** argv) {
   std::cout << '\n' << (runs - failures) << "/" << runs
             << " schedules survived\n";
   return failures == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return sf::bench::bench_main(argc, argv, soak_main);
 }
