@@ -45,8 +45,7 @@ class BlockStore {
   // allocating, then verifies the payload checksum; throws a typed
   // BlockReadError (io/io_error.hpp) on a missing file, bad magic, a
   // header that disagrees with the manifest, truncation or checksum
-  // mismatch, so retry machinery can distinguish recoverable read faults
-  // from structural ones.
+  // mismatch, so a caller can tell a missing file from a damaged one.
   GridPtr load_block(BlockId id) const;
 
   // Size of the block file on disk.

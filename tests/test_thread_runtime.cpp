@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <string>
 
 #include "algorithms/load_on_demand.hpp"
 #include "algorithms/hybrid.hpp"
 #include "algorithms/static_alloc.hpp"
 #include "io/block_store.hpp"
+#include "io/io_error.hpp"
 #include "test_support.hpp"
 
 namespace sf {
@@ -202,6 +205,60 @@ TEST(ThreadRuntime, HybridAsyncDiskIoMatchesSerialBitForBit) {
 // sleeps at every mailbox and cache boundary.  Whatever interleaving that
 // produces, the results must still match the serial tracer exactly — any
 // divergence means an order-dependence bug in the protocol.
+// A block file whose payload no longer matches its checksum ends the run
+// in a BlockReadError naming the block: with async I/O off (the demand
+// read fails on the rank thread) and on (a failed prefetch is re-read
+// synchronously, which fails again).  Never a hang, never
+// std::terminate: ThreadRuntime has no retry ladder (DESIGN.md §16).
+TEST(ThreadRuntime, CorruptedBlockEndsTheRunInABlockReadError) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("sf_threads_corrupt_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+
+  auto w = sf::testing::rotor_world(2);
+  BlockStore::write(dir, *w.dataset);
+  auto store = std::make_shared<BlockStore>(dir);
+  const BlockId bad = 5;
+  {
+    // Flip one bit of the first payload word, past the 80-byte header.
+    constexpr std::streamoff kPayloadByte = 80;
+    std::fstream f(store->block_path(bad),
+                   std::ios::in | std::ios::out | std::ios::binary);
+    char c = 0;
+    f.seekg(kPayloadByte);
+    f.read(&c, 1);
+    c = static_cast<char>(c ^ 1);
+    f.seekp(kPayloadByte);
+    f.write(&c, 1);
+  }
+  const DiskBlockSource disk_source(store);
+
+  // Every seed starts in the corrupted block, so every run must read it.
+  Rng rng(3);
+  const auto seeds = random_seeds(w.decomp().block_bounds(bad), 12, rng);
+  for (const Algorithm algo :
+       {Algorithm::kStaticAllocation, Algorithm::kLoadOnDemand,
+        Algorithm::kHybridMasterSlave}) {
+    for (const bool async : {false, true}) {
+      auto cfg = sf::testing::test_config(algo, 3);
+      cfg.runtime.async_io.enabled = async;
+      cfg.runtime.async_io.workers = 1;
+      const std::string label =
+          std::string(to_string(algo)) + (async ? " async" : " sync");
+      try {
+        (void)run_experiment_threads(cfg, w.decomp(), disk_source, seeds);
+        ADD_FAILURE() << label << ": the run ended without an error";
+      } catch (const BlockReadError& e) {
+        EXPECT_EQ(e.block(), bad) << label;
+        EXPECT_EQ(e.kind(), BlockReadError::Kind::kCorrupt) << label;
+      }
+    }
+  }
+  fs::remove_all(dir);
+}
+
 TEST(ThreadRuntime, ScheduleFuzzMatchesSerialAcrossSeeds) {
   auto w = sf::testing::rotor_world(2);
   Rng rng(13);
