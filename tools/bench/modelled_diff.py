@@ -24,7 +24,8 @@ Every program runs in its own output directory with relative paths, so
 the outputs hold no checkout path.  A run still going after TIMEOUT_S
 seconds is stopped and recorded as "timeout", and each side lists its
 timeouts.  Exit status 0 when every output is
-identical, 1 naming the first differing output, 2 when a build fails.
+identical, 1 naming every differing output (one `differs:` line each),
+2 when a build fails.
 The worktrees are removed at the end unless --keep is given; a later call
 with the same --scratch reuses kept worktrees at the requested commits.
 """
@@ -211,21 +212,32 @@ def run_side(build_dir, out, jobs):
     return len(cli_configs()), len(lines)
 
 
-def first_difference(base, head):
-    """The first output path (relative) that differs, or None."""
+def differences(base, head):
+    """Every output path (relative) that differs, in sorted walk order: a
+    file or directory on one side only, a file on one side that is a
+    directory on the other, or a file whose bytes differ."""
+    diffs = []
     for root, dirs, files in os.walk(base):
         dirs.sort()
         rel = os.path.relpath(root, base)
         other = os.path.join(head, rel)
-        if not os.path.isdir(other):
-            return rel
-        if sorted(os.listdir(root)) != sorted(os.listdir(other)):
-            return rel + "/ (different files)"
-        for name in sorted(files):
-            if not filecmp.cmp(os.path.join(root, name),
-                               os.path.join(other, name), shallow=False):
-                return os.path.normpath(os.path.join(rel, name))
-    return None
+        ours = set(dirs) | set(files)
+        theirs = set(os.listdir(other))
+        for name in sorted(ours | theirs):
+            path = os.path.normpath(os.path.join(rel, name))
+            if name not in theirs:
+                diffs.append(f"{path} (base only)")
+            elif name not in ours:
+                diffs.append(f"{path} (head only)")
+            elif (name in dirs) != os.path.isdir(os.path.join(other, name)):
+                diffs.append(f"{path} (a directory on one side only)")
+            elif name in files and not filecmp.cmp(
+                    os.path.join(root, name), os.path.join(other, name),
+                    shallow=False):
+                diffs.append(path)
+        # Descend only where both sides hold the directory.
+        dirs[:] = [d for d in dirs if os.path.isdir(os.path.join(other, d))]
+    return diffs
 
 
 def main():
@@ -261,13 +273,15 @@ def main():
         sides[side] = out
     print(f"compared: {len(PROGRAMS)} programs, {cli} CLI hybrid fault runs, "
           f"{configs} hybrid layout fault configurations")
-    diff = first_difference(sides["base"], sides["head"])
+    diffs = differences(sides["base"], sides["head"])
     if not args.keep:
         for side in sides:
             git(repo, "worktree", "remove", "--force",
                 os.path.join(scratch, side))
-    if diff is not None:
-        print(f"differs: {diff}")
+    if diffs:
+        for diff in diffs:
+            print(f"differs: {diff}")
+        print(f"{len(diffs)} differing outputs")
         return 1
     print("no difference")
     return 0
