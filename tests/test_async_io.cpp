@@ -1,9 +1,10 @@
 // Async block I/O tests (DESIGN.md §10): the loader coalesces, orders
-// and cancels deterministically and reads each request once; prefetching never changes trajectories
-// (both runtimes, all three algorithms, including under disk faults,
-// stalls, crashes and schedule fuzz); the pinned LRU protects the
-// batch's focus block at tiny capacities; and the invariant checker
-// rejects every illegal pin/prefetch transition.
+// and cancels deterministically and reads each request once;
+// prefetching never changes trajectories (both runtimes, all three
+// algorithms, including under disk faults, stalls, crashes and schedule
+// fuzz); the pinned LRU protects the batch's focus block at tiny
+// capacities; and the invariant checker rejects every illegal
+// pin/prefetch transition.
 
 #include "io/async_loader.hpp"
 

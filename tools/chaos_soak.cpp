@@ -26,12 +26,12 @@
 //   --seed=S       master seed, 0..INT_MAX (default 0xc4a05)
 //   --procs=N      simulated ranks per run (default 16)
 //   --count=N      streamlines per run (default 300)
-//
-// A malformed or out-of-range number exits 2 naming the flag.
 //   --out-dir=DIR  where failing schedules are written (chaos_failures)
 //   --replay=FILE  run one dumped schedule instead of soaking
 //   --quick        smoke preset: 6 runs, 150 streamlines, each run's
 //                  algorithm and hybrid layout pinned (see kSmokeCover)
+//
+// A malformed or out-of-range number exits 2 naming the flag.
 
 #include <cstdint>
 #include <filesystem>
@@ -44,8 +44,8 @@
 #include <vector>
 
 #include "algorithms/driver.hpp"
-#include "bench/bench_flags.hpp"
 #include "algorithms/hybrid.hpp"
+#include "bench/bench_flags.hpp"
 #include "core/analytic_fields.hpp"
 #include "core/rng.hpp"
 #include "core/seeds.hpp"
